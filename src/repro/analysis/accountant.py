@@ -9,10 +9,16 @@ participate in exactly one iteration (Section V's m = 1 argument).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Tuple
+from dataclasses import dataclass
+from itertools import groupby, repeat
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Tuple
+
+import numpy as np
 
 from repro.core.validation import check_epsilon
+
+#: A charge fits when ``cost <= (lifetime - spent) + _CAP_SLACK``.
+_CAP_SLACK = 1e-12
 
 
 class BudgetExceededError(RuntimeError):
@@ -28,9 +34,19 @@ class Charge:
     label: str
 
 
-@dataclass
 class PrivacyAccountant:
     """Tracks cumulative eps spent per user under sequential composition.
+
+    The state is columnar.  ``_rows`` maps each user to a row in
+    first-charge order; ``_spent`` holds every row's spend in one
+    float64 vector whose row 0 stays 0.0 and stands for every user not
+    yet charged; the charge log keeps one ``(users, costs, label id)``
+    chunk per call.  A batch (:meth:`charge_batch`,
+    :meth:`rejected_users`) looks each user up once and tests the cap
+    for all of them in one vectorized comparison.  Every balance is the
+    IEEE ``spent + cost`` that charging one user at a time gives, and
+    :meth:`to_dict` writes plain per-user and per-charge JSON that does
+    not depend on this layout.
 
     Parameters
     ----------
@@ -38,23 +54,21 @@ class PrivacyAccountant:
         Hard cap on any single user's total budget.
     """
 
-    lifetime_epsilon: float
-    _spent: Dict[str, float] = field(default_factory=dict)
-    _ledger: List[Charge] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.lifetime_epsilon = check_epsilon(self.lifetime_epsilon)
+    def __init__(self, lifetime_epsilon: float):
+        self.lifetime_epsilon = check_epsilon(lifetime_epsilon)
+        self._rows: Dict[str, int] = {}
+        self._spent = np.zeros(1)
+        self._log: List[Tuple[List[str], np.ndarray, int]] = []
+        self._labels: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def spent(self, user: str) -> float:
         """Total eps already consumed by ``user``."""
-        return self._spent.get(user, 0.0)
+        return self._spent.item(self._rows.get(user, 0))
 
     def spent_many(self, users: Iterable[str]) -> List[float]:
-        """Bulk :meth:`spent` — one bound ``dict.get`` per user, no
-        per-user method dispatch (metrics hot path reads whole batches)."""
-        get = self._spent.get
-        return [get(user, 0.0) for user in users]
+        """Bulk :meth:`spent`, in the order of ``users``."""
+        return self._spent[self._lookup(users)].tolist()
 
     def remaining(self, user: str) -> float:
         """Budget left before ``user`` hits the lifetime cap."""
@@ -62,20 +76,49 @@ class PrivacyAccountant:
 
     def can_charge(self, user: str, epsilon: float) -> bool:
         """Whether a charge of ``epsilon`` fits within the cap."""
-        return check_epsilon(epsilon) <= self.remaining(user) + 1e-12
+        return check_epsilon(epsilon) <= self.remaining(user) + _CAP_SLACK
 
     def charge(self, user: str, epsilon: float, label: str = "") -> float:
         """Record a charge; raises BudgetExceededError if it overdraws."""
-        epsilon = check_epsilon(epsilon)
-        if not self.can_charge(user, epsilon):
+        self.charge_batch({user: 1}, epsilon, label)
+        return self.remaining(user)
+
+    def rejected_users(
+        self, multiplicity: Mapping[str, int], epsilon: float
+    ) -> List[str]:
+        """Users who cannot afford ``count * epsilon`` for their count
+        in ``multiplicity``, in its order; changes nothing."""
+        users, costs = self._costs(multiplicity, epsilon)
+        fits = self._fits(self._spent[self._lookup(users)], costs)
+        return [users[i] for i in np.flatnonzero(~fits).tolist()]
+
+    def charge_batch(
+        self,
+        multiplicity: Mapping[str, int],
+        epsilon: float,
+        label: str = "",
+    ) -> None:
+        """Charge each user ``count * epsilon``, all or nothing.
+
+        One log entry per user.  If any user cannot afford their share,
+        :class:`BudgetExceededError` names the first such user and
+        nothing is charged.
+        """
+        users, costs = self._costs(multiplicity, epsilon)
+        if not users:
+            return
+        rows = self._lookup(users)
+        spent = self._spent[rows]
+        fits = self._fits(spent, costs)
+        if not fits.all():
+            i = int(np.argmin(fits))
             raise BudgetExceededError(
-                f"user {user!r}: charge {epsilon:g} exceeds remaining "
-                f"budget {self.remaining(user):g} "
+                f"user {users[i]!r}: charge {costs[i]:g} exceeds "
+                f"remaining budget {self.lifetime_epsilon - spent[i]:g} "
                 f"(lifetime {self.lifetime_epsilon:g})"
             )
-        self._spent[user] = self.spent(user) + epsilon
-        self._ledger.append(Charge(user=user, epsilon=epsilon, label=label))
-        return self.remaining(user)
+        self._commit(users, rows, spent + costs)
+        self._append(users, costs, label)
 
     def charge_group(
         self, users, epsilon: float, label: str = "", atomic: bool = False
@@ -83,55 +126,112 @@ class PrivacyAccountant:
         """Charge every user that still has room; returns those charged.
 
         This is the SGD recruitment pattern: only users with budget left
-        may join an iteration's group.
+        may join an iteration's group.  Users are charged in order, one
+        ``epsilon`` per occurrence, so a name listed twice must afford
+        2x.
 
         With ``atomic=True`` the group is all-or-nothing: if any user
-        (at multiplicity — the same name twice must afford 2x) cannot
-        cover the charge, every charge already applied for this group
-        is rolled back and :class:`BudgetExceededError` is raised, so a
-        partial failure can never leave the ledger half-charged.
+        cannot cover the charge, :class:`BudgetExceededError` is raised
+        and every balance and the log are exactly as before the call.
         """
         epsilon = check_epsilon(epsilon)
-        charged = []
-        try:
-            for user in users:
-                if not self.can_charge(user, epsilon):
-                    if atomic:
-                        raise BudgetExceededError(
-                            f"user {user!r}: group charge {epsilon:g} "
-                            f"exceeds remaining budget "
-                            f"{self.remaining(user):g} (lifetime "
-                            f"{self.lifetime_epsilon:g})"
-                        )
-                    continue
-                self.charge(user, epsilon, label)
-                charged.append(user)
-        except BudgetExceededError:
-            if not atomic:  # pragma: no cover - charge() was pre-checked
-                raise
-            self._rollback(len(charged))
-            raise
+        pending: Dict[str, float] = {}
+        charged: List[str] = []
+        for user in users:
+            spent = pending[user] if user in pending else self.spent(user)
+            if not epsilon <= (self.lifetime_epsilon - spent) + _CAP_SLACK:
+                if atomic:
+                    raise BudgetExceededError(
+                        f"user {user!r}: group charge {epsilon:g} "
+                        f"exceeds remaining budget "
+                        f"{self.lifetime_epsilon - spent:g} (lifetime "
+                        f"{self.lifetime_epsilon:g})"
+                    )
+                continue
+            pending[user] = spent + epsilon
+            charged.append(user)
+        if charged:
+            names = list(pending)
+            self._commit(
+                names, self._lookup(names), np.array(list(pending.values()))
+            )
+            self._append(charged, np.full(len(charged), epsilon), label)
         return tuple(charged)
 
-    def _rollback(self, n: int) -> None:
-        """Undo the last ``n`` recorded charges (atomic-group failure)."""
-        for _ in range(n):
-            undone = self._ledger.pop()
-            remaining = self.spent(undone.user) - undone.epsilon
-            if remaining <= 0.0:
-                del self._spent[undone.user]
-            else:
-                self._spent[undone.user] = remaining
+    # ------------------------------------------------------------------
+    def _lookup(self, users: Iterable[str]) -> np.ndarray:
+        """Each user's row; 0 (the zero-spend row) for the uncharged."""
+        return np.fromiter(
+            map(self._rows.get, users, repeat(0)), dtype=np.intp
+        )
+
+    def _costs(
+        self, multiplicity: Mapping[str, int], epsilon: float
+    ) -> Tuple[List[str], np.ndarray]:
+        users = list(multiplicity)
+        costs = np.fromiter(
+            multiplicity.values(), dtype=float, count=len(users)
+        ) * check_epsilon(epsilon)
+        if not np.all((costs > 0.0) & np.isfinite(costs)):
+            raise ValueError(
+                "charges must be positive and finite: every count must "
+                "be positive"
+            )
+        return users, costs
+
+    def _fits(self, spent: np.ndarray, costs: np.ndarray) -> np.ndarray:
+        return costs <= (self.lifetime_epsilon - spent) + _CAP_SLACK
+
+    def _commit(
+        self, users: List[str], rows: np.ndarray, balances: np.ndarray
+    ) -> None:
+        """Store the new ``balances`` of distinct ``users``; those
+        without a row (row 0) get the next rows, in order."""
+        new = np.flatnonzero(rows == 0)
+        if new.size:
+            first = len(self._rows) + 1
+            fresh = range(first, first + new.size)
+            names = (
+                users if new.size == len(users)
+                else [users[i] for i in new.tolist()]
+            )
+            self._rows.update(zip(names, fresh))
+            rows[new] = fresh
+            if first + new.size > self._spent.shape[0]:
+                grown = np.zeros(max(first + new.size, 2 * first))
+                grown[:first] = self._spent[:first]
+                self._spent = grown
+        self._spent[rows] = balances
+
+    def _append(
+        self, users: List[str], costs: np.ndarray, label: str
+    ) -> None:
+        label_id = self._labels.setdefault(label, len(self._labels))
+        self._log.append((users, costs, label_id))
+
+    def _balances(self) -> np.ndarray:
+        """Spend per user, in row (first-charge) order."""
+        return self._spent[1 : len(self._rows) + 1]
+
+    def _chunks(self) -> Iterator[Tuple[List[str], List[float], str]]:
+        """The log as (users, costs, label) per recorded call."""
+        labels = list(self._labels)
+        for users, costs, label_id in self._log:
+            yield users, costs.tolist(), labels[label_id]
 
     # ------------------------------------------------------------------
     @property
     def ledger(self) -> Tuple[Charge, ...]:
         """Immutable view of every recorded charge."""
-        return tuple(self._ledger)
+        return tuple(
+            Charge(user=user, epsilon=cost, label=label)
+            for users, costs, label in self._chunks()
+            for user, cost in zip(users, costs)
+        )
 
     def total_spent(self) -> float:
         """Sum of eps across all users (a deployment-level cost figure)."""
-        return float(sum(self._spent.values()))
+        return float(sum(self._balances().tolist()))
 
     def spent_by_label(self, user: str) -> Dict[str, float]:
         """Breakdown of ``user``'s spend by charge label.
@@ -141,7 +241,7 @@ class PrivacyAccountant:
         cross-campaign ledger.  Keys appear in first-charge order.
         """
         breakdown: Dict[str, float] = {}
-        for charge in self._ledger:
+        for charge in self.ledger:
             if charge.user == user:
                 breakdown[charge.label] = (
                     breakdown.get(charge.label, 0.0) + charge.epsilon
@@ -150,12 +250,16 @@ class PrivacyAccountant:
 
     def users(self) -> Tuple[str, ...]:
         """Every user with at least one recorded charge."""
-        return tuple(self._spent)
+        return tuple(self._rows)
+
+    def user_count(self) -> int:
+        """How many users have been charged (``len(users())``, O(1))."""
+        return len(self._rows)
 
     def exhausted_users(self) -> Tuple[str, ...]:
         """Users with (numerically) no budget left."""
         return tuple(
-            sorted(u for u in self._spent if self.remaining(u) < 1e-12)
+            sorted(u for u in self._rows if self.remaining(u) < _CAP_SLACK)
         )
 
     # ------------------------------------------------------------------
@@ -167,29 +271,37 @@ class PrivacyAccountant:
         :meth:`from_dict` round-trips exactly (floats survive JSON
         bitwise — ``json`` serializes them via ``repr`` round-trip).
         """
+        ledger: List[Dict[str, Any]] = []
+        for users, costs, label in self._chunks():
+            ledger += [
+                {"user": user, "epsilon": cost, "label": label}
+                for user, cost in zip(users, costs)
+            ]
         return {
             "lifetime_epsilon": self.lifetime_epsilon,
-            "spent": dict(self._spent),
-            "ledger": [
-                {"user": c.user, "epsilon": c.epsilon, "label": c.label}
-                for c in self._ledger
-            ],
+            "spent": dict(zip(self._rows, self._balances().tolist())),
+            "ledger": ledger,
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "PrivacyAccountant":
         """Rebuild an accountant from :meth:`to_dict` output."""
         accountant = cls(lifetime_epsilon=float(payload["lifetime_epsilon"]))
-        accountant._spent = {
+        spent = {
             str(user): float(eps)
             for user, eps in payload.get("spent", {}).items()
         }
-        accountant._ledger = [
-            Charge(
-                user=str(entry["user"]),
-                epsilon=float(entry["epsilon"]),
-                label=str(entry.get("label", "")),
+        accountant._rows = dict(zip(spent, range(1, len(spent) + 1)))
+        accountant._spent = np.array([0.0, *spent.values()])
+        # One log chunk per run of consecutive entries with one label.
+        for label, run in groupby(
+            payload.get("ledger", []),
+            key=lambda entry: str(entry.get("label", "")),
+        ):
+            entries = list(run)
+            accountant._append(
+                [str(entry["user"]) for entry in entries],
+                np.array([float(entry["epsilon"]) for entry in entries]),
+                label,
             )
-            for entry in payload.get("ledger", [])
-        ]
         return accountant

@@ -19,22 +19,20 @@ rejects the whole batch (HTTP 429) without touching the ledger.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.accountant import PrivacyAccountant
 
 
 def batch_multiplicity(users: Iterable[str]) -> Dict[str, int]:
-    """How many reports each user contributes to one batch.
+    """How many reports each user contributes to one batch, keyed by
+    ``str(user)`` in first-appearance order.
 
     Multiplicity matters for atomic budget checks: a user appearing
     twice must afford 2x the per-report epsilon.
     """
-    multiplicity: Dict[str, int] = {}
-    for user in users:
-        name = str(user)
-        multiplicity[name] = multiplicity.get(name, 0) + 1
-    return multiplicity
+    return Counter(map(str, users))
 
 
 class CrossCampaignLedger:
@@ -68,6 +66,9 @@ class CrossCampaignLedger:
     def users(self) -> Tuple[str, ...]:
         return self.accountant.users()
 
+    def user_count(self) -> int:
+        return self.accountant.user_count()
+
     def spent_by_campaign(self, user: str) -> Dict[str, float]:
         """Per-campaign breakdown of ``user``'s total spend (labels on
         the underlying ledger are campaign fingerprints)."""
@@ -80,11 +81,7 @@ class CrossCampaignLedger:
         """Users whose *cross-campaign* remaining budget cannot cover
         their share of this batch.  Non-empty means the whole batch
         must be rejected."""
-        return [
-            user
-            for user, count in multiplicity.items()
-            if not self.accountant.can_charge(user, count * epsilon)
-        ]
+        return self.accountant.rejected_users(multiplicity, epsilon)
 
     def charge_batch(
         self,
@@ -97,10 +94,10 @@ class CrossCampaignLedger:
         Callers must have verified :meth:`rejected_users` is empty —
         the underlying accountant still raises
         :class:`~repro.analysis.accountant.BudgetExceededError` on an
-        overdraw, so a missed pre-check cannot corrupt the ledger.
+        overdraw and then charges nobody, so a missed pre-check cannot
+        corrupt the ledger.
         """
-        for user, count in multiplicity.items():
-            self.accountant.charge(user, count * epsilon, label=campaign)
+        self.accountant.charge_batch(multiplicity, epsilon, label=campaign)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict:
@@ -118,5 +115,5 @@ class CrossCampaignLedger:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CrossCampaignLedger(lifetime_epsilon="
-            f"{self.lifetime_epsilon:g}, users={len(self.users())})"
+            f"{self.lifetime_epsilon:g}, users={self.user_count()})"
         )

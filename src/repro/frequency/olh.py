@@ -21,24 +21,52 @@ from repro.utils.rng import RngLike, ensure_rng
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
 
 #: Working-set bound for vectorized support counting: domain values are
 #: processed in blocks of ~this many (user, value) hash evaluations.
-#: Sized so each block's uint64 temporaries stay L2-resident — larger
-#: blocks go DRAM-bound and run slower than the per-value loop they
-#: replace.
-_SUPPORT_BLOCK_ELEMENTS = 65_536
+#: Sized so a block's three uint64 buffers (~800 KB) stay L2-resident —
+#: larger blocks go DRAM-bound and run slower than the per-value loop
+#: they replace.
+_SUPPORT_BLOCK_ELEMENTS = 32_768
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer: a fast, well-mixed 64-bit hash."""
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
-    x *= _MIX1
-    x ^= x >> np.uint64(27)
-    x *= _MIX2
-    x ^= x >> np.uint64(31)
-    return x
+def _splitmix64_mod(
+    x: np.ndarray, out: np.ndarray, tmp: np.ndarray, g: np.uint64
+) -> np.ndarray:
+    """SplitMix64 finalizer of uint64 ``x`` reduced mod ``g``, into ``out``.
+
+    Every step is an ``out=`` ufunc on the caller's buffers, so a hot
+    loop allocates nothing.  ``out`` may be ``x``; ``tmp`` is a third
+    buffer of the same shape.  ``x mod g`` is computed as
+    ``x - (x // g) * g``: equal to ``%`` on unsigned integers, and numpy
+    divides by a scalar through libdivide, several times faster than
+    its ``remainder``.
+    """
+    s30, s27, s31 = _SHIFTS
+    np.right_shift(x, s30, out=tmp)
+    np.bitwise_xor(x, tmp, out=out)
+    np.multiply(out, _MIX1, out=out)
+    np.right_shift(out, s27, out=tmp)
+    np.bitwise_xor(out, tmp, out=out)
+    np.multiply(out, _MIX2, out=out)
+    np.right_shift(out, s31, out=tmp)
+    np.bitwise_xor(out, tmp, out=out)
+    np.floor_divide(out, g, out=tmp)
+    np.multiply(tmp, g, out=tmp)
+    np.subtract(out, tmp, out=out)
+    return out
+
+
+def _bucket_targets(buckets: np.ndarray, g: int) -> np.ndarray:
+    """Buckets as uint64 compare targets; values that are not an
+    integer in [0, g) become ``g``, which no hash mod g equals."""
+    buckets = np.asarray(buckets)
+    if buckets.dtype.kind in "biu":
+        # Negative signed values wrap to >= 2**63, above any g.
+        return buckets.astype(np.uint64)
+    valid = (buckets >= 0) & (buckets < g) & (buckets == np.floor(buckets))
+    return np.where(valid, buckets, g).astype(np.uint64)
 
 
 @dataclass
@@ -96,11 +124,11 @@ class OptimizedLocalHashing(FrequencyOracle):
     def _hash(self, seeds: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Hash (seed, value) pairs into buckets [0, g)."""
         with np.errstate(over="ignore"):
-            mixed = _splitmix64(
-                seeds.astype(np.uint64)
-                + (values.astype(np.uint64) + np.uint64(1)) * _GOLDEN
-            )
-        return (mixed % np.uint64(self.g)).astype(np.int64)
+            x = seeds.astype(np.uint64) + (
+                values.astype(np.uint64) + np.uint64(1)
+            ) * _GOLDEN
+        _splitmix64_mod(x, x, np.empty_like(x), np.uint64(self.g))
+        return x.astype(np.int64)
 
     def privatize(self, values, rng: RngLike = None) -> OLHReports:
         gen = ensure_rng(rng)
@@ -121,16 +149,14 @@ class OptimizedLocalHashing(FrequencyOracle):
     def support_counts(self, reports: OLHReports) -> np.ndarray:
         """Support counting over cache-sized blocks of domain values.
 
-        Hashes blocks of ~``_SUPPORT_BLOCK_ELEMENTS`` (user, value)
-        pairs per numpy call: for n below the block budget this folds
-        many domain values into one 2-D hash (the win over the old
-        per-value loop — up to ~2.5x when k is large relative to n);
-        for larger n the block degenerates to one value at a time,
-        which matches the old loop's shape but still avoids its
-        per-value ``np.full``/``astype`` allocations.  Blocks larger
-        than ~L2 measurably *lose* to the loop (DRAM-bound
-        temporaries), hence the small budget.  Bitwise-identical to the
-        per-value loop in all regimes.
+        Each block hashes ``rows`` domain values against all n users
+        (~``_SUPPORT_BLOCK_ELEMENTS`` pairs) in three preallocated
+        uint64 buffers.  The pre-hash keys ``seed + (v + 1) * golden``
+        of the next block are the current ones plus ``rows * golden``,
+        one scalar add where a broadcast add of the per-value keys
+        costs about three times as much.  Hits are a uint64 compare
+        against the buckets, summed per row.  Bitwise-identical to
+        hashing one domain value at a time.
         """
         if not isinstance(reports, OLHReports):
             raise TypeError("OLH expects OLHReports from privatize()")
@@ -138,21 +164,31 @@ class OptimizedLocalHashing(FrequencyOracle):
         counts = np.zeros(self.k)
         if n == 0:
             return counts
-        block = max(1, _SUPPORT_BLOCK_ELEMENTS // n)
-        seeds = reports.seeds.astype(np.uint64)[np.newaxis, :]
-        buckets = reports.buckets[np.newaxis, :]
-        for start in range(0, self.k, block):
-            values = np.arange(
-                start, min(start + block, self.k), dtype=np.int64
-            )
-            with np.errstate(over="ignore"):
-                mixed = _splitmix64(
-                    seeds
-                    + (values.astype(np.uint64)[:, np.newaxis] + np.uint64(1))
-                    * _GOLDEN
-                )
-            hashed = (mixed % np.uint64(self.g)).astype(np.int64)
-            counts[start : start + values.shape[0]] = (
-                (hashed == buckets).sum(axis=1).astype(float)
+        g = np.uint64(self.g)
+        rows = min(max(1, _SUPPORT_BLOCK_ELEMENTS // n), self.k)
+        targets = _bucket_targets(reports.buckets, self.g)
+        keys = np.empty((rows, n), dtype=np.uint64)
+        out = np.empty_like(keys)
+        tmp = np.empty_like(keys)
+        hits = np.empty((rows, n), dtype=bool)
+        np.add(
+            reports.seeds.astype(np.uint64),
+            (np.arange(1, rows + 1, dtype=np.uint64) * _GOLDEN)[:, None],
+            out=keys,
+        )
+        with np.errstate(over="ignore"):
+            step = np.uint64(rows) * _GOLDEN
+        # Per-row hit counts fit uint16 while n < 2**16, and summing the
+        # compare's bytes into uint16 is several times faster than
+        # count_nonzero(axis=1).
+        count_dtype = np.uint16 if n < 1 << 16 else np.int64
+        for start in range(0, self.k, rows):
+            m = min(rows, self.k - start)
+            if start:
+                np.add(keys, step, out=keys)
+            _splitmix64_mod(keys[:m], out[:m], tmp[:m], g)
+            np.equal(out[:m], targets, out=hits[:m])
+            counts[start : start + m] = np.add.reduce(
+                hits[:m].view(np.uint8), axis=1, dtype=count_dtype
             )
         return counts

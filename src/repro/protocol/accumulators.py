@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any, Dict
 
 import numpy as np
 
-from repro.frequency.olh import OLHReports
+from repro.frequency.olh import OLHReports, OptimizedLocalHashing
 from repro.frequency.oracle import FrequencyOracle
 from repro.protocol.reports import ColumnBlock, SampledNumericReports
 
@@ -358,6 +358,18 @@ class MultidimMeanAccumulator(ServerAccumulator):
         return self._sums / self._count
 
 
+def _check_categories(arr: np.ndarray, size: int, what: str) -> None:
+    """Raise ``ValueError`` unless every entry is an integer in [0, size)."""
+    if arr.size == 0:
+        return
+    if not np.issubdtype(arr.dtype, np.integer) and not np.all(
+        arr == np.floor(arr)
+    ):
+        raise ValueError(f"{what} must be integers")
+    if arr.min() < 0 or arr.max() >= size:
+        raise ValueError(f"{what} must lie in [0, {size - 1}]")
+
+
 class FrequencyAccumulator(ServerAccumulator):
     """Running debiased support counts for one categorical attribute.
 
@@ -374,15 +386,46 @@ class FrequencyAccumulator(ServerAccumulator):
     def absorb(self, reports: Any) -> "FrequencyAccumulator":
         # Compute both deltas before mutating: a report batch the
         # oracle rejects must leave the state untouched.
+        if isinstance(reports, OLHReports):
+            self._check_olh(reports)
         support = self.oracle.support_counts(reports)
         n = self.oracle._n_reports(reports)
         self._support += support
         self._count += n
         return self
 
+    def _check_olh(self, reports: OLHReports) -> None:
+        """Integer seeds and integer buckets in [0, g), for an OLH
+        oracle.  A bucket outside [0, g) supports no value, so such a
+        report would count in n but never in support and bias every
+        estimate."""
+        if not isinstance(self.oracle, OptimizedLocalHashing):
+            raise ValueError(
+                f"OLH reports sent to a {self.oracle.name!r} oracle"
+            )
+        seeds = np.asarray(reports.seeds)
+        if seeds.ndim != 1:
+            raise ValueError(
+                f"OLH seeds and buckets must be vectors, got shape "
+                f"{seeds.shape}"
+            )
+        if not np.issubdtype(seeds.dtype, np.integer):
+            raise ValueError(
+                f"OLH seeds must be integers, got dtype {seeds.dtype}"
+            )
+        _check_categories(
+            np.asarray(reports.buckets), self.oracle.g, "OLH buckets"
+        )
+
     def validate_reports(self, reports: Any) -> None:
         if isinstance(reports, OLHReports):
-            return  # structurally validated by its __post_init__
+            self._check_olh(reports)
+            return
+        if isinstance(self.oracle, OptimizedLocalHashing):
+            raise ValueError(
+                f"an OLH oracle needs OLH reports (seeds and buckets), "
+                f"got {type(reports).__name__}"
+            )
         arr = np.asarray(reports)
         if arr.ndim == 2:
             if arr.shape[1] != self.oracle.k:
@@ -392,18 +435,7 @@ class FrequencyAccumulator(ServerAccumulator):
                 )
             return
         if arr.ndim == 1:
-            if arr.size == 0:
-                return
-            if not np.issubdtype(arr.dtype, np.integer) and not np.all(
-                arr == np.floor(arr)
-            ):
-                raise ValueError(
-                    "integer-valued reports required for this oracle"
-                )
-            if arr.min() < 0 or arr.max() >= self.oracle.k:
-                raise ValueError(
-                    f"report values must lie in [0, {self.oracle.k - 1}]"
-                )
+            _check_categories(arr, self.oracle.k, "report values")
             return
         raise ValueError(
             f"frequency reports must be a vector or matrix, got shape "
@@ -412,7 +444,12 @@ class FrequencyAccumulator(ServerAccumulator):
 
     def validate_columns(self, block: ColumnBlock) -> None:
         if block.kind == "olh":
-            OLHReports.from_columns(block.columns)  # shape check only
+            self.validate_reports(
+                OLHReports(
+                    seeds=block.column("seeds"),
+                    buckets=block.column("buckets"),
+                )
+            )
             return
         if block.kind == "array":
             self.validate_reports(block.column("array"))

@@ -321,9 +321,8 @@ class ServerMetrics:
     def track_server(self, server: "IngestionServer") -> None:
         """Point the live-view gauges at the server's real state."""
         self.campaigns.set_function(lambda: len(server.registry))
-        self.users_charged.set_function(
-            lambda: len(server.ledger.users())
-        )
+        # A lambda, not a bound method: resume replaces server.ledger.
+        self.users_charged.set_function(lambda: server.ledger.user_count())
         self.uptime.set_function(
             lambda: time.monotonic() - server._started_at
         )

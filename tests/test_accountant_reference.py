@@ -1,0 +1,156 @@
+"""The array-backed accountant against its reference model.
+
+``reference_accountant.PrivacyAccountant`` is the dict-and-dataclass
+accountant the array-backed one replaced (with exact atomic rollback).
+Random operation sequences run through both; after every step each
+public read and the bytes of ``json.dumps(to_dict())`` must agree, so
+every balance is bitwise the one-user-at-a-time arithmetic.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_accountant as ref_mod
+from repro.analysis import accountant as new_mod
+from repro.campaigns.ledger import CrossCampaignLedger
+
+USERS = ["a", "b", "c", "d", "e"]
+LABELS = ["", "oue", "hm"]
+#: 0.1, 0.3 and 0.7 are inexact in binary: sums of them round.
+EPS = st.one_of(
+    st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0]),
+    st.floats(min_value=1e-3, max_value=3.0),
+)
+USER = st.sampled_from(USERS)
+LABEL = st.sampled_from(LABELS)
+
+OPS = st.one_of(
+    st.tuples(st.just("charge"), USER, EPS, LABEL),
+    # A charge at the cap: remaining + k * 1e-12 fits for k <= 1 only.
+    st.tuples(st.just("edge"), USER, st.integers(-1, 2), LABEL),
+    st.tuples(
+        st.just("batch"),
+        st.dictionaries(USER, st.integers(1, 3), min_size=1),
+        EPS,
+        LABEL,
+    ),
+    st.tuples(
+        st.just("group"),
+        st.lists(USER, min_size=1, max_size=6),
+        EPS,
+        LABEL,
+        st.booleans(),
+    ),
+    st.tuples(st.just("round-trip")),
+)
+
+
+def _outcome(call, *args, **kwargs):
+    """(result, error class name, message) of one call."""
+    try:
+        return call(*args, **kwargs), None, None
+    except (ValueError, RuntimeError) as exc:
+        return None, type(exc).__name__, str(exc)
+
+
+def _reference_batch(ref, multiplicity, epsilon, label):
+    """The pre-array batch path (one ``charge`` per user), made all or
+    nothing: the array-backed accountant charges nobody when any user
+    cannot afford their share."""
+    if any(
+        not ref.can_charge(user, count * epsilon)
+        for user, count in multiplicity.items()
+    ):
+        raise ref_mod.BudgetExceededError("over budget")
+    for user, count in multiplicity.items():
+        ref.charge(user, count * epsilon, label=label)
+
+
+def _assert_same(ledger, ref):
+    acc = ledger.accountant
+    assert json.dumps(ledger.to_dict()) == json.dumps(
+        {"type": "cross-campaign-ledger", **ref.to_dict()}
+    )
+    assert acc.users() == ref.users()
+    assert acc.user_count() == len(ref.users())
+    assert acc.exhausted_users() == ref.exhausted_users()
+    assert acc.total_spent() == ref.total_spent()
+    assert acc.spent_many(USERS) == ref.spent_many(USERS)
+    assert [(c.user, c.epsilon, c.label) for c in acc.ledger] == [
+        (c.user, c.epsilon, c.label) for c in ref.ledger
+    ]
+    for user in USERS:
+        assert acc.spent(user) == ref.spent(user)
+        assert acc.remaining(user) == ref.remaining(user)
+        assert acc.spent_by_label(user) == ref.spent_by_label(user)
+        for epsilon in (0.1, 0.5, 1.0):
+            assert acc.can_charge(user, epsilon) == ref.can_charge(
+                user, epsilon
+            )
+
+
+@given(
+    lifetime=st.sampled_from([0.7, 1.0, 2.5, 3.0]),
+    ops=st.lists(OPS, max_size=30),
+)
+@settings(max_examples=300, deadline=None)
+def test_every_read_matches_the_reference_model(lifetime, ops):
+    ledger = CrossCampaignLedger(lifetime)
+    ref = ref_mod.PrivacyAccountant(lifetime)
+    for op in ops:
+        acc = ledger.accountant
+        kind = op[0]
+        if kind == "charge":
+            _, user, epsilon, label = op
+            assert _outcome(acc.charge, user, epsilon, label) == _outcome(
+                ref.charge, user, epsilon, label
+            )
+        elif kind == "edge":
+            _, user, k, label = op
+            epsilon = ref.remaining(user) + k * 1e-12
+            if epsilon <= 0.0:
+                continue
+            assert _outcome(acc.charge, user, epsilon, label) == _outcome(
+                ref.charge, user, epsilon, label
+            )
+        elif kind == "batch":
+            _, multiplicity, epsilon, label = op
+            rejected = ledger.rejected_users(multiplicity, epsilon)
+            assert rejected == [
+                user
+                for user, count in multiplicity.items()
+                if not ref.can_charge(user, count * epsilon)
+            ]
+            new = _outcome(ledger.charge_batch, multiplicity, epsilon, label)
+            old = _outcome(_reference_batch, ref, multiplicity, epsilon, label)
+            assert (new[1] is None) == (old[1] is None) == (not rejected)
+        elif kind == "group":
+            _, users, epsilon, label, atomic = op
+            assert _outcome(
+                acc.charge_group, users, epsilon, label, atomic=atomic
+            ) == _outcome(
+                ref.charge_group, users, epsilon, label, atomic=atomic
+            )
+        else:
+            ledger = CrossCampaignLedger.from_dict(
+                json.loads(json.dumps(ledger.to_dict()))
+            )
+            ref = ref_mod.PrivacyAccountant.from_dict(
+                json.loads(json.dumps(ref.to_dict()))
+            )
+        _assert_same(ledger, ref)
+
+
+@pytest.mark.parametrize("module", [new_mod, ref_mod])
+def test_failed_atomic_group_restores_exact_balances(module):
+    """The rollback case both implementations must get right."""
+    acc = module.PrivacyAccountant(1.0)
+    acc.charge("u", 0.1)
+    acc.charge("broke", 0.5)
+    with pytest.raises(module.BudgetExceededError):
+        acc.charge_group(["u", "new", "broke"], 0.7, atomic=True)
+    assert acc.spent("u") == 0.1
+    assert acc.users() == ("u", "broke")

@@ -1,5 +1,7 @@
 """Tests for the per-user privacy budget accountant."""
 
+import json
+
 import pytest
 
 from repro.analysis.accountant import (
@@ -103,12 +105,56 @@ class TestGroupCharging:
         assert acc.ledger == ()
         assert acc.users() == ()
 
+    def test_atomic_rollback_restores_exact_spend(self):
+        """(s + e) - e is not s in floating point: a failed group must
+        leave every balance bit for bit as it was, and keep users whose
+        recomputed spend would round to zero."""
+        acc = PrivacyAccountant(1.0)
+        acc.charge("u", 0.1)
+        acc.charge("tiny", 1e-17)
+        acc.charge("broke", 0.5)
+        before = json.dumps(acc.to_dict())
+        with pytest.raises(BudgetExceededError):
+            acc.charge_group(["u", "tiny", "broke"], 0.7, atomic=True)
+        assert acc.spent("u") == 0.1
+        assert acc.spent("tiny") == 1e-17
+        assert acc.users() == ("u", "tiny", "broke")
+        assert json.dumps(acc.to_dict()) == before
+
     def test_non_atomic_group_keeps_skip_semantics(self):
         acc = PrivacyAccountant(1.0)
         acc.charge("u1", 1.0)
         charged = acc.charge_group(["u1", "u2"], 0.5, atomic=False)
         assert charged == ("u2",)
         assert acc.spent("u2") == pytest.approx(0.5)
+
+
+class TestBatchCharging:
+    def test_batch_is_all_or_nothing(self):
+        acc = PrivacyAccountant(1.0)
+        acc.charge("veteran", 0.8)
+        before = json.dumps(acc.to_dict())
+        with pytest.raises(BudgetExceededError, match="'veteran'"):
+            acc.charge_batch({"fresh": 1, "veteran": 1, "pair": 2}, 0.5, "b")
+        assert json.dumps(acc.to_dict()) == before
+        assert acc.user_count() == 1
+
+    def test_rejected_users_respect_multiplicity_in_order(self):
+        acc = PrivacyAccountant(1.0)
+        acc.charge("veteran", 0.8)
+        batch = {"fresh": 1, "veteran": 1, "triple": 3, "pair": 2}
+        assert acc.rejected_users(batch, 0.4) == ["veteran", "triple"]
+        acc.charge_batch({"fresh": 1, "pair": 2}, 0.4, "b")
+        assert acc.spent("pair") == 0.8
+        assert acc.users() == ("veteran", "fresh", "pair")
+        assert acc.user_count() == 3
+
+    def test_non_positive_counts_rejected(self):
+        acc = PrivacyAccountant(1.0)
+        with pytest.raises(ValueError):
+            acc.rejected_users({"u": 0}, 0.5)
+        with pytest.raises(ValueError):
+            acc.charge_batch({"u": -1}, 0.5)
 
 
 class TestLedger:

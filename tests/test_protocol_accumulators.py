@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.frequency import OptimizedUnaryEncoding
+from repro.frequency import OLHReports, OptimizedUnaryEncoding
 from repro.protocol import (
     FrequencyAccumulator,
     HistogramAccumulator,
@@ -12,6 +12,7 @@ from repro.protocol import (
     Protocol,
     SampledNumericReports,
 )
+from repro.protocol.reports import ColumnBlock
 
 
 class TestMeanAccumulator:
@@ -131,6 +132,60 @@ class TestFrequencyAccumulator:
         for shard in shards[1:]:
             merged.merge(shard)
         assert np.array_equal(merged.estimate(), single.estimate())
+
+
+class TestOLHValidation:
+    """A bucket outside [0, g) supports no value: if accepted, it would
+    count in n but never in support and bias every estimate."""
+
+    def _olh(self, rng):
+        protocol = Protocol.frequency(1.0, domain=12, oracle="olh")
+        reports = protocol.client().encode_batch(rng.integers(0, 12, 40), 3)
+        return protocol.server(), reports
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda s, b: (s, np.where(np.arange(b.size) == 5, 99, b)),
+            lambda s, b: (s, np.where(np.arange(b.size) == 5, -1, b)),
+            lambda s, b: (s, b + 0.5),
+            lambda s, b: (s.astype(float) + 0.5, b),
+            lambda s, b: (s.astype(float), b),
+        ],
+        ids=["bucket-99", "bucket-negative", "bucket-fraction",
+             "seed-fraction", "seed-float"],
+    )
+    def test_malformed_batch_rejected_without_mutation(self, rng, corrupt):
+        acc, reports = self._olh(rng)
+        acc.absorb(reports)
+        before = (acc.state_dict()["support"].tobytes(), acc.count)
+        seeds, buckets = corrupt(reports.seeds, reports.buckets)
+        bad = OLHReports(seeds=seeds, buckets=buckets)
+        block = ColumnBlock(kind="olh", n=len(bad), columns=bad.to_columns())
+        for check in (acc.validate_reports, acc.absorb):
+            with pytest.raises(ValueError):
+                check(bad)
+        for check in (acc.validate_columns, acc.absorb_columns):
+            with pytest.raises(ValueError):
+                check(block)
+        assert (acc.state_dict()["support"].tobytes(), acc.count) == before
+
+    def test_integral_float_buckets_still_accepted(self, rng):
+        acc, reports = self._olh(rng)
+        as_float = OLHReports(reports.seeds, reports.buckets.astype(float))
+        acc.validate_reports(as_float)
+        assert np.array_equal(
+            acc.absorb(as_float).state_dict()["support"],
+            self._olh(rng)[0].absorb(reports).state_dict()["support"],
+        )
+
+    def test_oracle_and_report_kinds_must_match(self, rng):
+        olh, reports = self._olh(rng)
+        oue = Protocol.frequency(1.0, domain=12, oracle="oue").server()
+        with pytest.raises(ValueError, match="OLH reports sent"):
+            oue.validate_reports(reports)
+        with pytest.raises(ValueError, match="needs OLH reports"):
+            olh.validate_reports(np.arange(12))
 
 
 class TestHistogramAccumulator:

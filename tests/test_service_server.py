@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.data import make_br_like
+from repro.frequency import OLHReports
 from repro.protocol import Protocol
 from repro.service import (
     IngestionServer,
@@ -273,6 +274,46 @@ class TestRejections:
         with pytest.raises(ServiceError) as excinfo:
             client.submit(values[:5], users=_users(3), rng=0)
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("wire_version", [1, 2])
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda s, b: (s, np.where(np.arange(b.size) == 3, 99, b)),
+            lambda s, b: (s, b + 0.5),
+            lambda s, b: (s.astype(float) + 0.5, b),
+        ],
+        ids=["bucket-99", "bucket-fraction", "seed-fraction"],
+    )
+    def test_malformed_olh_batch_charges_nothing(
+        self, serve, wire_version, corrupt
+    ):
+        """Buckets outside [0, g) or non-integer buckets or seeds get
+        400 bad_reports before any budget is charged: the ledger and
+        the accumulator stay byte-identical."""
+        protocol, values = _cases()["frequency-olh"]
+        server = serve(protocol, lifetime_epsilon=3.0)
+        client = ServiceClient(
+            "127.0.0.1", server.port, wire_version=wire_version
+        )
+        good = client.encode(values[:50], rng=0)
+        client.submit_reports(good, _users(50))
+        accumulator = server.registry.default.accumulator
+
+        def state():
+            support = accumulator.state_dict()["support"].tobytes()
+            return json.dumps(server.ledger.to_dict()), support, \
+                accumulator.count
+
+        before = state()
+        seeds, buckets = corrupt(good.seeds, good.buckets)
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit_reports(
+                OLHReports(seeds=seeds, buckets=buckets), _users(50)
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error"] == "bad_reports"
+        assert state() == before
 
     def test_estimate_before_any_report_is_409(self, serve):
         protocol, _ = _cases()["mean"]

@@ -25,12 +25,38 @@ from repro.frequency.olh import OptimizedLocalHashing
 from repro.utils.stats import empirical_mse
 
 
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _splitmix64(x):
+    """SplitMix64 finalizer, verbatim from the per-value implementation."""
+    x = x.astype(np.uint64, copy=True)
+    x ^= x >> np.uint64(30)
+    x *= _MIX1
+    x ^= x >> np.uint64(27)
+    x *= _MIX2
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _loop_hash(g, seeds, values):
+    """The ``%``-based (seed, value) -> bucket hash, verbatim."""
+    with np.errstate(over="ignore"):
+        mixed = _splitmix64(
+            seeds.astype(np.uint64)
+            + (values.astype(np.uint64) + np.uint64(1)) * _GOLDEN
+        )
+    return (mixed % np.uint64(g)).astype(np.int64)
+
+
 def _loop_support_counts(oracle, reports):
     """The pre-vectorization per-value loop, verbatim."""
     counts = np.empty(oracle.k)
     for v in range(oracle.k):
-        hashed_v = oracle._hash(
-            reports.seeds, np.full(len(reports), v, dtype=np.int64)
+        hashed_v = _loop_hash(
+            oracle.g, reports.seeds, np.full(len(reports), v, dtype=np.int64)
         )
         counts[v] = float(np.count_nonzero(hashed_v == reports.buckets))
     return counts
@@ -45,6 +71,83 @@ class TestOLHSupportCounts:
         assert np.array_equal(
             oracle.support_counts(reports),
             _loop_support_counts(oracle, reports),
+        )
+
+    @pytest.mark.parametrize(
+        "n,k,g",
+        [
+            # Explicit g that is not a power of two (the default g is
+            # 4 at eps=1 and 8 at eps=2).
+            (400, 23, 5),
+            (2_000, 96, 7),
+            # k not a multiple of the block's rows (32 rows at n=1000).
+            (1_000, 100, None),
+            # n above the block budget: one domain value per block.
+            (olh_module._SUPPORT_BLOCK_ELEMENTS + 5, 3, 3),
+        ],
+    )
+    def test_bitwise_equal_to_loop_for_g_and_block_shapes(self, n, k, g):
+        oracle = OptimizedLocalHashing(1.0, k=k, g=g)
+        rng = np.random.default_rng(k)
+        reports = oracle.privatize(rng.integers(0, k, n), rng)
+        assert np.array_equal(
+            oracle.support_counts(reports),
+            _loop_support_counts(oracle, reports),
+        )
+
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            lambda b, g: b.astype(np.int32),
+            lambda b, g: b.astype(np.uint64),
+            lambda b, g: b.astype(float),
+            lambda b, g: b + 0.5,
+            lambda b, g: b - g,
+            lambda b, g: b + g,
+            lambda b, g: np.where(b % 2 == 0, b, -b - 1),
+        ],
+        ids=["int32", "uint64", "float", "half", "negative", "ge-g", "mixed"],
+    )
+    def test_bucket_dtypes_and_out_of_range_match_loop(self, convert):
+        """Library callers may pass any bucket array: values that are
+        not an integer in [0, g) support nothing, as in the loop."""
+        from repro.frequency.olh import OLHReports
+
+        oracle = OptimizedLocalHashing(1.0, k=40, g=6)
+        rng = np.random.default_rng(8)
+        honest = oracle.privatize(rng.integers(0, 40, 700), rng)
+        reports = OLHReports(
+            seeds=honest.seeds, buckets=convert(honest.buckets, oracle.g)
+        )
+        assert np.array_equal(
+            oracle.support_counts(reports),
+            _loop_support_counts(oracle, reports),
+        )
+
+    @pytest.mark.parametrize("n", [2**16 - 1, 2**16 + 1])
+    def test_counts_exact_when_every_user_supports_one_value(self, n):
+        """A row's hit count can reach n; it must not wrap at 2**16."""
+        from repro.frequency.olh import OLHReports
+
+        oracle = OptimizedLocalHashing(1.0, k=2)
+        seeds = np.random.default_rng(2).integers(
+            0, 2**63 - 1, n, dtype=np.int64
+        ).astype(np.uint64)
+        buckets = _loop_hash(oracle.g, seeds, np.zeros(n, dtype=np.int64))
+        counts = oracle.support_counts(OLHReports(seeds, buckets))
+        assert counts[0] == n
+        assert np.array_equal(
+            counts, _loop_support_counts(oracle, OLHReports(seeds, buckets))
+        )
+
+    @pytest.mark.parametrize("g", [2, 4, 5, 56])
+    def test_client_hash_equal_to_modulo_hash(self, g):
+        oracle = OptimizedLocalHashing(1.0, k=1000, g=g)
+        rng = np.random.default_rng(g)
+        seeds = rng.integers(0, 2**63 - 1, 5_000).astype(np.uint64)
+        values = rng.integers(0, 1000, 5_000)
+        assert np.array_equal(
+            oracle._hash(seeds, values), _loop_hash(g, seeds, values)
         )
 
     def test_bitwise_equal_across_block_boundaries(self, monkeypatch):
