@@ -9,9 +9,10 @@ participate in exactly one iteration (Section V's m = 1 argument).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import groupby, repeat
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 import numpy as np
 
@@ -46,7 +47,8 @@ class PrivacyAccountant:
     for all of them in one vectorized comparison.  Every balance is the
     IEEE ``spent + cost`` that charging one user at a time gives, and
     :meth:`to_dict` writes plain per-user and per-charge JSON that does
-    not depend on this layout.
+    not depend on this layout; :meth:`json_parts` writes the same JSON
+    text and encodes each log chunk only once.
 
     Parameters
     ----------
@@ -60,6 +62,8 @@ class PrivacyAccountant:
         self._spent = np.zeros(1)
         self._log: List[Tuple[List[str], np.ndarray, int]] = []
         self._labels: Dict[str, int] = {}
+        # JSON text of _log[:len(_encoded)], one entry per chunk.
+        self._encoded: List[bytes] = []
 
     # ------------------------------------------------------------------
     def spent(self, user: str) -> float:
@@ -213,21 +217,23 @@ class PrivacyAccountant:
         """Spend per user, in row (first-charge) order."""
         return self._spent[1 : len(self._rows) + 1]
 
-    def _chunks(self) -> Iterator[Tuple[List[str], List[float], str]]:
-        """The log as (users, costs, label) per recorded call."""
+    def _entries(
+        self, chunks: Iterable[Tuple[List[str], np.ndarray, int]]
+    ) -> List[Dict[str, Any]]:
+        """The charge-log entries of ``chunks``, as :meth:`to_dict`
+        writes them."""
         labels = list(self._labels)
-        for users, costs, label_id in self._log:
-            yield users, costs.tolist(), labels[label_id]
+        return [
+            {"user": user, "epsilon": cost, "label": labels[label_id]}
+            for users, costs, label_id in chunks
+            for user, cost in zip(users, costs.tolist())
+        ]
 
     # ------------------------------------------------------------------
     @property
     def ledger(self) -> Tuple[Charge, ...]:
         """Immutable view of every recorded charge."""
-        return tuple(
-            Charge(user=user, epsilon=cost, label=label)
-            for users, costs, label in self._chunks()
-            for user, cost in zip(users, costs)
-        )
+        return tuple(Charge(**entry) for entry in self._entries(self._log))
 
     def total_spent(self) -> float:
         """Sum of eps across all users (a deployment-level cost figure)."""
@@ -271,17 +277,34 @@ class PrivacyAccountant:
         :meth:`from_dict` round-trips exactly (floats survive JSON
         bitwise — ``json`` serializes them via ``repr`` round-trip).
         """
-        ledger: List[Dict[str, Any]] = []
-        for users, costs, label in self._chunks():
-            ledger += [
-                {"user": user, "epsilon": cost, "label": label}
-                for user, cost in zip(users, costs)
-            ]
+        return {**self._head(), "ledger": self._entries(self._log)}
+
+    def _head(self) -> Dict[str, Any]:
+        """Every :meth:`to_dict` key but the charge log."""
         return {
             "lifetime_epsilon": self.lifetime_epsilon,
             "spent": dict(zip(self._rows, self._balances().tolist())),
-            "ledger": ledger,
         }
+
+    def json_parts(self, head: Mapping[str, Any]) -> List[bytes]:
+        """``json.dumps({**head, **self.to_dict()})`` as ASCII pieces to
+        write one after another.
+
+        The charge log is append-only (:meth:`_append` is its one
+        writer), so each chunk is encoded once, on the first call after
+        it was recorded, and its text is kept.  A call costs O(charges
+        since the last call + users), not O(every charge).
+        """
+        self._encoded += [
+            # Chunks are never empty, so "[...]"[1:-1] is one or more
+            # entries, joined as json.dumps joins list items.
+            json.dumps(self._entries([chunk]))[1:-1].encode()
+            for chunk in self._log[len(self._encoded) :]
+        ]
+        # The head ends in '"ledger": []}'; the log goes between the
+        # brackets.
+        top = json.dumps({**head, **self._head(), "ledger": []})
+        return [top[:-2].encode(), b", ".join(self._encoded), b"]}"]
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "PrivacyAccountant":

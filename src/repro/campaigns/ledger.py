@@ -38,6 +38,8 @@ def batch_multiplicity(users: Iterable[str]) -> Dict[str, int]:
 class CrossCampaignLedger:
     """Per-user global budget enforcement across all campaigns."""
 
+    _HEAD = {"type": "cross-campaign-ledger"}
+
     def __init__(
         self,
         lifetime_epsilon: float,
@@ -103,7 +105,12 @@ class CrossCampaignLedger:
     def to_dict(self) -> Dict:
         """JSON-friendly snapshot (bitwise round-trip via the
         accountant's float-exact serialization)."""
-        return {"type": "cross-campaign-ledger", **self.accountant.to_dict()}
+        return {**self._HEAD, **self.accountant.to_dict()}
+
+    def json_parts(self) -> List[bytes]:
+        """``json.dumps(self.to_dict())`` in pieces; the charge log is
+        encoded once (see ``PrivacyAccountant.json_parts``)."""
+        return self.accountant.json_parts(self._HEAD)
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "CrossCampaignLedger":

@@ -39,7 +39,7 @@ from repro.service.client import (
     ServiceError,
 )
 from repro.service.server import IngestionServer
-from repro.service.store import SnapshotStore
+from repro.service.store import SnapshotCorruptError, SnapshotStore
 from repro.service.wire import (
     SUPPORTED_WIRE_VERSIONS,
     WIRE_VERSION,
@@ -73,6 +73,7 @@ __all__ = [
     "OverBudgetError",
     "ServiceClient",
     "ServiceError",
+    "SnapshotCorruptError",
     "SnapshotStore",
     "SpecMismatchError",
     "UnknownCampaignError",

@@ -42,7 +42,7 @@ import sys
 from repro.obs.lifecycle import SignalDrain
 from repro.obs.logging import add_logging_arguments, configure_logging
 from repro.service.server import IngestionServer
-from repro.service.store import SnapshotStore
+from repro.service.store import SnapshotCorruptError, SnapshotStore
 from repro.stream.windows import WindowConfig
 
 
@@ -166,20 +166,24 @@ def main(argv=None) -> int:
         if args.snapshot_dir is not None
         else None
     )
-    server = IngestionServer(
-        default_spec,
-        lifetime_epsilon=args.lifetime_epsilon,
-        store=store,
-        checkpoint_every=(
-            args.checkpoint_every if store is not None else None
-        ),
-        host=args.host,
-        port=args.port,
-        campaigns=campaign_specs,
-        shards=args.shards,
-        shard_queue_depth=args.shard_queue_depth,
-        window=window,
-    )
+    try:
+        server = IngestionServer(
+            default_spec,
+            lifetime_epsilon=args.lifetime_epsilon,
+            store=store,
+            checkpoint_every=(
+                args.checkpoint_every if store is not None else None
+            ),
+            host=args.host,
+            port=args.port,
+            campaigns=campaign_specs,
+            shards=args.shards,
+            shard_queue_depth=args.shard_queue_depth,
+            window=window,
+        )
+    except SnapshotCorruptError as exc:
+        print(f"repro.service: {exc}", file=sys.stderr, flush=True)
+        return 2
     drained = False
 
     async def _serve() -> None:

@@ -103,7 +103,7 @@ from repro.protocol.facade import Protocol
 from repro.protocol.spec import ProtocolSpec
 from repro.service import wire
 from repro.service.sharding import ShardRing, ShardWorker
-from repro.service.store import SnapshotStore
+from repro.service.store import RawJSON, SnapshotStore
 from repro.stream.windows import WindowConfig
 
 _log = get_logger("repro.service.server")
@@ -660,7 +660,7 @@ class IngestionServer:
                 "campaigns": {
                     c.fingerprint: c.manifest_entry() for c in self.registry
                 },
-                "ledger": self.ledger.to_dict(),
+                "ledger": RawJSON(self.ledger.json_parts()),
                 "batches_accepted": seq,
                 "duplicates": self.metrics.duplicate_batches.value_int(),
             },

@@ -5,12 +5,15 @@ accumulator statistics, accountant ledger, batch counters, processed
 idempotency keys — as numbered JSON snapshot files in one directory.
 
 Write protocol (crash-safe): serialize to ``<name>.tmp`` in the same
-directory, flush + fsync, then ``os.replace`` onto the final name.  A
+directory, flush + fsync, ``os.replace`` onto the final name, then
+fsync the directory so the rename itself survives power loss.  A
 reader therefore only ever observes complete snapshots; a crash
 mid-write leaves at worst a stale ``.tmp`` file that the next save
 overwrites.  Old snapshots are pruned down to ``keep`` after every
 save, and recovery always resumes from the highest surviving sequence
-number.
+number.  A newest snapshot that is damaged anyway fails recovery with
+:class:`SnapshotCorruptError` rather than resuming from an older one,
+which could forget budget already charged.
 
 Stores can be **namespaced**: :meth:`SnapshotStore.namespace` returns
 a child store rooted at a subdirectory of this one, with the same
@@ -29,6 +32,19 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{10})\.json$")
+
+
+class SnapshotCorruptError(ValueError):
+    """A snapshot file that exists but is not valid JSON, e.g. a
+    manifest cut short on disk."""
+
+
+class RawJSON:
+    """A payload value :meth:`SnapshotStore.save` writes verbatim:
+    ``parts`` concatenated are the value's ASCII JSON text."""
+
+    def __init__(self, parts: List[bytes]):
+        self.parts = parts
 
 
 class SnapshotStore:
@@ -91,17 +107,36 @@ class SnapshotStore:
 
     # ------------------------------------------------------------------
     def save(self, seq: int, payload: Dict[str, Any]) -> Path:
-        """Atomically write snapshot ``seq``; prunes old snapshots."""
+        """Atomically and durably write snapshot ``seq``; prunes old
+        snapshots.
+
+        The file holds ``json.dumps({"seq": seq, **payload})``, with a
+        top-level :class:`RawJSON` value written as its text.
+        """
         if seq < 0:
             raise ValueError(f"seq must be >= 0, got {seq}")
         final = self._path(seq)
         tmp = final.with_suffix(".tmp")
-        data = json.dumps({"seq": int(seq), **payload})
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(data)
+        parts: List[bytes] = []
+        for key, value in {"seq": int(seq), **payload}.items():
+            parts.append(b", " if parts else b"{")
+            parts.append(f"{json.dumps(key)}: ".encode())
+            if isinstance(value, RawJSON):
+                parts += value.parts
+            else:
+                parts.append(json.dumps(value).encode())
+        parts.append(b"}")
+        with open(tmp, "wb") as handle:
+            handle.writelines(parts)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, final)
+        # The rename is durable only once the directory entry is.
+        directory = os.open(self.directory, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
         self._prune()
         return final
 
@@ -114,9 +149,19 @@ class SnapshotStore:
 
     # ------------------------------------------------------------------
     def load(self, seq: int) -> Dict[str, Any]:
-        """Read one snapshot by sequence number."""
-        with open(self._path(seq), encoding="utf-8") as handle:
-            return json.load(handle)
+        """Read one snapshot by sequence number.
+
+        Raises :class:`SnapshotCorruptError` when the file is not valid
+        JSON.
+        """
+        path = self._path(seq)
+        with open(path, encoding="utf-8") as handle:
+            try:
+                return json.load(handle)
+            except ValueError as exc:  # also UnicodeDecodeError
+                raise SnapshotCorruptError(
+                    f"snapshot {path} is corrupt: {exc}"
+                ) from exc
 
     def load_latest(self) -> Optional[Tuple[int, Dict[str, Any]]]:
         """``(seq, payload)`` of the newest snapshot, or ``None``."""

@@ -4,7 +4,10 @@
 accountant the array-backed one replaced (with exact atomic rollback).
 Random operation sequences run through both; after every step each
 public read and the bytes of ``json.dumps(to_dict())`` must agree, so
-every balance is bitwise the one-user-at-a-time arithmetic.
+every balance is bitwise the one-user-at-a-time arithmetic.  The
+checkpoint encoder (``json_parts``) must give those same bytes after
+every step, whether its chunk cache is partly filled (step by step) or
+cold (after a round trip through ``from_dict``).
 """
 
 import json
@@ -17,7 +20,8 @@ import reference_accountant as ref_mod
 from repro.analysis import accountant as new_mod
 from repro.campaigns.ledger import CrossCampaignLedger
 
-USERS = ["a", "b", "c", "d", "e"]
+#: The last two need JSON escaping.
+USERS = ["a", "b", "c", "d", "e", "\u00fc", 'q"\\']
 LABELS = ["", "oue", "hm"]
 #: 0.1, 0.3 and 0.7 are inexact in binary: sums of them round.
 EPS = st.one_of(
@@ -71,9 +75,9 @@ def _reference_batch(ref, multiplicity, epsilon, label):
 
 def _assert_same(ledger, ref):
     acc = ledger.accountant
-    assert json.dumps(ledger.to_dict()) == json.dumps(
-        {"type": "cross-campaign-ledger", **ref.to_dict()}
-    )
+    expected = json.dumps({"type": "cross-campaign-ledger", **ref.to_dict()})
+    assert json.dumps(ledger.to_dict()) == expected
+    assert b"".join(ledger.json_parts()) == expected.encode()
     assert acc.users() == ref.users()
     assert acc.user_count() == len(ref.users())
     assert acc.exhausted_users() == ref.exhausted_users()

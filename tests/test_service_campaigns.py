@@ -8,7 +8,9 @@ into multiple campaigns, the cross-campaign budget cap, lifecycle
 restoring every campaign plus the ledger bitwise.
 """
 
+import json
 import random
+import re
 import threading
 
 import numpy as np
@@ -21,6 +23,7 @@ from repro.service import (
     OverBudgetError,
     ServiceClient,
     ServiceError,
+    SnapshotCorruptError,
     SnapshotStore,
     wire,
 )
@@ -383,6 +386,23 @@ class TestConcurrentIngest:
         assert health["users_charged"] == 2 * N
 
 
+def _manifests(directory):
+    return sorted(directory.glob("snapshot-*.json"))
+
+
+def _check_manifests(directory, server):
+    """Every manifest on disk is byte for byte ``json.dumps`` of its
+    own parse, and the newest one carries the server's live ledger.
+    Called after every checkpoint, this checks each manifest written."""
+    manifests = _manifests(directory)
+    assert manifests
+    for path in manifests:
+        raw = path.read_bytes()
+        assert json.dumps(json.loads(raw)).encode() == raw
+    newest = json.loads(manifests[-1].read_bytes())
+    assert newest["ledger"] == server.ledger.to_dict()
+
+
 class TestKillAndResume:
     def _two_campaign_batches(self):
         freq = _freq_protocol(1.0, domain=8)
@@ -436,9 +456,12 @@ class TestKillAndResume:
         freq_client = base.for_campaign(freq.spec)
         for reports, users in mean_batches[:2]:
             base.submit_reports(reports, users)
+            _check_manifests(tmp_path, server)
         for reports, users in freq_batches[:3]:
             freq_client.submit_reports(reports, users)
+            _check_manifests(tmp_path, server)
         freq_client.seal_campaign()
+        _check_manifests(tmp_path, server)
         ledger_before = server.ledger.to_dict()
         server.stop()  # abrupt: no final checkpoint, crash-equivalent
 
@@ -451,6 +474,7 @@ class TestKillAndResume:
         )
         # Ledger survives kill-and-resume bitwise.
         assert resumed.ledger.to_dict() == ledger_before
+        _check_manifests(tmp_path, resumed)
         base2 = ServiceClient("127.0.0.1", resumed.port)
         health = base2.healthz()
         assert health["reports"] == 150
@@ -470,6 +494,7 @@ class TestKillAndResume:
         # to the uninterrupted run.
         for reports, users in mean_batches[2:]:
             base2.submit_reports(reports, users)
+            _check_manifests(tmp_path, resumed)
         np.testing.assert_array_equal(
             np.asarray(base2.estimate()),
             np.asarray(reference["mean"].estimate()),
@@ -481,6 +506,37 @@ class TestKillAndResume:
         )
         assert freq_final["final"] is True
         assert freq_final["state"] == "estimated"
+
+    def test_truncated_newest_manifest_fails_boot_naming_it(
+        self, serve, tmp_path
+    ):
+        """An older cut would forget charges already made: boot must
+        stop, not fall back to it."""
+        mean = _mean_protocol(1.0)
+        server = serve(
+            mean,
+            lifetime_epsilon=2.0,
+            store=SnapshotStore(tmp_path),
+            checkpoint_every=1,
+        )
+        client = ServiceClient("127.0.0.1", server.port)
+        rng = np.random.default_rng(3)
+        for i in range(2):
+            client.submit(
+                rng.uniform(-1, 1, 10), users=_users(10, f"b{i}-"), rng=i
+            )
+        server.stop()
+        older, newest = _manifests(tmp_path)[-2:]
+        raw = newest.read_bytes()
+        newest.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(SnapshotCorruptError, match=re.escape(str(newest))):
+            IngestionServer(
+                mean,
+                lifetime_epsilon=2.0,
+                store=SnapshotStore(tmp_path),
+                checkpoint_every=1,
+            )
+        assert older.exists()
 
     def test_estimated_state_survives_restart(self, serve, tmp_path):
         freq = _freq_protocol()

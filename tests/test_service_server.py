@@ -424,16 +424,20 @@ class TestCrashResume:
             IngestionServer(other, store=SnapshotStore(tmp_path))
 
 
+def _cli_env():
+    env = dict(os.environ)
+    root = Path(__file__).resolve().parent.parent
+    env["PYTHONPATH"] = (
+        f"{root / 'src'}{os.pathsep}{env.get('PYTHONPATH', '')}"
+    )
+    return env
+
+
 class TestCommandLine:
     def test_cli_serves_and_checkpoints_on_sigint(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(
             json.dumps(Protocol.frequency(1.0, domain=6).spec.to_dict())
-        )
-        env = dict(os.environ)
-        root = Path(__file__).resolve().parent.parent
-        env["PYTHONPATH"] = (
-            f"{root / 'src'}{os.pathsep}{env.get('PYTHONPATH', '')}"
         )
         proc = subprocess.Popen(
             [
@@ -445,7 +449,7 @@ class TestCommandLine:
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
-            env=env,
+            env=_cli_env(),
             text=True,
         )
         try:
@@ -467,6 +471,31 @@ class TestCommandLine:
         assert proc.returncode == 0, out
         assert "final checkpoint" in out
         assert SnapshotStore(tmp_path / "snaps").latest_sequence() == 1
+
+    def test_cli_exits_2_naming_a_corrupt_manifest(self, tmp_path):
+        protocol = Protocol.frequency(1.0, domain=6)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(protocol.spec.to_dict()))
+        snaps = tmp_path / "snaps"
+        IngestionServer(protocol, store=SnapshotStore(snaps)).checkpoint_now()
+        manifest = snaps / "snapshot-0000000000.json"
+        manifest.write_bytes(manifest.read_bytes()[:-1])
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro.service",
+                "--spec", str(spec_path),
+                "--port", "0",
+                "--snapshot-dir", str(snaps),
+            ],
+            capture_output=True,
+            env=_cli_env(),
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 2, done.stdout + done.stderr
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and str(manifest) in lines[0], done.stderr
 
     def test_cli_requires_spec_or_campaigns(self):
         from repro.service.__main__ import main

@@ -1,13 +1,17 @@
-"""SnapshotStore tests: atomicity, pruning, recovery ordering."""
+"""SnapshotStore tests: atomicity, durability, pruning, recovery
+ordering, corrupt snapshots."""
 
 import json
+import os
+import re
+import stat
 
 import numpy as np
 import pytest
 
 from repro.protocol import Protocol
 from repro.service import wire
-from repro.service.store import SnapshotStore
+from repro.service.store import RawJSON, SnapshotCorruptError, SnapshotStore
 
 
 class TestSnapshotStore:
@@ -67,6 +71,80 @@ class TestSnapshotStore:
         nested = tmp_path / "a" / "b"
         SnapshotStore(nested).save(0, {})
         assert nested.exists()
+
+    def test_bytes_are_json_dumps_with_raw_values_verbatim(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        path = store.save(
+            3,
+            {
+                "a": [1, 2.5, None],
+                "ledger": RawJSON([b'{"k": [', b"0.1, 1e-07", b"]}"]),
+                "name": "\u00fc\"\\",
+            },
+        )
+        assert path.read_bytes() == json.dumps(
+            {
+                "seq": 3,
+                "a": [1, 2.5, None],
+                "ledger": {"k": [0.1, 1e-07]},
+                "name": "\u00fc\"\\",
+            }
+        ).encode()
+
+    def test_directory_is_fsynced_after_each_rename(
+        self, tmp_path, monkeypatch
+    ):
+        """Each save makes its rename durable before returning, so a
+        namespace payload is on disk before the manifest naming it."""
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            events.append(("fsync", stat.S_ISDIR(info.st_mode), info.st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace",))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        store = SnapshotStore(tmp_path)
+        child = store.namespace("campaign")
+        payload = child.save(1, {"x": 1})
+        manifest = store.save(1, {"child": 1})
+
+        def inode(path):
+            return os.stat(path).st_ino
+
+        assert events == [
+            ("fsync", False, inode(payload)),
+            ("replace",),
+            ("fsync", True, inode(child.directory)),
+            ("fsync", False, inode(manifest)),
+            ("replace",),
+            ("fsync", True, inode(tmp_path)),
+        ]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw: raw[: len(raw) // 2],  # torn write
+            lambda raw: b"",
+            lambda raw: b"\xff" + raw,  # not UTF-8
+        ],
+    )
+    def test_corrupt_snapshot_names_the_file(self, tmp_path, damage):
+        store = SnapshotStore(tmp_path)
+        store.save(1, {"ok": True})
+        path = store.save(2, {"ok": True, "blob": "x" * 100})
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(SnapshotCorruptError, match=re.escape(str(path))):
+            store.load_latest()
+        assert issubclass(SnapshotCorruptError, ValueError)
+        # No silent fallback, but older snapshots stay readable.
+        assert store.load(1)["ok"] is True
 
 
 class TestResumeEquality:
