@@ -46,7 +46,6 @@ BASELINE_PATH = RESULTS_DIR / "service_ingest_baseline.json"
 
 BATCH_SIZE = 2_000
 CHECKPOINT_EVERY = 10
-SHARDS = 4
 SEED = 2019
 
 
@@ -88,14 +87,12 @@ def _run_ingest(
     store=None,
     checkpoint_every=None,
     wire_version=None,
-    shards=1,
     instrument=True,
 ):
     server = IngestionServer(
         protocol,
         store=store,
         checkpoint_every=checkpoint_every,
-        shards=shards,
         instrument=instrument,
     ).run_in_thread()
     try:
@@ -115,18 +112,13 @@ def _run_ingest(
     return elapsed, estimate
 
 
-def _check_estimate(name, run, estimate, reference, sharded=False):
-    """Bitwise against the local reference absorb; a sharded run of a
-    float-summing protocol legitimately folds in a different order, so
-    it may only match to float tolerance."""
-    if np.array_equal(estimate, reference):
-        return "bitwise"
-    if sharded and np.allclose(estimate, reference, rtol=1e-9, atol=1e-12):
-        return "allclose"
-    raise AssertionError(
-        f"{name}/{run}: served estimate diverged from the local "
-        f"reference absorb"
-    )
+def _check_estimate(name, run, estimate, reference):
+    """Bitwise against the local reference absorb."""
+    if not np.array_equal(estimate, reference):
+        raise AssertionError(
+            f"{name}/{run}: served estimate diverged from the local "
+            f"reference absorb"
+        )
 
 
 def _run_multi_campaign(workloads, store=None, checkpoint_every=None):
@@ -264,12 +256,6 @@ def bench_workloads(workloads, n: int) -> dict:
             wire_version=wire.WIRE_VERSION_COLUMNAR,
             instrument=False,
         )
-        sharded_s, sharded_estimate = _run_ingest(
-            protocol,
-            batches,
-            wire_version=wire.WIRE_VERSION_COLUMNAR,
-            shards=SHARDS,
-        )
 
         _check_estimate(name, "ingest", plain_estimate, reference_estimate)
         _check_estimate(
@@ -280,13 +266,6 @@ def bench_workloads(workloads, n: int) -> dict:
         )
         _check_estimate(
             name, "wire_v2_bare", bare_estimate, reference_estimate
-        )
-        sharded_check = _check_estimate(
-            name,
-            "wire_v2_sharded",
-            sharded_estimate,
-            reference_estimate,
-            sharded=True,
         )
         out[name] = {
             "n": n,
@@ -317,19 +296,11 @@ def bench_workloads(workloads, n: int) -> dict:
                 "reports_per_second": n / bare_s,
                 "metrics_overhead_vs_uninstrumented": v2_s / bare_s,
             },
-            "ingest_wire_v2_sharded": {
-                "seconds": sharded_s,
-                "reports_per_second": n / sharded_s,
-                "shards": SHARDS,
-                "speedup_vs_v1": plain_s / sharded_s,
-                "estimate_check": sharded_check,
-            },
         }
         print(
             f"{name:>16}: {n / plain_s:>10.0f} reports/s v1, "
             f"{n / durable_s:>10.0f} reports/s v1+checkpoints, "
-            f"{n / v2_s:>10.0f} reports/s v2, "
-            f"{n / sharded_s:>10.0f} reports/s v2+{SHARDS} shards "
+            f"{n / v2_s:>10.0f} reports/s v2 "
             f"[{plain_s / v2_s:.2f}x v2 speedup, "
             f"{(v2_s / bare_s - 1) * 100:+.1f}% metrics overhead]"
         )

@@ -103,7 +103,6 @@ def main(argv=None):
     server = IngestionServer(
         protocol,
         lifetime_epsilon=EPSILON * 8,
-        shards=2,
         window={"panes": PANES},
     ).run_in_thread()
     reporter = ServiceClient("127.0.0.1", server.port, memoize=True)

@@ -79,13 +79,12 @@ class ServerAccumulator(abc.ABC):
         )
 
     # ------------------------------------------------------------------
-    # Pre-absorption validation (used by the sharded ingestion tier).
+    # Pre-absorption validation (validate-before-charge).
     # ``validate_reports`` / ``validate_columns`` raise ``ValueError``
     # for any batch whose matching absorb would raise, and never
-    # mutate state.  The sharded server validates on the request path
-    # *before* charging budget and enqueueing, so an absorb running
-    # later on a shard worker cannot fail on client data — preserving
-    # the absorb-before-charge invariant across the queue boundary.
+    # mutate state.  The ingestion server validates on the request
+    # path *before* admitting the batch against the privacy ledger, so
+    # a malformed batch is rejected without consuming anyone's budget.
     # ------------------------------------------------------------------
     def validate_reports(self, reports: Any) -> None:
         """Raise ``ValueError`` iff :meth:`absorb` would; no mutation."""

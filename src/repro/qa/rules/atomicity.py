@@ -13,9 +13,9 @@ recorded this batch's spend — double-charging past
 ``lifetime_epsilon`` without any error surfacing.
 
 This rule flags every ``await`` expression positioned between an
-``absorb(...)`` call and a ledger charge call (``charge``,
-``charge_batch``, ``charge_group``) inside the same function of a
-service handler module.
+absorb call (``absorb``, or the handler's ``absorb_shard``) and a
+ledger charge call (``charge``, ``charge_batch``, ``charge_group``)
+inside the same function of a service handler module.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.qa.core import Module, Project, Rule, Violation
 HANDLER_MODULES: Tuple[str, ...] = ("repro.service.server",)
 
 #: Method names that fold reports into an accumulator.
-ABSORB_METHODS = frozenset({"absorb"})
+ABSORB_METHODS = frozenset({"absorb", "absorb_shard"})
 
 #: Method names that charge a PrivacyAccountant / CrossCampaignLedger.
 CHARGE_METHODS = frozenset({"charge", "charge_batch", "charge_group"})

@@ -26,8 +26,8 @@ manifest on restart.
 Observability: ``GET /metrics`` serves Prometheus text exposition;
 ``--log-format json`` switches the process to one-JSON-object-per-line
 structured logs.  **SIGTERM drains gracefully**: new batches get 503,
-shard queues flush, a final checkpoint lands (bitwise-equal to what an
-uninterrupted run would have written), and the process exits 0.
+a final checkpoint lands (bitwise-equal to what an uninterrupted run
+would have written), and the process exits 0.
 SIGINT (Ctrl-C) keeps its historical behavior: checkpoint and stop.
 """
 
@@ -86,21 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=100,
         help="snapshot after every N accepted batches "
         "(needs --snapshot-dir)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="shard worker threads for ingestion (1 = inline absorb "
-        "on the event loop; N > 1 routes batches by idempotency key "
-        "over N bounded worker queues)",
-    )
-    parser.add_argument(
-        "--shard-queue-depth",
-        type=int,
-        default=64,
-        help="per-shard queue bound in batches; a full queue answers "
-        "429 with Retry-After (backpressure)",
     )
     parser.add_argument(
         "--window",
@@ -177,8 +162,6 @@ def main(argv=None) -> int:
             host=args.host,
             port=args.port,
             campaigns=campaign_specs,
-            shards=args.shards,
-            shard_queue_depth=args.shard_queue_depth,
             window=window,
         )
     except SnapshotCorruptError as exc:
@@ -189,11 +172,10 @@ def main(argv=None) -> int:
     async def _serve() -> None:
         nonlocal drained
         await server.start()
-        # SIGTERM = graceful drain: 503 new batches, flush shards,
-        # final checkpoint, exit 0.  SIGINT stays a KeyboardInterrupt
-        # (handled below) for historical Ctrl-C behavior.  Installed
-        # before the banner: once the banner is readable the process
-        # must already be drainable.
+        # SIGTERM = graceful drain: 503 new batches, final checkpoint,
+        # exit 0.  SIGINT stays a KeyboardInterrupt (handled below) for
+        # historical Ctrl-C behavior.  Installed before the banner: once
+        # the banner is readable the process must already be drainable.
         sigterm = SignalDrain((signal.SIGTERM,)).install()
         default = server.registry.default
         headline = (
@@ -220,7 +202,6 @@ def main(argv=None) -> int:
             f"repro.service: {headline} on "
             f"http://{server.host}:{server.port} "
             f"(lifetime eps {server.ledger.lifetime_epsilon:g}, "
-            f"shards: {server.shards}, "
             f"checkpoints: "
             f"{store.directory if store else 'disabled'}"
             f"{window_note})",
@@ -246,7 +227,7 @@ def main(argv=None) -> int:
             if drain_task in done:
                 print(
                     "repro.service: draining (SIGTERM): refusing new "
-                    "batches, flushing shards",
+                    "batches",
                     flush=True,
                 )
                 result = server.drain()
@@ -259,7 +240,6 @@ def main(argv=None) -> int:
                 print(
                     f"repro.service: drained "
                     f"({result.batches_accepted} batches accepted, "
-                    f"{result.shards_flushed} shards flushed, "
                     f"{result.seconds:.3f}s)",
                     flush=True,
                 )

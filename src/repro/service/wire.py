@@ -44,8 +44,8 @@ from repro.protocol.spec import ProtocolSpec
 #: (:func:`pack_columns` / :func:`unpack_columns`).
 WIRE_VERSION = 1
 
-#: The binary columnar wire format introduced for the sharded
-#: ingestion tier: one JSON header + packed little-endian arrays.
+#: The binary columnar wire format: one JSON header + packed
+#: little-endian arrays.
 WIRE_VERSION_COLUMNAR = 2
 
 #: Every wire version this codec can decode.  Servers advertise this

@@ -1,11 +1,14 @@
-"""Awaits stay outside the charge/absorb critical section."""
+"""Awaits stay outside the absorb/charge critical section."""
 
 
 class Handler:
-    async def handle_submit(self, ledger, accumulator, batch):
+    async def handle_report(self, ledger, campaign, batch):
         await self.authenticate(batch)
-        ledger.charge_batch(batch.users, batch.epsilon)
-        accumulator.absorb(batch.reports)
+        campaign.validate_batch(batch.reports)
+        if ledger.rejected_users(batch.multiplicity, batch.epsilon):
+            return False
+        campaign.absorb_shard(batch.reports, batch.round)
+        ledger.charge_batch(batch.multiplicity, batch.epsilon)
         await self.checkpoint()
         return True
 

@@ -10,6 +10,7 @@ from the latest snapshot.
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +94,18 @@ def serve():
 
 def _users(n, prefix="u"):
     return [f"{prefix}{i}" for i in range(n)]
+
+
+def _raw_request(port, data):
+    """Send raw bytes, half-close, and parse the status + JSON body."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
 
 
 class TestEndToEnd:
@@ -315,6 +328,40 @@ class TestRejections:
         assert excinfo.value.payload["error"] == "bad_reports"
         assert state() == before
 
+    @pytest.mark.parametrize(
+        "content_type", ["application/json", wire.COLUMNAR_CONTENT_TYPE]
+    )
+    @pytest.mark.parametrize(
+        "length, body, error",
+        [(100, b"hello", "truncated_body"), (-5, b"", "bad_content_length")],
+        ids=["truncated", "negative"],
+    )
+    def test_bad_content_length_is_400_and_changes_nothing(
+        self, serve, content_type, length, body, error
+    ):
+        protocol, values = _cases()["frequency"]
+        server = serve(protocol, lifetime_epsilon=3.0)
+        client = ServiceClient("127.0.0.1", server.port)
+        client.submit(values[:20], users=_users(20), rng=0)
+        accumulator = server.registry.default.accumulator
+
+        def state():
+            return json.dumps(server.ledger.to_dict()), json.dumps(
+                wire.encode_accumulator_state(accumulator)
+            )
+
+        before = state()
+        head = (
+            f"POST /report HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode("ascii")
+        status, payload = _raw_request(server.port, head + body)
+        assert status == 400
+        assert payload["error"] == error
+        assert state() == before
+        assert client.healthz()["batches_accepted"] == 1
+
     def test_estimate_before_any_report_is_409(self, serve):
         protocol, _ = _cases()["mean"]
         server = serve(protocol)
@@ -502,3 +549,12 @@ class TestCommandLine:
 
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("flag", ["--shards", "--shard-queue-depth"])
+    def test_removed_shard_flags_are_rejected(self, flag, capsys):
+        from repro.service.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--spec", "spec.json", flag, "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

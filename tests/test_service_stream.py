@@ -1,6 +1,6 @@
 """End-to-end streaming tests over the live HTTP service: windowed
 campaigns (sliding-window estimates bitwise-equal to recomputation,
-across shard counts and kill-and-resume), memoized zero-cost
+also across kill-and-resume), memoized zero-cost
 re-reports against the cross-campaign ledger, the /heavy-hitters
 endpoint, and v1 / window-unaware compatibility."""
 
@@ -53,10 +53,9 @@ def _round_batches(protocol, rounds, n=40, domain=10):
 
 
 class TestWindowedEstimates:
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_window_estimate_bitwise_across_shards(self, serve, shards):
+    def test_window_estimate_bitwise(self, serve):
         protocol = _frequency()
-        server = serve(protocol, shards=shards, window={"panes": 3})
+        server = serve(protocol, window={"panes": 3})
         client = ServiceClient("127.0.0.1", server.port)
         batches = _round_batches(protocol, rounds=5)
         for r, (reports, users) in enumerate(batches):
@@ -97,11 +96,7 @@ class TestWindowedEstimates:
     def test_kill_and_resume_windowed_bitwise(self, serve, tmp_path):
         protocol = _frequency()
         batches = _round_batches(protocol, rounds=5)
-        boot = dict(
-            shards=2,
-            window={"panes": 3},
-            checkpoint_every=1,
-        )
+        boot = dict(window={"panes": 3}, checkpoint_every=1)
         server = serve(protocol, store=SnapshotStore(tmp_path), **boot)
         client = ServiceClient("127.0.0.1", server.port)
         for r, (reports, users) in enumerate(batches[:3]):
@@ -300,7 +295,7 @@ class TestMemoizedSubmission:
 class TestHeavyHitters:
     def test_churn_between_rounds_over_http(self, serve):
         protocol = Protocol.frequency(8.0, domain=6, oracle="grr")
-        server = serve(protocol, shards=2, window={"panes": 2})
+        server = serve(protocol, window={"panes": 2})
         client = ServiceClient("127.0.0.1", server.port)
         encoder = protocol.client()
 
