@@ -32,7 +32,12 @@ def _sweep():
             mse = float(
                 np.mean(
                     [
-                        empirical_mse(collector.collect(matrix, c), truth)
+                        empirical_mse(
+                            collector.estimate_means(
+                                collector.privatize(matrix, c)
+                            ),
+                            truth,
+                        )
                         for c in spawn_rngs(17, REPEATS)
                     ]
                 )

@@ -29,9 +29,10 @@ def _sweep():
                 collector = MixedMultidimCollector(
                     dataset.schema, eps, oracle=oracle
                 )
-                scores.append(
-                    collector.collect(dataset, child).frequency_mse(truth)
+                estimates = collector.aggregate(
+                    collector.privatize(dataset, child)
                 )
+                scores.append(estimates.frequency_mse(truth))
             rows.append(
                 Row("ablation_oracle", oracle, eps, float(np.mean(scores)))
             )

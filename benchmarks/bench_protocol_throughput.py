@@ -1,9 +1,11 @@
-"""Old collect() path vs new protocol absorb() path.
+"""Dense one-shot path vs protocol absorb() path.
 
 Measures, for the Algorithm 4 multidimensional protocol:
 
-* reports/second through the legacy monolithic ``collect()`` (dense
-  (n, d) submissions, one-shot aggregation), and
+* reports/second through the legacy dense path (the
+  ``legacy_collect`` row): ``MultidimNumericCollector.privatize``
+  builds dense (n, d) submissions and ``estimate_means`` averages them
+  in one shot, and
 * reports/second through the protocol path (compact
   ``SampledNumericReports`` encoding, batched ``absorb()`` into a
   mergeable accumulator),
@@ -19,7 +21,6 @@ Run:  PYTHONPATH=src python -m pytest benchmarks/bench_protocol_throughput.py -q
 
 import json
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -45,9 +46,7 @@ _RESULTS = {}
 def _legacy_collect():
     collector = MultidimNumericCollector(EPSILON, D, "hm")
     rng = np.random.default_rng(1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return collector.collect(TUPLES, rng)
+    return collector.estimate_means(collector.privatize(TUPLES, rng))
 
 
 def _protocol_absorb():

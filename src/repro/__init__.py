@@ -18,11 +18,11 @@ explicit — clients encode, servers absorb and merge::
     pm = PiecewiseMechanism(epsilon=1.0)
     noisy = pm.privatize(values, rng=0)          # values in [-1, 1]
 
-Multidimensional collection (Section IV; legacy one-shot shim)::
+Multidimensional collection (Section IV) without the protocol layer::
 
-    from repro import MultidimNumericCollector, MixedMultidimCollector
+    from repro import MultidimNumericCollector
     collector = MultidimNumericCollector(epsilon=4.0, d=10, mechanism="hm")
-    means = collector.collect(tuples, rng=0)     # deprecated shortcut
+    means = collector.estimate_means(collector.privatize(tuples, rng=0))
 
 LDP-SGD (Section V)::
 

@@ -29,7 +29,6 @@ from repro.campaigns.lifecycle import CampaignState, check_transition
 from repro.obs.logging import get_logger
 from repro.protocol.accumulators import ServerAccumulator
 from repro.protocol.facade import Protocol
-from repro.protocol.reports import ColumnBlock
 from repro.protocol.spec import ProtocolSpec
 from repro.stream.heavy import HeavyHitterTracker
 from repro.stream.windows import WindowConfig, WindowedAccumulator
@@ -120,10 +119,7 @@ class Campaign:
         Runs on the request path *before* budget is charged; never
         mutates state.
         """
-        if isinstance(batch, ColumnBlock):
-            self.accumulator.validate_columns(batch)
-        else:
-            self.accumulator.validate_reports(batch)
+        self.accumulator.validate(batch)
 
     def absorb_shard(self, batch: Any, round_: Optional[int] = None) -> int:
         """Fold one validated batch into :attr:`accumulator`; returns the
@@ -140,12 +136,7 @@ class Campaign:
         acc = self.accumulator
         before = acc.count
         if isinstance(acc, WindowedAccumulator) and round_ is not None:
-            if isinstance(batch, ColumnBlock):
-                acc.absorb_columns_round(round_, batch)
-            else:
-                acc.absorb_round(round_, batch)
-        elif isinstance(batch, ColumnBlock):
-            acc.absorb_columns(batch)
+            acc.absorb_round(round_, batch)
         else:
             acc.absorb(batch)
         return int(acc.count - before)

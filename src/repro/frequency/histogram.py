@@ -14,8 +14,6 @@ post-processes the estimate into a valid histogram:
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.core.validation import check_epsilon, check_unit_interval
@@ -98,24 +96,6 @@ class LDPHistogram:
             # Degenerate all-noise case: fall back to uniform.
             return np.full_like(raw, 1.0 / raw.shape[0])
         return clipped / total
-
-    def collect(self, values, rng: RngLike = None) -> "HistogramEstimate":
-        """privatize + estimate in one call.
-
-        .. deprecated:: 1.1
-            Monolithic client+server shortcut.  Use
-            ``repro.protocol.Protocol.histogram(epsilon, bins=...)``
-            with ``client().encode_batch`` and
-            ``server().absorb(...).estimate()`` instead.
-        """
-        warnings.warn(
-            "LDPHistogram.collect() is deprecated; use "
-            "repro.protocol.Protocol.histogram(...) (client/server API) "
-            "instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.estimate(self.privatize(values, rng))
 
 
 class HistogramEstimate:

@@ -83,19 +83,15 @@ class OLHReports:
     def __len__(self) -> int:
         return int(self.seeds.shape[0])
 
-    # ------------------------------------------------------------------
-    # Columnar form (v2 wire format; see repro.protocol.reports)
-    # ------------------------------------------------------------------
-    def to_columns(self) -> dict:
-        """Canonical columnar form: the two per-user vectors by name."""
-        return {"seeds": self.seeds, "buckets": self.buckets}
+    def to_block(self):
+        """Canonical columnar form: the two per-user vectors by name
+        (see :func:`repro.protocol.reports.to_block`)."""
+        from repro.protocol.reports import ColumnBlock
 
-    @classmethod
-    def from_columns(cls, columns: dict) -> "OLHReports":
-        """Rebuild from :meth:`to_columns` output (bitwise)."""
-        return cls(
-            seeds=np.asarray(columns["seeds"]),
-            buckets=np.asarray(columns["buckets"]),
+        return ColumnBlock(
+            kind="olh",
+            n=len(self),
+            columns={"seeds": self.seeds, "buckets": self.buckets},
         )
 
 

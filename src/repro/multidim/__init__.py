@@ -13,11 +13,6 @@ from repro.multidim.marginals import (
     true_marginal_table,
 )
 from repro.multidim.splitting import SplitCompositionBaseline
-from repro.multidim.streaming import (
-    StreamingFrequencyAggregator,
-    StreamingMeanAggregator,
-    StreamingMixedAggregator,
-)
 
 __all__ = [
     "MixedEstimates",
@@ -26,9 +21,6 @@ __all__ = [
     "MultidimNumericCollector",
     "sample_attribute_matrix",
     "SplitCompositionBaseline",
-    "StreamingMeanAggregator",
-    "StreamingFrequencyAggregator",
-    "StreamingMixedAggregator",
     "PairwiseMarginalCollector",
     "MarginalTable",
     "true_marginal_table",

@@ -17,7 +17,6 @@ Two collectors are provided:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -141,30 +140,6 @@ class MultidimNumericCollector:
             )
         return arr.mean(axis=0)
 
-    def collect(self, tuples, rng: RngLike = None) -> np.ndarray:
-        """privatize + estimate_means in one call.
-
-        .. deprecated:: 1.1
-            Monolithic client+server shortcut.  Use the protocol API
-            instead: ``repro.protocol.Protocol.multidim(epsilon, d=d,
-            mechanism=...)`` with ``client().encode_batch`` and
-            ``server().absorb(...).estimate()``.
-        """
-        warnings.warn(
-            "MultidimNumericCollector.collect() is deprecated; use "
-            "repro.protocol.Protocol.multidim(...) (client/server API) "
-            "instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.protocol.accumulators import MultidimMeanAccumulator
-
-        return (
-            MultidimMeanAccumulator(self.d)
-            .absorb(self.privatize(tuples, rng))
-            .estimate()
-        )
-
     # ------------------------------------------------------------------
     def per_coordinate_variance(self, t) -> np.ndarray:
         """Closed-form Var[t*[j] | t[j]] (Eq. 14 for PM, Eq. 15 for HM)."""
@@ -214,71 +189,38 @@ class MixedReports:
     numeric: np.ndarray
     categorical: Dict[str, object]
 
-    # ------------------------------------------------------------------
-    # Columnar form (v2 wire format; see repro.protocol.reports)
-    # ------------------------------------------------------------------
-    def to_columns(self) -> Dict[str, np.ndarray]:
+    def to_block(self):
         """Canonical flat columnar form.
 
         The numeric block is one column; every categorical attribute's
         sub-reports flatten under ``cat.<name>.<column>`` (OLH reports
         contribute their seeds/buckets columns, array-shaped oracle
-        reports a single ``array`` column).  Attribute names may not
-        contain ``.`` — the separator is load-bearing.
+        reports a single ``array`` column), and ``meta["categorical"]``
+        maps each attribute to its sub-kind, in this container's order.
+        Attribute names may not contain ``.`` — the separator is
+        load-bearing.
         """
+        from repro.protocol.reports import ColumnBlock, to_block
+
         columns: Dict[str, np.ndarray] = {
             "numeric": np.asarray(self.numeric)
         }
+        kinds: Dict[str, str] = {}
         for name, sub in self.categorical.items():
             if "." in name:
                 raise ValueError(
                     f"categorical attribute {name!r} contains '.', "
                     f"which the columnar flattening reserves"
                 )
-            if hasattr(sub, "to_columns"):
-                for key, arr in sub.to_columns().items():
-                    columns[f"cat.{name}.{key}"] = np.asarray(arr)
-            else:
-                columns[f"cat.{name}.array"] = np.asarray(sub)
-        return columns
-
-    @classmethod
-    def from_columns(
-        cls,
-        columns: Dict[str, np.ndarray],
-        *,
-        n: int,
-        categorical: Dict[str, str],
-    ) -> "MixedReports":
-        """Rebuild from :meth:`to_columns` output (bitwise).
-
-        ``categorical`` maps attribute name to its sub-container kind
-        (``"olh"`` or ``"array"``), the metadata the columnar header
-        carries alongside the flat columns.
-        """
-        from repro.frequency.olh import OLHReports
-
-        rebuilt: Dict[str, object] = {}
-        for name, kind in categorical.items():
-            head = f"cat.{name}."
-            sub = {
-                key[len(head):]: arr
-                for key, arr in columns.items()
-                if key.startswith(head)
-            }
-            if kind == "olh":
-                rebuilt[name] = OLHReports.from_columns(sub)
-            elif kind == "array":
-                rebuilt[name] = np.asarray(sub["array"])
-            else:
-                raise ValueError(
-                    f"unknown categorical sub-kind {kind!r} for "
-                    f"attribute {name!r}"
-                )
-        return cls(
-            n=int(n),
-            numeric=np.asarray(columns["numeric"]),
-            categorical=rebuilt,
+            block = to_block(sub)
+            kinds[name] = block.kind
+            for key, arr in block.columns.items():
+                columns[f"cat.{name}.{key}"] = arr
+        return ColumnBlock(
+            kind="mixed",
+            n=int(self.n),
+            meta={"categorical": kinds},
+            columns=columns,
         )
 
 
@@ -389,24 +331,6 @@ class MixedMultidimCollector:
         from repro.protocol.accumulators import MixedAccumulator
 
         return MixedAccumulator.for_collector(self).absorb(reports).estimate()
-
-    def collect(self, dataset: Dataset, rng: RngLike = None) -> MixedEstimates:
-        """privatize + aggregate in one call.
-
-        .. deprecated:: 1.1
-            Monolithic client+server shortcut.  Use
-            ``repro.protocol.Protocol.multidim(epsilon, schema=schema)``
-            with ``client().encode_batch`` and
-            ``server().absorb(...).estimate()`` instead.
-        """
-        warnings.warn(
-            "MixedMultidimCollector.collect() is deprecated; use "
-            "repro.protocol.Protocol.multidim(..., schema=...) "
-            "(client/server API) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.aggregate(self.privatize(dataset, rng))
 
     # ------------------------------------------------------------------
     def per_coordinate_variance(self, t) -> np.ndarray:

@@ -9,7 +9,8 @@ This package makes that split explicit:
   Section IV multidimensional samplers.
 * :class:`ServerAccumulator` — ``absorb`` / ``merge`` / ``estimate``
   over sufficient statistics only (O(1) memory per shard; mergeable
-  across shards and streams).
+  across shards and streams).  Every batch reaches it as one
+  :class:`~repro.protocol.reports.ColumnBlock` (``to_block``).
 * :class:`Protocol` — the façade tying the two halves to a serializable
   :class:`ProtocolSpec`.
 
@@ -20,10 +21,6 @@ Quickstart::
     protocol = Protocol.multidim(epsilon=4.0, d=10, mechanism="hm")
     reports = protocol.client().encode_batch(tuples, rng=0)
     means = protocol.server().absorb(reports).estimate()
-
-The legacy monolithic entry points (``MultidimNumericCollector.collect``,
-``LDPHistogram.collect``, ...) remain as deprecated shims over this
-layer.
 """
 
 from repro.protocol.accumulators import (

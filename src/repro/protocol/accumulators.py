@@ -22,21 +22,20 @@ shards is exact for counts and agrees to ~1e-15 relative for sums.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, Dict
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple, TypeVar
 
 import numpy as np
 
 from repro.frequency.olh import OLHReports, OptimizedLocalHashing
 from repro.frequency.oracle import FrequencyOracle
-from repro.protocol.reports import ColumnBlock, SampledNumericReports
-
-# NOTE: repro.multidim is imported lazily (inside MixedAccumulator
-# methods) because repro.multidim.streaming subclasses the accumulators
-# defined here; a top-level import in either direction would cycle.
+from repro.frequency.unary import UnaryEncodingOracle
+from repro.protocol.reports import ColumnBlock, to_block
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.frequency.histogram import HistogramEstimate
     from repro.multidim.aggregator import MixedEstimates
+
+_Acc = TypeVar("_Acc", bound="ServerAccumulator")
 
 
 class ServerAccumulator(abc.ABC):
@@ -50,10 +49,24 @@ class ServerAccumulator(abc.ABC):
     * :meth:`estimate` produces the current unbiased estimate.
 
     Both ``absorb`` and ``merge`` return ``self`` for chaining.
+
+    Every batch takes one path in.  :func:`~repro.protocol.reports.to_block`
+    turns it (a report container, a plain report array, or a
+    :class:`~repro.protocol.reports.ColumnBlock` off the v2 wire) into a
+    block; the subclass's :meth:`_parse` coerces and checks the block
+    without touching state, and :meth:`_fold` adds the parsed batch.
+    :meth:`validate` stops after the parse, so it raises exactly when
+    :meth:`absorb` would, and a batch that fails leaves the state
+    unchanged.  The ingestion server validates *before* admitting a
+    batch against the privacy ledger, so a malformed batch never
+    consumes anyone's budget.
     """
 
-    @abc.abstractmethod
-    def absorb(self, reports: Any) -> "ServerAccumulator":
+    def validate(self, batch: Any) -> None:
+        """Raise ``ValueError`` iff :meth:`absorb` would; no mutation."""
+        self._parse(to_block(batch))
+
+    def absorb(self: _Acc, batch: Any) -> _Acc:
         """Fold in one batch of reports; retains no report.
 
         Absorbing an *empty* batch (zero reports, e.g. from an empty
@@ -62,38 +75,21 @@ class ServerAccumulator(abc.ABC):
         :meth:`estimate` still raises ``ValueError`` while the total
         count is zero.
         """
+        self._fold(self._parse(to_block(batch)))
+        return self
 
-    def absorb_columns(self, block: ColumnBlock) -> "ServerAccumulator":
-        """Fold in one batch in canonical columnar form.
+    @abc.abstractmethod
+    def _parse(self, block: ColumnBlock) -> Any:
+        """The batch's coerced columns; raises ``ValueError`` on any
+        kind, shape, value or row-count violation.  Never mutates.
 
-        The columnar twin of :meth:`absorb`: consumes the named numpy
-        columns of a :class:`~repro.protocol.reports.ColumnBlock`
-        directly — no report container is materialized on the hot path
-        (OLH columns are wrapped in a zero-copy view for the oracle's
-        support counting).  Bitwise-equal to absorbing the equivalent
-        report object: the same reductions run over the same arrays in
-        the same order.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support columnar absorption"
-        )
+        The result holds no reference to this accumulator's state: a
+        windowed accumulator parses with a template and folds the
+        result into a different accumulator of the same protocol."""
 
-    # ------------------------------------------------------------------
-    # Pre-absorption validation (validate-before-charge).
-    # ``validate_reports`` / ``validate_columns`` raise ``ValueError``
-    # for any batch whose matching absorb would raise, and never
-    # mutate state.  The ingestion server validates on the request
-    # path *before* admitting the batch against the privacy ledger, so
-    # a malformed batch is rejected without consuming anyone's budget.
-    # ------------------------------------------------------------------
-    def validate_reports(self, reports: Any) -> None:
-        """Raise ``ValueError`` iff :meth:`absorb` would; no mutation."""
-
-    def validate_columns(self, block: ColumnBlock) -> None:
-        """Raise ``ValueError`` iff :meth:`absorb_columns` would."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support columnar absorption"
-        )
+    @abc.abstractmethod
+    def _fold(self, parsed: Any) -> None:
+        """Add one :meth:`_parse` result to the state."""
 
     @abc.abstractmethod
     def merge(self, other: "ServerAccumulator") -> "ServerAccumulator":
@@ -132,8 +128,39 @@ class ServerAccumulator(abc.ABC):
         if self.count == 0:
             raise ValueError("no reports received yet")
 
+    def _expect(self, block: ColumnBlock, kind: str) -> None:
+        if block.kind != kind:
+            raise ValueError(
+                f"{type(self).__name__} absorbs {kind!r} columns, got "
+                f"{block.kind!r}"
+            )
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(count={self.count})"
+
+
+def _numeric(block: ColumnBlock, name: str) -> np.ndarray:
+    """Column ``name``, which must hold bools, integers or floats."""
+    arr = block.column(name)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(
+            f"column {name!r} must be numeric, got dtype {arr.dtype}"
+        )
+    return arr
+
+
+def _check_rows(block: ColumnBlock, *names: str) -> None:
+    """Every named column (default: all) has exactly ``block.n`` rows —
+    the batch cannot fold more reports than the users it is charged
+    for."""
+    for name in names or tuple(block.columns):
+        arr = block.columns[name]
+        rows = arr.shape[0] if arr.ndim else None
+        if rows != block.n:
+            raise ValueError(
+                f"column {name!r} carries {rows} rows but the batch "
+                f"declares n={block.n}"
+            )
 
 
 class MeanAccumulator(ServerAccumulator):
@@ -149,38 +176,19 @@ class MeanAccumulator(ServerAccumulator):
         self._sum = 0.0
         self._count = 0
 
-    def absorb(self, reports: Any) -> "MeanAccumulator":
-        arr = np.atleast_1d(np.asarray(reports, dtype=float))
+    def _parse(self, block: ColumnBlock) -> np.ndarray:
+        self._expect(block, "array")
+        arr = np.asarray(_numeric(block, "array"), dtype=float)
         if arr.ndim != 1:
             raise ValueError(
                 f"mean reports must be a flat array, got shape {arr.shape}"
             )
-        self._sum += float(arr.sum())
-        self._count += arr.shape[0]
-        return self
+        _check_rows(block)
+        return arr
 
-    def validate_reports(self, reports: Any) -> None:
-        arr = np.atleast_1d(np.asarray(reports, dtype=float))
-        if arr.ndim != 1:
-            raise ValueError(
-                f"mean reports must be a flat array, got shape {arr.shape}"
-            )
-
-    def validate_columns(self, block: ColumnBlock) -> None:
-        if block.kind != "array":
-            raise ValueError(
-                f"MeanAccumulator absorbs 'array' columns, got "
-                f"{block.kind!r}"
-            )
-        self.validate_reports(block.column("array"))
-
-    def absorb_columns(self, block: ColumnBlock) -> "MeanAccumulator":
-        if block.kind != "array":
-            raise ValueError(
-                f"MeanAccumulator absorbs 'array' columns, got "
-                f"{block.kind!r}"
-            )
-        return self.absorb(block.column("array"))
+    def _fold(self, parsed: np.ndarray) -> None:
+        self._sum += float(parsed.sum())
+        self._count += parsed.shape[0]
 
     def merge(self, other: "ServerAccumulator") -> "MeanAccumulator":
         if not isinstance(other, MeanAccumulator):
@@ -211,9 +219,10 @@ class MeanAccumulator(ServerAccumulator):
 class MultidimMeanAccumulator(ServerAccumulator):
     """Per-attribute running means over d-dimensional numeric reports.
 
-    Absorbs either the compact :class:`SampledNumericReports` wire
-    format or legacy dense (m, d) submission matrices; both paths keep
-    only the d running sums and the user count.
+    Absorbs the compact :class:`SampledNumericReports` wire format and
+    keeps only the d running sums and the user count.  An empty plain
+    array (e.g. a bare ``[]``, which cannot carry a column count) is
+    the uniform empty-batch no-op.
     """
 
     def __init__(self, d: int) -> None:
@@ -223,108 +232,44 @@ class MultidimMeanAccumulator(ServerAccumulator):
         self._sums = np.zeros(self.d)
         self._count = 0
 
-    def absorb(self, reports: Any) -> "MultidimMeanAccumulator":
-        if isinstance(reports, SampledNumericReports):
-            if reports.d != self.d:
-                raise ValueError(
-                    f"reports cover d={reports.d} attributes, "
-                    f"accumulator expects d={self.d}"
-                )
-            self._sums += np.bincount(
-                reports.cols.ravel(),
-                weights=reports.values.ravel(),
-                minlength=self.d,
-            )
-            self._count += reports.n
-            return self
-        arr = np.asarray(reports, dtype=float)
-        # Uniform empty-batch no-op: a size-0 array is accepted in any
-        # shape (an empty list cannot carry a column count).
-        if arr.size == 0:
-            return self
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        if arr.ndim != 2 or arr.shape[1] != self.d:
+    def _parse(self, block: ColumnBlock) -> Tuple[np.ndarray, np.ndarray]:
+        if block.kind == "array" and block.column("array").size == 0:
+            _check_rows(block)
+            return np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0))
+        self._expect(block, "sampled-numeric")
+        try:
+            d, k = int(block.meta["d"]), int(block.meta["k"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(
-                f"batch must be (m, {self.d}), got shape {arr.shape}"
-            )
-        self._sums += arr.sum(axis=0)
-        self._count += arr.shape[0]
-        return self
-
-    def validate_reports(self, reports: Any) -> None:
-        if isinstance(reports, SampledNumericReports):
-            if reports.d != self.d:
-                raise ValueError(
-                    f"reports cover d={reports.d} attributes, "
-                    f"accumulator expects d={self.d}"
-                )
-            return
-        arr = np.asarray(reports, dtype=float)
-        if arr.size == 0:
-            return
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        if arr.ndim != 2 or arr.shape[1] != self.d:
-            raise ValueError(
-                f"batch must be (m, {self.d}), got shape {arr.shape}"
-            )
-
-    def _checked_sampled_columns(self, block: ColumnBlock):
-        """Validated (cols, values) from a sampled-numeric block.
-
-        Applies the same coercions and checks as
-        ``SampledNumericReports.__post_init__`` plus the d-match
-        ``absorb`` performs, without building the container.
-        """
-        d = int(block.meta.get("d", -1))
+                f"sampled-numeric block needs integer d/k metadata: {exc}"
+            ) from None
         if d != self.d:
             raise ValueError(
-                f"columnar reports cover d={d} attributes, accumulator "
-                f"expects d={self.d}"
+                f"reports cover d={d} attributes, accumulator expects "
+                f"d={self.d}"
             )
-        cols = np.asarray(block.column("cols"), dtype=np.int64)
-        values = np.asarray(block.column("values"), dtype=float)
+        cols = _numeric(block, "cols")
+        values = np.asarray(_numeric(block, "values"), dtype=float)
         if cols.ndim != 2 or cols.shape != values.shape:
             raise ValueError(
                 f"cols and values must be matching (n, k) matrices, "
                 f"got {cols.shape} and {values.shape}"
             )
-        if cols.size and (cols.min() < 0 or cols.max() >= self.d):
+        if cols.shape[1] != k:
             raise ValueError(
-                f"sampled indices must lie in [0, {self.d - 1}]"
+                f"expected k={k} sampled attributes per row, got "
+                f"{cols.shape[1]}"
             )
-        return cols, values
+        _check_rows(block)
+        _check_categories(cols, self.d, "sampled indices")
+        return cols.astype(np.int64, copy=False), values
 
-    def validate_columns(self, block: ColumnBlock) -> None:
-        if block.kind == "sampled-numeric":
-            self._checked_sampled_columns(block)
-            return
-        if block.kind == "array":
-            self.validate_reports(block.column("array"))
-            return
-        raise ValueError(
-            f"MultidimMeanAccumulator absorbs 'sampled-numeric' or "
-            f"'array' columns, got {block.kind!r}"
-        )
-
-    def absorb_columns(
-        self, block: ColumnBlock
-    ) -> "MultidimMeanAccumulator":
-        if block.kind == "array":
-            return self.absorb(block.column("array"))
-        if block.kind != "sampled-numeric":
-            raise ValueError(
-                f"MultidimMeanAccumulator absorbs 'sampled-numeric' or "
-                f"'array' columns, got {block.kind!r}"
-            )
-        cols, values = self._checked_sampled_columns(block)
-        # Same reduction as the object path's absorb — bitwise equal.
+    def _fold(self, parsed: Tuple[np.ndarray, np.ndarray]) -> None:
+        cols, values = parsed
         self._sums += np.bincount(
             cols.ravel(), weights=values.ravel(), minlength=self.d
         )
         self._count += cols.shape[0]
-        return self
 
     def merge(self, other: "ServerAccumulator") -> "MultidimMeanAccumulator":
         if not isinstance(other, MultidimMeanAccumulator) or other.d != self.d:
@@ -361,11 +306,11 @@ def _check_categories(arr: np.ndarray, size: int, what: str) -> None:
     """Raise ``ValueError`` unless every entry is an integer in [0, size)."""
     if arr.size == 0:
         return
-    if not np.issubdtype(arr.dtype, np.integer) and not np.all(
-        arr == np.floor(arr)
-    ):
+    kind = arr.dtype.kind
+    if kind not in "iu" and not np.all(arr == np.floor(arr)):
         raise ValueError(f"{what} must be integers")
-    if arr.min() < 0 or arr.max() >= size:
+    # Unsigned entries cannot be negative: skip that pass over the batch.
+    if (kind != "u" and arr.min() < 0) or arr.max() >= size:
         raise ValueError(f"{what} must lie in [0, {size - 1}]")
 
 
@@ -382,93 +327,59 @@ class FrequencyAccumulator(ServerAccumulator):
         self._support = np.zeros(oracle.k)
         self._count = 0
 
-    def absorb(self, reports: Any) -> "FrequencyAccumulator":
-        # Compute both deltas before mutating: a report batch the
-        # oracle rejects must leave the state untouched.
-        if isinstance(reports, OLHReports):
-            self._check_olh(reports)
-        support = self.oracle.support_counts(reports)
-        n = self.oracle._n_reports(reports)
-        self._support += support
-        self._count += n
-        return self
-
-    def _check_olh(self, reports: OLHReports) -> None:
-        """Integer seeds and integer buckets in [0, g), for an OLH
-        oracle.  A bucket outside [0, g) supports no value, so such a
-        report would count in n but never in support and bias every
-        estimate."""
-        if not isinstance(self.oracle, OptimizedLocalHashing):
-            raise ValueError(
-                f"OLH reports sent to a {self.oracle.name!r} oracle"
-            )
-        seeds = np.asarray(reports.seeds)
-        if seeds.ndim != 1:
-            raise ValueError(
-                f"OLH seeds and buckets must be vectors, got shape "
-                f"{seeds.shape}"
-            )
-        if not np.issubdtype(seeds.dtype, np.integer):
-            raise ValueError(
-                f"OLH seeds must be integers, got dtype {seeds.dtype}"
-            )
-        _check_categories(
-            np.asarray(reports.buckets), self.oracle.g, "OLH buckets"
-        )
-
-    def validate_reports(self, reports: Any) -> None:
-        if isinstance(reports, OLHReports):
-            self._check_olh(reports)
-            return
-        if isinstance(self.oracle, OptimizedLocalHashing):
-            raise ValueError(
-                f"an OLH oracle needs OLH reports (seeds and buckets), "
-                f"got {type(reports).__name__}"
-            )
-        arr = np.asarray(reports)
-        if arr.ndim == 2:
-            if arr.shape[1] != self.oracle.k:
+    def _parse(self, block: ColumnBlock) -> Any:
+        """The oracle's report form: ``OLHReports`` for OLH, an (n, k)
+        bit matrix for unary encodings, a vector of values in [0, k)
+        otherwise (GRR)."""
+        oracle = self.oracle
+        if isinstance(oracle, OptimizedLocalHashing):
+            if block.kind != "olh":
                 raise ValueError(
-                    f"report matrix is (n, {arr.shape[1]}), oracle "
-                    f"domain is k={self.oracle.k}"
+                    f"an OLH oracle needs OLH reports (seeds and "
+                    f"buckets), got {block.kind!r} columns"
                 )
-            return
-        if arr.ndim == 1:
-            _check_categories(arr, self.oracle.k, "report values")
-            return
-        raise ValueError(
-            f"frequency reports must be a vector or matrix, got shape "
-            f"{arr.shape}"
-        )
-
-    def validate_columns(self, block: ColumnBlock) -> None:
-        if block.kind == "olh":
-            self.validate_reports(
-                OLHReports(
-                    seeds=block.column("seeds"),
-                    buckets=block.column("buckets"),
+            seeds = _numeric(block, "seeds")
+            buckets = _numeric(block, "buckets")
+            if seeds.ndim != 1 or buckets.shape != seeds.shape:
+                raise ValueError(
+                    f"OLH seeds and buckets must be matching vectors, "
+                    f"got shapes {seeds.shape} and {buckets.shape}"
                 )
-            )
-            return
-        if block.kind == "array":
-            self.validate_reports(block.column("array"))
-            return
-        raise ValueError(
-            f"FrequencyAccumulator absorbs 'array' or 'olh' columns, "
-            f"got {block.kind!r}"
-        )
-
-    def absorb_columns(self, block: ColumnBlock) -> "FrequencyAccumulator":
+            if not np.issubdtype(seeds.dtype, np.integer):
+                raise ValueError(
+                    f"OLH seeds must be integers, got dtype {seeds.dtype}"
+                )
+            _check_rows(block)
+            # A bucket outside [0, g) supports no value: it would count
+            # in n but never in support and bias every estimate.
+            _check_categories(buckets, oracle.g, "OLH buckets")
+            return OLHReports(seeds=seeds, buckets=buckets)
         if block.kind == "olh":
-            # Zero-copy view over the seed/bucket columns — the oracle
-            # counts support directly on the transported arrays.
-            return self.absorb(OLHReports.from_columns(block.columns))
-        if block.kind != "array":
             raise ValueError(
-                f"FrequencyAccumulator absorbs 'array' or 'olh' "
-                f"columns, got {block.kind!r}"
+                f"OLH reports sent to a {oracle.name!r} oracle"
             )
-        return self.absorb(block.column("array"))
+        self._expect(block, "array")
+        arr = _numeric(block, "array")
+        if isinstance(oracle, UnaryEncodingOracle):
+            if arr.ndim != 2 or arr.shape[1] != oracle.k:
+                raise ValueError(
+                    f"reports must be an (n, {oracle.k}) bit matrix, "
+                    f"got shape {arr.shape}"
+                )
+            _check_categories(arr, 2, "unary-encoding bits")
+        elif arr.ndim != 1:
+            raise ValueError(
+                f"{oracle.name} reports must be a vector of values, got "
+                f"shape {arr.shape}"
+            )
+        else:
+            _check_categories(arr, oracle.k, "report values")
+        _check_rows(block)
+        return arr
+
+    def _fold(self, parsed: Any) -> None:
+        self._support += self.oracle.support_counts(parsed)
+        self._count += len(parsed)
 
     def merge(self, other: "ServerAccumulator") -> "FrequencyAccumulator":
         if not isinstance(other, FrequencyAccumulator):
@@ -609,78 +520,53 @@ class MixedAccumulator(ServerAccumulator):
             k=collector.k,
         )
 
-    def absorb(self, reports: Any) -> "MixedAccumulator":
-        # Validate the whole batch before mutating anything: a bad
-        # categorical attribute must not leave the numeric sums
-        # half-updated.
-        self.validate_reports(reports)
-        numeric = np.asarray(reports.numeric, dtype=float)
-        self._numeric_sums += numeric.sum(axis=0)
-        for name, oracle_reports in reports.categorical.items():
-            self._frequency[name].absorb(oracle_reports)
-        self._users += reports.n
-        return self
+    def _parse(self, block: ColumnBlock) -> Tuple[Any, ...]:
+        """(numeric block, [(attribute name, parsed sub-batch)], n).
 
-    def validate_reports(self, reports: Any) -> None:
-        numeric = np.asarray(reports.numeric, dtype=float)
-        if numeric.ndim != 2 or numeric.shape[1] != self._numeric_sums.shape[0]:
+        The numeric block has one row per user; each categorical
+        sub-block holds only the users who sampled that attribute, so
+        it may not have more rows than the batch has users.  Sub-blocks
+        come in the header's categorical order — the order the client
+        encoded them in.
+        """
+        self._expect(block, "mixed")
+        numeric = np.asarray(_numeric(block, "numeric"), dtype=float)
+        width = self._numeric_sums.shape[0]
+        if numeric.ndim != 2 or numeric.shape[1] != width:
             raise ValueError(
-                f"numeric block must be (m, {self._numeric_sums.shape[0]}), "
-                f"got shape {numeric.shape}"
+                f"numeric block must be (m, {width}), got shape "
+                f"{numeric.shape}"
             )
-        for name, oracle_reports in reports.categorical.items():
-            if name not in self._frequency:
-                raise ValueError(
-                    f"reports carry categorical attribute {name!r} not in "
-                    f"this accumulator's schema "
-                    f"{[a.name for a in self.schema.categorical]}"
-                )
-            self._frequency[name].validate_reports(oracle_reports)
-
-    def _sub_blocks(self, block: ColumnBlock):
-        """(name, sub-accumulator, sub-block) triples of a mixed block,
-        in the header's categorical order (the encoding order — the
-        same order the object path's absorb would use)."""
+        _check_rows(block, "numeric")
         categorical = block.meta.get("categorical")
         if not isinstance(categorical, dict):
             raise ValueError(
                 "mixed columnar block carries no 'categorical' kind map"
             )
-        out = []
+        subs: List[Tuple[str, Any]] = []
         for name, kind in categorical.items():
-            if name not in self._frequency:
+            acc = self._frequency.get(name)
+            if acc is None:
                 raise ValueError(
-                    f"columns carry categorical attribute {name!r} not "
+                    f"reports carry categorical attribute {name!r} not "
                     f"in this accumulator's schema "
                     f"{[a.name for a in self.schema.categorical]}"
                 )
-            sub = block.sub_block(name, str(kind), block.n)
-            out.append((name, self._frequency[name], sub))
-        return out
+            sub = block.sub_block(name, str(kind))
+            if sub.n > block.n:
+                raise ValueError(
+                    f"attribute {name!r} carries {sub.n} reports but the "
+                    f"batch declares n={block.n} users"
+                )
+            subs.append((name, acc._parse(sub)))
+        return numeric, subs, block.n
 
-    def validate_columns(self, block: ColumnBlock) -> None:
-        if block.kind != "mixed":
-            raise ValueError(
-                f"MixedAccumulator absorbs 'mixed' columns, got "
-                f"{block.kind!r}"
-            )
-        numeric = np.asarray(block.column("numeric"), dtype=float)
-        if numeric.ndim != 2 or numeric.shape[1] != self._numeric_sums.shape[0]:
-            raise ValueError(
-                f"numeric block must be (m, {self._numeric_sums.shape[0]}), "
-                f"got shape {numeric.shape}"
-            )
-        for _, acc, sub in self._sub_blocks(block):
-            acc.validate_columns(sub)
-
-    def absorb_columns(self, block: ColumnBlock) -> "MixedAccumulator":
-        self.validate_columns(block)
-        numeric = np.asarray(block.column("numeric"), dtype=float)
+    def _fold(self, parsed: Tuple[Any, ...]) -> None:
+        numeric, subs, n = parsed
         self._numeric_sums += numeric.sum(axis=0)
-        for _, acc, sub in self._sub_blocks(block):
-            acc.absorb_columns(sub)
-        self._users += block.n
-        return self
+        for name, sub in subs:
+            self._frequency[name]._fold(sub)
+        self._users += n
 
     def merge(self, other: "ServerAccumulator") -> "MixedAccumulator":
         if (

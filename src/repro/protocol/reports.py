@@ -9,21 +9,21 @@ Algorithm 4:
 
 :class:`SampledNumericReports` stores, per user, only the k sampled
 attribute indices and the k scaled perturbed values — O(n k) memory
-instead of the legacy dense (n, d) matrix whose entries are mostly
-zeros.  ``to_dense()`` recovers the legacy layout when needed.
+instead of the dense (n, d) matrix whose entries are mostly zeros.
+``to_dense()`` recovers that layout when needed.
 
 Columnar form
 -------------
 
-Every report container also has a *canonical columnar form*: a flat
-``dict[str, np.ndarray]`` of named columns (``to_columns()``) plus the
-JSON-scalar metadata needed to rebuild the container
-(``from_columns()``).  A :class:`ColumnBlock` bundles the two together
-with the container kind and user count — it is what the v2 wire format
-frames as one header plus packed array payloads, and what
-``ServerAccumulator.absorb_columns`` consumes directly without
-materializing report objects.  The columnar round-trip is bitwise: the
-arrays are transported untouched.
+Every batch has one canonical columnar form, a :class:`ColumnBlock`:
+the container kind, the user count, JSON-scalar metadata and flat
+named numpy columns that are the container's own buffers.  Report
+containers build theirs with a ``to_block()`` method, and
+:func:`to_block` is the one conversion that turns any batch (a
+container, a plain report array, or a block already) into a block.
+The block is what the v2 wire format frames as one header plus packed
+array payloads, and the only form a ``ServerAccumulator`` parses and
+folds.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class ColumnBlock:
     n:
         Number of reporting users in the batch.
     meta:
-        JSON-scalar metadata needed to rebuild the container (e.g.
+        JSON-scalar metadata needed to read the columns (e.g.
         ``d``/``k`` for sampled-numeric, the per-attribute sub-kinds
         for mixed).  Never carries arrays.
     columns:
@@ -76,19 +76,21 @@ class ColumnBlock:
                 f"{name!r} (has {sorted(self.columns)})"
             ) from None
 
-    def sub_block(self, prefix: str, kind: str, n: int) -> "ColumnBlock":
-        """The nested block under ``cat.<prefix>.`` (mixed flattening)."""
+    def sub_block(self, prefix: str, kind: str) -> "ColumnBlock":
+        """The nested block under ``cat.<prefix>.`` (mixed flattening).
+
+        Its ``n`` is the row count of its first column (0 with no
+        columns); the sub-accumulator's parse checks every column
+        against it.
+        """
         head = f"cat.{prefix}."
-        return ColumnBlock(
-            kind=kind,
-            n=n,
-            meta={},
-            columns={
-                name[len(head):]: arr
-                for name, arr in self.columns.items()
-                if name.startswith(head)
-            },
-        )
+        columns = {
+            name[len(head):]: arr
+            for name, arr in self.columns.items()
+            if name.startswith(head)
+        }
+        n = next((arr.shape[0] for arr in columns.values() if arr.ndim), 0)
+        return ColumnBlock(kind=kind, n=n, columns=columns)
 
     def nbytes(self) -> int:
         """Total packed payload size across all columns."""
@@ -153,30 +155,18 @@ class SampledNumericReports:
     def __len__(self) -> int:
         return self.n
 
-    # ------------------------------------------------------------------
-    # Columnar form
-    # ------------------------------------------------------------------
-    def to_columns(self) -> Dict[str, np.ndarray]:
-        """Canonical columnar form: the two (n, k) matrices by name.
-
-        The container metadata (``d``, ``k``) travels separately (see
-        :class:`ColumnBlock`); :meth:`from_columns` takes both halves.
-        """
-        return {"cols": self.cols, "values": self.values}
-
-    @classmethod
-    def from_columns(
-        cls, columns: Dict[str, np.ndarray], *, d: int, k: int
-    ) -> "SampledNumericReports":
-        """Rebuild from :meth:`to_columns` output (bitwise)."""
-        return cls(
-            d=int(d), k=int(k), cols=columns["cols"],
-            values=columns["values"],
+    def to_block(self) -> ColumnBlock:
+        """Canonical columnar form: the two (n, k) matrices plus d/k."""
+        return ColumnBlock(
+            kind="sampled-numeric",
+            n=self.n,
+            meta={"d": int(self.d), "k": int(self.k)},
+            columns={"cols": self.cols, "values": self.values},
         )
 
     # ------------------------------------------------------------------
     def to_dense(self) -> np.ndarray:
-        """The legacy (n, d) submission matrix (zeros at unsampled entries)."""
+        """The dense (n, d) submission matrix (zeros at unsampled entries)."""
         out = np.zeros((self.n, self.d))
         rows = np.repeat(np.arange(self.n), self.k)
         out[rows, self.cols.ravel()] = self.values.ravel()
@@ -194,3 +184,30 @@ class SampledNumericReports:
             SampledNumericReports(d=self.d, k=self.k, cols=c, values=v)
             for c, v in parts
         ]
+
+
+def to_block(batch: Any) -> ColumnBlock:
+    """The one container -> :class:`ColumnBlock` conversion.
+
+    A block passes through unchanged; a report container converts
+    through its own ``to_block()`` (so this module needs no import of
+    the client-side modules that define them); anything else is a
+    plain report array (perturbed values, GRR integers, unary bit
+    matrices) and becomes an ``"array"`` block over the same buffer.
+    """
+    if isinstance(batch, ColumnBlock):
+        return batch
+    if hasattr(batch, "to_block"):
+        block: ColumnBlock = batch.to_block()
+        return block
+    arr = np.asarray(batch)
+    if arr.dtype == object:
+        raise ValueError(
+            f"cannot convert report container of type "
+            f"{type(batch).__name__} to columns"
+        )
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
+    return ColumnBlock(
+        kind="array", n=int(arr.shape[0]), columns={"array": arr}
+    )

@@ -12,9 +12,11 @@ state.
 Two checks, for every class that (transitively) subclasses
 ``ServerAccumulator``:
 
-* the full snapshot surface — ``absorb`` / ``merge`` / ``state_dict``
-  / ``load_state`` — is implemented by the class or an ancestor
-  (the abstract root's ``NotImplementedError`` stubs do not count);
+* the full accumulator surface — ``_parse`` / ``_fold`` (the one
+  absorb path: the root derives ``absorb`` and ``validate`` from
+  them) and ``merge`` / ``state_dict`` / ``load_state`` — is
+  implemented by the class or an ancestor (the abstract root's stubs
+  do not count);
 * every underscore-prefixed attribute assigned in ``__init__``
   anywhere along the chain (the repo's convention for mutable
   sufficient statistics — public attributes are immutable
@@ -33,8 +35,9 @@ from repro.qa.core import Module, Project, Rule, Violation
 #: The abstract base whose subclasses must be snapshot-complete.
 ROOT_CLASS = "ServerAccumulator"
 
-#: The snapshot surface every concrete accumulator must implement.
-REQUIRED_METHODS = ("absorb", "merge", "state_dict", "load_state")
+#: The surface every concrete accumulator must implement: the parse
+#: and fold halves of the one absorb path, plus merge and snapshots.
+REQUIRED_METHODS = ("_parse", "_fold", "merge", "state_dict", "load_state")
 
 
 @dataclass
@@ -100,8 +103,8 @@ class SnapshotCompletenessRule(Rule):
     id = "QA401"
     name = "snapshot-completeness"
     description = (
-        "every ServerAccumulator subclass implements absorb/merge/"
-        "state_dict/load_state, and every sufficient statistic "
+        "every ServerAccumulator subclass implements _parse/_fold/"
+        "merge/state_dict/load_state, and every sufficient statistic "
         "assigned in __init__ appears as a state_dict key — partial "
         "snapshots silently corrupt kill-and-resume"
     )
@@ -162,8 +165,8 @@ class SnapshotCompletenessRule(Rule):
                     info.module,
                     info.node,
                     f"accumulator {info.name} never implements "
-                    f"{method}() — the abstract ServerAccumulator stub "
-                    f"does not survive wire transfer or checkpoints",
+                    f"{method}() — without it the accumulator cannot "
+                    f"absorb, merge or survive a checkpoint",
                 )
         state_dict = next(
             (c.method("state_dict") for c in chain if c.method("state_dict")),

@@ -94,6 +94,7 @@ from repro.obs.metrics import (
     null_registry,
 )
 from repro.protocol.facade import Protocol
+from repro.protocol.reports import to_block
 from repro.protocol.spec import ProtocolSpec
 from repro.service import wire
 from repro.service.store import RawJSON, SnapshotStore
@@ -1049,18 +1050,18 @@ class IngestionServer:
                     "detail": "'fresh' must be a list of booleans, one "
                     "per user",
                 }
+        # Both wire versions arrive as one ColumnBlock: v2 frames carry
+        # it, v1 JSON decodes to a container and converts.
         block = payload.get("columns")
         if block is not None:
             wire_version = wire.WIRE_VERSION_COLUMNAR
-            batch: Any = block
-            n = int(block.n)
         else:
             wire_version = wire.WIRE_VERSION
             try:
-                batch = wire.decode_reports(payload["reports"])
+                block = to_block(wire.decode_reports(payload["reports"]))
             except (KeyError, wire.WireFormatError, ValueError) as exc:
                 return 400, {"error": "bad_reports", "detail": str(exc)}
-            n = wire.report_count(batch)
+        n = block.n
         if n != len(users):
             return 400, {
                 "error": "bad_request",
@@ -1068,10 +1069,11 @@ class IngestionServer:
                 f"users",
             }
 
-        # Validate before charging: a shape/protocol violation the
-        # codec could not catch must not consume anyone's budget.
+        # Validate before charging: a kind, shape, value or row-count
+        # violation the codec could not catch must not consume anyone's
+        # budget.
         try:
-            campaign.validate_batch(batch)
+            campaign.validate_batch(block)
         except ValueError as exc:
             return 400, {"error": "bad_reports", "detail": str(exc)}
 
@@ -1097,7 +1099,7 @@ class IngestionServer:
             }
 
         try:
-            campaign.absorb_shard(batch, round_)
+            campaign.absorb_shard(block, round_)
         except ValueError as exc:  # pragma: no cover - validated
             return 400, {"error": "bad_reports", "detail": str(exc)}
         self.ledger.charge_batch(

@@ -35,7 +35,11 @@ import numpy as np
 
 from repro.frequency.olh import OLHReports
 from repro.multidim.collector import MixedReports
-from repro.protocol.reports import ColumnBlock, SampledNumericReports
+from repro.protocol.reports import (
+    ColumnBlock,
+    SampledNumericReports,
+    to_block,
+)
 from repro.protocol.spec import ProtocolSpec
 
 #: Version of the envelope + payload encoding itself (independent of
@@ -107,13 +111,6 @@ def decode_array(obj: Dict[str, Any]) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Report containers
 # ----------------------------------------------------------------------
-def report_count(reports) -> int:
-    """Number of reporting users in any report container."""
-    if isinstance(reports, MixedReports):
-        return int(reports.n)
-    return int(len(reports))
-
-
 def encode_reports(reports) -> Dict[str, Any]:
     """Type-tagged encoding of any report container.
 
@@ -188,86 +185,13 @@ def decode_reports(obj: Dict[str, Any]):
 # ----------------------------------------------------------------------
 # Columnar report form (wire v2)
 # ----------------------------------------------------------------------
-def reports_to_columns(reports) -> ColumnBlock:
-    """Canonical columnar form of any report container.
-
-    The v2 twin of :func:`encode_reports`: same container coverage
-    (plain arrays, ``OLHReports``, ``SampledNumericReports``,
-    ``MixedReports``), but the output is a
-    :class:`~repro.protocol.reports.ColumnBlock` whose arrays are the
-    container's own buffers — nothing is copied or re-encoded until
-    :func:`pack_columns` frames them.
-    """
-    if isinstance(reports, SampledNumericReports):
-        return ColumnBlock(
-            kind="sampled-numeric",
-            n=reports.n,
-            meta={"d": int(reports.d), "k": int(reports.k)},
-            columns=reports.to_columns(),
-        )
-    if isinstance(reports, OLHReports):
-        return ColumnBlock(
-            kind="olh", n=len(reports), columns=reports.to_columns()
-        )
-    if isinstance(reports, MixedReports):
-        return ColumnBlock(
-            kind="mixed",
-            n=int(reports.n),
-            meta={
-                "categorical": {
-                    name: "olh" if isinstance(sub, OLHReports) else "array"
-                    for name, sub in reports.categorical.items()
-                }
-            },
-            columns=reports.to_columns(),
-        )
-    arr = np.asarray(reports)
-    if arr.dtype == object:
-        raise WireFormatError(
-            f"cannot encode report container of type "
-            f"{type(reports).__name__}"
-        )
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    return ColumnBlock(kind="array", n=int(arr.shape[0]),
-                       columns={"array": arr})
-
-
-def columns_to_reports(block: ColumnBlock):
-    """Inverse of :func:`reports_to_columns` (bitwise).
-
-    Only needed off the hot path — the server absorbs
-    :class:`ColumnBlock` batches directly via
-    ``ServerAccumulator.absorb_columns`` — but kept total over the
-    container vocabulary so v2 frames can always be lifted back to the
-    objects v1 tooling expects.
-    """
-    if block.kind == "array":
-        return block.column("array")
-    if block.kind == "sampled-numeric":
-        try:
-            d, k = int(block.meta["d"]), int(block.meta["k"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WireFormatError(
-                f"sampled-numeric block needs integer d/k metadata: {exc}"
-            ) from exc
-        return SampledNumericReports.from_columns(block.columns, d=d, k=k)
-    if block.kind == "olh":
-        return OLHReports.from_columns(
-            {"seeds": block.column("seeds"), "buckets": block.column("buckets")}
-        )
-    if block.kind == "mixed":
-        categorical = block.meta.get("categorical")
-        if not isinstance(categorical, dict):
-            raise WireFormatError(
-                "mixed block carries no 'categorical' kind map"
-            )
-        return MixedReports.from_columns(
-            block.columns,
-            n=block.n,
-            categorical={str(k): str(v) for k, v in categorical.items()},
-        )
-    raise WireFormatError(f"unknown columnar block kind {block.kind!r}")
+#: Canonical columnar form of any report container: the v2 client
+#: frames its output with :func:`pack_columns`.  It is the protocol
+#: layer's one container -> block conversion
+#: (:func:`repro.protocol.reports.to_block`) under its wire name; the
+#: block's arrays are the container's own buffers, nothing is copied
+#: until :func:`pack_columns` frames them.
+reports_to_columns = to_block
 
 
 def _little_endian(arr: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ from typing import Any, Callable, Dict, List, Optional
 import numpy as np
 
 from repro.protocol.accumulators import ServerAccumulator
-from repro.protocol.reports import ColumnBlock
+from repro.protocol.reports import ColumnBlock, to_block
 
 #: Duration suffixes accepted by :func:`parse_duration`, in seconds.
 _DURATION_UNITS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
@@ -169,9 +169,9 @@ class WindowedAccumulator(ServerAccumulator):
 
     Wraps any accumulator ``factory`` (typically
     ``protocol.server``) — panes, the expired tail, the merge scratch
-    for window queries and the validation template are all built from
+    for window queries and the parsing template are all built from
     it, so the windowed accumulator inherits the wrapped protocol's
-    validation, merge compatibility checks and estimate shape.
+    parse, merge compatibility checks and estimate shape.
 
     Mutable state is exactly ``_ring`` (round -> pane accumulator),
     ``_latest`` (highest round seen) and ``_expired`` (tail
@@ -192,8 +192,8 @@ class WindowedAccumulator(ServerAccumulator):
         self.pane_seconds = (
             float(pane_seconds) if pane_seconds is not None else None
         )
-        # Immutable helper (never absorbs): validation delegate so the
-        # request path can pre-check batches without touching a pane.
+        # Immutable helper (never folds): parses every batch, so a
+        # batch is checked before any pane is touched.
         self.template = factory()
         self._ring: Dict[int, ServerAccumulator] = {}
         self._latest: Optional[int] = None
@@ -255,11 +255,16 @@ class WindowedAccumulator(ServerAccumulator):
         )
 
     # ------------------------------------------------------------------
-    # Absorption
+    # Absorption: the template parses, a pane (or the tail) folds
     # ------------------------------------------------------------------
-    def absorb_round(
-        self, round_: Any, reports: Any
-    ) -> "WindowedAccumulator":
+    def _parse(self, block: ColumnBlock) -> Any:
+        return self.template._parse(block)
+
+    def _fold(self, parsed: Any) -> None:
+        """Round-less absorb (v1 clients): lands in the current round."""
+        self._fold_round(self.current_round, parsed)
+
+    def absorb_round(self, round_: Any, batch: Any) -> "WindowedAccumulator":
         """Fold one batch into the pane for ``round_``.
 
         A round older than the ring floor is a *late arrival*: it folds
@@ -268,37 +273,15 @@ class WindowedAccumulator(ServerAccumulator):
         window from only in-window reports would give.
         """
         r = self._check_round(round_)
-        if self._is_expired(r):
-            self._expired_tail().absorb(reports)
-            return self
-        self._pane(r).absorb(reports)
-        self._advance(r)
+        self._fold_round(r, self._parse(to_block(batch)))
         return self
 
-    def absorb_columns_round(
-        self, round_: Any, block: ColumnBlock
-    ) -> "WindowedAccumulator":
-        """Columnar twin of :meth:`absorb_round`."""
-        r = self._check_round(round_)
+    def _fold_round(self, r: int, parsed: Any) -> None:
         if self._is_expired(r):
-            self._expired_tail().absorb_columns(block)
-            return self
-        self._pane(r).absorb_columns(block)
+            self._expired_tail()._fold(parsed)
+            return
+        self._pane(r)._fold(parsed)
         self._advance(r)
-        return self
-
-    def absorb(self, reports: Any) -> "WindowedAccumulator":
-        """Round-less absorb (v1 clients): lands in the current round."""
-        return self.absorb_round(self.current_round, reports)
-
-    def absorb_columns(self, block: ColumnBlock) -> "WindowedAccumulator":
-        return self.absorb_columns_round(self.current_round, block)
-
-    def validate_reports(self, reports: Any) -> None:
-        self.template.validate_reports(reports)
-
-    def validate_columns(self, block: ColumnBlock) -> None:
-        self.template.validate_columns(block)
 
     # ------------------------------------------------------------------
     # Merge (shard fan-in) and estimates

@@ -10,10 +10,12 @@ class LeakyAccumulator(ServerAccumulator):
         self._total = 0.0
         self._hidden = 0
 
-    def absorb(self, reports):
-        self._total += sum(reports)
-        self._hidden += len(reports)
-        return self
+    def _parse(self, block):
+        return list(block.columns["array"])
+
+    def _fold(self, parsed):
+        self._total += sum(parsed)
+        self._hidden += len(parsed)
 
     def merge(self, other):
         self._total += other._total

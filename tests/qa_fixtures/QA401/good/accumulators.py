@@ -1,4 +1,4 @@
-"""A snapshot-complete accumulator: full surface, all stats keyed."""
+"""A complete accumulator: parse/fold/merge/snapshots, all stats keyed."""
 
 
 class ServerAccumulator:
@@ -11,10 +11,12 @@ class CounterAccumulator(ServerAccumulator):
         self._count = 0
         self.domain = 16  # public config: exempt from the key check
 
-    def absorb(self, reports):
-        self._total += sum(reports)
-        self._count += len(reports)
-        return self
+    def _parse(self, block):
+        return list(block.columns["array"])
+
+    def _fold(self, parsed):
+        self._total += sum(parsed)
+        self._count += len(parsed)
 
     def merge(self, other):
         self._total += other._total
@@ -31,7 +33,7 @@ class CounterAccumulator(ServerAccumulator):
 
 
 class ScaledCounterAccumulator(CounterAccumulator):
-    """Inherits the whole snapshot surface; adds no new statistics."""
+    """Inherits the whole surface; adds no new statistics."""
 
     def estimate(self):
         return self._total / self._count

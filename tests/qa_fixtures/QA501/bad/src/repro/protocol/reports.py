@@ -1,7 +1,8 @@
-"""Three report containers with codec gaps.
+"""Report containers with codec gaps.
 
-``OrphanReports`` never reaches the codec at all; ``HalfWiredReports``
-only has v1 JSON entries, so a v2 (columnar) fleet cannot submit it.
+``OrphanReports`` is wired nowhere; ``HalfWiredReports`` has v1 JSON
+entries but no ``to_block()``, so the conversion cannot carry it to a
+v2 frame or an accumulator.
 """
 
 
@@ -9,6 +10,9 @@ class SampledNumericReports:
     def __init__(self, cols=(), values=()):
         self.cols = cols
         self.values = values
+
+    def to_block(self):
+        return {"kind": "sampled-numeric", "cols": self.cols}
 
 
 class OrphanReports:
@@ -19,3 +23,9 @@ class OrphanReports:
 class HalfWiredReports:
     def __init__(self, items=()):
         self.items = items
+
+
+def to_block(batch):
+    if hasattr(batch, "to_block"):
+        return batch.to_block()
+    return {"kind": "array", "array": batch}

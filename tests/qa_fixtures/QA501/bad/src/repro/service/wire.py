@@ -1,13 +1,6 @@
-"""Codec missing OrphanReports everywhere and HalfWiredReports on v2."""
+"""Codec missing OrphanReports and BlockOnlyReports."""
 
 from repro.protocol.reports import HalfWiredReports, SampledNumericReports
-
-
-class ColumnBlock:
-    def __init__(self, kind="", n=0, columns=None):
-        self.kind = kind
-        self.n = n
-        self.columns = columns or {}
 
 
 def encode_reports(reports):
@@ -24,19 +17,3 @@ def decode_reports(payload):
     if payload["type"] == "half-wired":
         return HalfWiredReports(items=payload["items"])
     raise TypeError(f"cannot decode report payload {payload['type']}")
-
-
-def reports_to_columns(reports):
-    if isinstance(reports, SampledNumericReports):
-        return ColumnBlock(
-            kind="sampled-numeric",
-            n=len(reports.cols),
-            columns={"cols": reports.cols},
-        )
-    raise TypeError(f"cannot encode report container {type(reports)}")
-
-
-def columns_to_reports(block):
-    if block.kind == "sampled-numeric":
-        return SampledNumericReports(cols=block.columns["cols"])
-    raise TypeError(f"cannot decode columnar block {block.kind}")

@@ -1,31 +1,20 @@
-"""Codec with v1 AND v2 entries for every container in reports.py."""
+"""Codec with a v1 entry for every container."""
 
-from repro.protocol.reports import ColumnBlock, SampledNumericReports
+from repro.frequency.olh import OLHReports
+from repro.protocol.reports import SampledNumericReports
 
 
 def encode_reports(reports):
     if isinstance(reports, SampledNumericReports):
         return {"type": "sampled-numeric", "cols": list(reports.cols)}
+    if isinstance(reports, OLHReports):
+        return {"type": "olh", "seeds": list(reports.seeds)}
     raise TypeError(f"cannot encode report container {type(reports)}")
 
 
 def decode_reports(payload):
     if payload["type"] == "sampled-numeric":
         return SampledNumericReports(cols=payload["cols"])
+    if payload["type"] == "olh":
+        return OLHReports(seeds=payload["seeds"])
     raise TypeError(f"cannot decode report payload {payload['type']}")
-
-
-def reports_to_columns(reports):
-    if isinstance(reports, SampledNumericReports):
-        return ColumnBlock(
-            kind="sampled-numeric",
-            n=len(reports.cols),
-            columns={"cols": reports.cols},
-        )
-    raise TypeError(f"cannot encode report container {type(reports)}")
-
-
-def columns_to_reports(block):
-    if block.kind == "sampled-numeric":
-        return SampledNumericReports(cols=block.columns["cols"])
-    raise TypeError(f"cannot decode columnar block {block.kind}")

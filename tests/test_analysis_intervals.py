@@ -147,7 +147,9 @@ class TestCollectorIntervals:
         matrix = np.tile(truth, (n, 1))
         hits = 0
         for child in spawn_rngs(8, trials):
-            estimates = collector.collect(matrix, child)
+            estimates = collector.estimate_means(
+                collector.privatize(matrix, child)
+            )
             named = {f"a{j}": estimates[j] for j in range(d)}
             cis = collector_mean_intervals(collector, named, n)
             if all(cis[f"a{j}"].contains(truth[j]) for j in range(d)):

@@ -11,6 +11,11 @@ from repro.frequency.histogram import (
 )
 
 
+def _collect(hist, values, rng):
+    """User-side privatize, then the aggregator's estimate."""
+    return hist.estimate(hist.privatize(values, rng))
+
+
 class TestBucketize:
     def test_endpoints(self):
         hist = LDPHistogram(1.0, bins=4)
@@ -34,19 +39,19 @@ class TestBucketize:
 class TestEstimation:
     def test_histogram_is_probability_vector(self, rng):
         hist = LDPHistogram(1.0, bins=8)
-        est = hist.collect(rng.uniform(-1, 1, 20_000), rng)
+        est = _collect(hist, rng.uniform(-1, 1, 20_000), rng)
         assert est.histogram.sum() == pytest.approx(1.0)
         assert np.all(est.histogram >= 0.0)
 
     def test_uniform_data_recovered(self, rng):
         hist = LDPHistogram(2.0, bins=8)
-        est = hist.collect(rng.uniform(-1, 1, 60_000), rng)
+        est = _collect(hist, rng.uniform(-1, 1, 60_000), rng)
         assert np.all(np.abs(est.histogram - 1.0 / 8.0) < 0.03)
 
     def test_skewed_data_recovered(self, rng):
         values = power_law_matrix(60_000, 1, rng=rng).ravel()
         hist = LDPHistogram(2.0, bins=8)
-        est = hist.collect(values, rng)
+        est = _collect(hist, values, rng)
         truth = true_histogram(values, bins=8)
         assert est.total_variation(truth) < 0.05
         # The dominant (first) bucket is identified.
@@ -55,7 +60,7 @@ class TestEstimation:
     @pytest.mark.parametrize("oracle", ["grr", "sue", "oue", "olh"])
     def test_any_oracle(self, oracle, rng):
         hist = LDPHistogram(2.0, bins=6, oracle=oracle)
-        est = hist.collect(rng.uniform(-1, 1, 30_000), rng)
+        est = _collect(hist, rng.uniform(-1, 1, 30_000), rng)
         assert est.total_variation(np.full(6, 1 / 6)) < 0.1
 
     def test_accuracy_improves_with_epsilon(self, rng):
@@ -63,7 +68,7 @@ class TestEstimation:
         truth = true_histogram(values, bins=8)
         tv = {}
         for eps in (0.25, 4.0):
-            est = LDPHistogram(eps, bins=8).collect(values, rng)
+            est = _collect(LDPHistogram(eps, bins=8), values, rng)
             tv[eps] = est.total_variation(truth)
         assert tv[4.0] < tv[0.25]
 
@@ -112,7 +117,7 @@ class TestQueries:
         from repro.core import PiecewiseMechanism
 
         values = truncated_gaussian_matrix(60_000, 1, 0.4, rng=rng).ravel()
-        hist_mean = LDPHistogram(2.0, bins=16).collect(values, rng).mean()
+        hist_mean = _collect(LDPHistogram(2.0, bins=16), values, rng).mean()
         pm = PiecewiseMechanism(2.0)
         direct_mean = pm.estimate_mean(pm.privatize(values, rng))
         assert abs(hist_mean - values.mean()) < 0.1

@@ -35,7 +35,13 @@ class TestEstimationPipeline:
         def avg_mse(factory):
             mean_scores, freq_scores = [], []
             for child in spawn_rngs(11, repeats):
-                est = factory().collect(dataset, child)
+                collector = factory()
+                if isinstance(collector, MixedMultidimCollector):
+                    est = collector.aggregate(
+                        collector.privatize(dataset, child)
+                    )
+                else:
+                    est = collector.collect(dataset, child)
                 mean_scores.append(est.mean_mse(truth_means))
                 freq_scores.append(est.frequency_mse(truth_freqs))
             return float(np.mean(mean_scores)), float(np.mean(freq_scores))
@@ -62,9 +68,8 @@ class TestEstimationPipeline:
             truth = small.mean(axis=0)
             pm_scores, du_scores = [], []
             for child in spawn_rngs(4, repeats):
-                pm_est = MultidimNumericCollector(eps, d, "pm").collect(
-                    small, child
-                )
+                pm = MultidimNumericCollector(eps, d, "pm")
+                pm_est = pm.estimate_means(pm.privatize(small, child))
                 pm_scores.append(empirical_mse(pm_est, truth))
                 from repro.core import DuchiMultidimMechanism
 
@@ -90,7 +95,12 @@ class TestEstimationPipeline:
             return float(
                 np.mean(
                     [
-                        empirical_mse(collector.collect(matrix, c), truth)
+                        empirical_mse(
+                            collector.estimate_means(
+                                collector.privatize(matrix, c)
+                            ),
+                            truth,
+                        )
                         for c in spawn_rngs(9, 5)
                     ]
                 )

@@ -18,6 +18,11 @@ from repro.multidim import (
 from repro.theory.constants import optimal_k
 
 
+def _aggregate(collector, dataset, rng):
+    """User-side privatize, then the aggregator's estimates."""
+    return collector.aggregate(collector.privatize(dataset, rng))
+
+
 class TestSampleAttributeMatrix:
     def test_shape(self, rng):
         assert sample_attribute_matrix(100, 10, 3, rng).shape == (100, 3)
@@ -97,7 +102,7 @@ class TestMultidimNumericCollector:
         d, n = 6, 120_000
         collector = MultidimNumericCollector(2.0, d, mech)
         t = np.tile(np.linspace(-0.6, 0.6, d), (n, 1))
-        estimates = collector.collect(t, rng)
+        estimates = collector.estimate_means(collector.privatize(t, rng))
         sem = np.sqrt(collector.worst_case_variance() / n)
         assert np.all(np.abs(estimates - t[0]) < 6.0 * sem)
 
@@ -164,7 +169,7 @@ class TestMixedMultidimCollector:
 
     def test_estimates_cover_all_attributes(self, rng):
         ds = _tiny_mixed_dataset(2_000, rng)
-        est = MixedMultidimCollector(ds.schema, 2.0).collect(ds, rng)
+        est = _aggregate(MixedMultidimCollector(ds.schema, 2.0), ds, rng)
         assert set(est.means) == {"x", "y"}
         assert set(est.frequencies) == {"c", "b"}
         assert est.frequencies["c"].shape == (4,)
@@ -172,7 +177,7 @@ class TestMixedMultidimCollector:
     def test_unbiased_means_and_frequencies(self, rng):
         ds = _tiny_mixed_dataset(150_000, rng)
         collector = MixedMultidimCollector(ds.schema, 2.0)
-        est = collector.collect(ds, rng)
+        est = _aggregate(collector, ds, rng)
         truth_means = ds.true_numeric_means()
         truth_freqs = ds.true_categorical_frequencies()
         for name, value in est.means.items():
@@ -184,7 +189,7 @@ class TestMixedMultidimCollector:
     def test_any_oracle_plugs_in(self, oracle, rng):
         ds = _tiny_mixed_dataset(30_000, rng)
         collector = MixedMultidimCollector(ds.schema, 2.0, oracle=oracle)
-        est = collector.collect(ds, rng)
+        est = _aggregate(collector, ds, rng)
         truth = ds.true_categorical_frequencies()
         for name, freqs in est.frequencies.items():
             assert np.all(np.abs(freqs - truth[name]) < 0.15)
@@ -200,7 +205,7 @@ class TestMixedMultidimCollector:
 
     def test_real_dataset_roundtrip(self, rng):
         ds = make_br_like(20_000, rng=rng)
-        est = MixedMultidimCollector(ds.schema, 4.0).collect(ds, rng)
+        est = _aggregate(MixedMultidimCollector(ds.schema, 4.0), ds, rng)
         assert est.mean_mse(ds.true_numeric_means()) < 0.01
         assert est.frequency_mse(ds.true_categorical_frequencies()) < 0.01
 

@@ -17,6 +17,11 @@ from repro.multidim import (
 from repro.utils.rng import spawn_rngs
 
 
+def _aggregate(collector, dataset, rng):
+    """User-side privatize, then the aggregator's estimates."""
+    return collector.aggregate(collector.privatize(dataset, rng))
+
+
 def _dataset(n, rng):
     schema = Schema(
         [
@@ -81,8 +86,7 @@ class TestSplitCompositionBaseline:
         ours, theirs = [], []
         for child in spawn_rngs(7, 6):
             ours.append(
-                MixedMultidimCollector(ds.schema, eps)
-                .collect(ds, child)
+                _aggregate(MixedMultidimCollector(ds.schema, eps), ds, child)
                 .mean_mse(truth)
             )
             theirs.append(

@@ -1,11 +1,13 @@
-"""Columnar report form: round-trips and absorb_columns bitwise parity.
+"""Columnar report form: ``to_block`` and container-vs-block parity.
 
-Every report container must (a) survive ``to_columns``/``from_columns``
-bitwise, (b) produce the bitwise-identical accumulator state whether
-absorbed as an object or as its :class:`ColumnBlock` twin, and (c)
-survive the v2 binary framing (:func:`wire.pack_columns` /
-:func:`wire.unpack_columns`) untouched.
+Every report container must (a) convert to a :class:`ColumnBlock` over
+its own buffers, (b) produce the bitwise-identical accumulator state
+whether absorbed as an object or as its block, whichever wire version
+carried it, and (c) survive the v2 binary framing
+(:func:`wire.pack_columns` / :func:`wire.unpack_columns`) untouched.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -80,13 +82,17 @@ def _assert_estimates_bitwise_equal(a, b):
 @pytest.mark.parametrize("name", sorted(_protocol_cases()))
 class TestColumnarParity:
     def test_round_trip_bitwise(self, name):
+        # The v1 JSON route and the v2 frame route land the same state.
         protocol, values_fn = _protocol_cases()[name]
         reports = _encode(protocol, values_fn)
-        block = wire.reports_to_columns(reports)
-        rebuilt = wire.columns_to_reports(block)
+        v1 = wire.decode_reports(
+            json.loads(json.dumps(wire.encode_reports(reports)))
+        )
+        frame = wire.pack_columns(wire.reports_to_columns(reports), "fp")
+        v2 = wire.unpack_columns(frame)["payload"]["columns"]
         acc_a, acc_b = protocol.server(), protocol.server()
-        acc_a.absorb(reports)
-        acc_b.absorb(rebuilt)
+        acc_a.absorb(v1)
+        acc_b.absorb(v2)
         _assert_estimates_bitwise_equal(acc_a.estimate(), acc_b.estimate())
 
     def test_absorb_columns_matches_object_path(self, name):
@@ -95,7 +101,7 @@ class TestColumnarParity:
         block = wire.reports_to_columns(reports)
         acc_obj, acc_col = protocol.server(), protocol.server()
         acc_obj.absorb(reports)
-        acc_col.absorb_columns(block)
+        acc_col.absorb(block)
         assert acc_col.count == acc_obj.count
         _assert_estimates_bitwise_equal(
             acc_obj.estimate(), acc_col.estimate()
@@ -105,7 +111,7 @@ class TestColumnarParity:
         protocol, values_fn = _protocol_cases()[name]
         block = wire.reports_to_columns(_encode(protocol, values_fn))
         acc = protocol.server()
-        acc.validate_columns(block)  # must not raise
+        acc.validate(block)  # must not raise
         assert acc.count == 0  # and must not mutate
 
     def test_frame_round_trip_bitwise(self, name):
@@ -139,20 +145,23 @@ class TestContainerColumns:
             cols=np.array([[0, 3], [1, 4]]),
             values=np.array([[0.5, -0.5], [1.5, 2.5]]),
         )
-        rebuilt = SampledNumericReports.from_columns(
-            reports.to_columns(), d=5, k=2
+        block = reports.to_block()
+        assert (block.kind, block.n, block.meta) == (
+            "sampled-numeric", 2, {"d": 5, "k": 2}
         )
-        np.testing.assert_array_equal(rebuilt.cols, reports.cols)
-        np.testing.assert_array_equal(rebuilt.values, reports.values)
+        # The block's columns are the container's own buffers.
+        assert block.columns["cols"] is reports.cols
+        assert block.columns["values"] is reports.values
 
     def test_olh_round_trip(self):
         reports = OLHReports(
             seeds=np.array([1, 2, 3], dtype=np.uint64),
             buckets=np.array([0, 1, 0]),
         )
-        rebuilt = OLHReports.from_columns(reports.to_columns())
-        np.testing.assert_array_equal(rebuilt.seeds, reports.seeds)
-        np.testing.assert_array_equal(rebuilt.buckets, reports.buckets)
+        block = reports.to_block()
+        assert (block.kind, block.n, block.meta) == ("olh", 3, {})
+        assert block.columns["seeds"] is reports.seeds
+        assert block.columns["buckets"] is reports.buckets
 
     def test_mixed_flattens_with_cat_prefix(self):
         reports = MixedReports(
@@ -160,13 +169,12 @@ class TestContainerColumns:
             numeric=np.zeros((3, 1)),
             categorical={"color": np.array([0, 1, 2])},
         )
-        columns = reports.to_columns()
-        assert set(columns) == {"numeric", "cat.color.array"}
-        rebuilt = MixedReports.from_columns(
-            columns, n=3, categorical={"color": "array"}
-        )
+        block = reports.to_block()
+        assert set(block.columns) == {"numeric", "cat.color.array"}
+        assert block.meta == {"categorical": {"color": "array"}}
         np.testing.assert_array_equal(
-            rebuilt.categorical["color"], reports.categorical["color"]
+            block.sub_block("color", "array").column("array"),
+            reports.categorical["color"],
         )
 
     def test_mixed_rejects_dotted_attribute_names(self):
@@ -176,7 +184,7 @@ class TestContainerColumns:
             categorical={"a.b": np.array([0])},
         )
         with pytest.raises(ValueError, match=r"\."):
-            reports.to_columns()
+            reports.to_block()
 
 
 class TestColumnBlock:
@@ -198,8 +206,8 @@ class TestColumnBlock:
                 "cat.color.array": np.array([0, 1]),
             },
         )
-        sub = block.sub_block("color", "array", 2)
-        assert sub.kind == "array"
+        sub = block.sub_block("color", "array")
+        assert (sub.kind, sub.n) == ("array", 2)
         assert set(sub.columns) == {"array"}
 
 
@@ -230,8 +238,9 @@ class TestFrameErrors:
 
     def test_unknown_kind_rejected_on_decode(self):
         block = ColumnBlock(kind="mystery", n=1, columns={})
-        with pytest.raises(wire.WireFormatError, match="mystery"):
-            wire.columns_to_reports(block)
+        for protocol, _ in _protocol_cases().values():
+            with pytest.raises(ValueError, match="mystery"):
+                protocol.server().absorb(block)
 
     def test_decoded_columns_are_writable(self):
         envelope = wire.unpack_columns(self._frame())

@@ -3,14 +3,13 @@
 Two guarantees, for every protocol kind:
 
 1. *Adapter equivalence* — with the same rng seed, the protocol path
-   (encode_batch + absorb + estimate) reproduces the legacy monolithic
-   path (collect / estimate_frequencies / estimate_mean) to 1e-12.
+   (encode_batch + absorb + estimate) reproduces the collectors'
+   own privatize + estimate path (estimate_means / aggregate /
+   estimate / estimate_frequencies / estimate_mean) to 1e-12.
 2. *Shard-merge exactness* — absorbing n reports as 4+ batches into one
    accumulator and absorbing the same batches into 4+ accumulators then
    merging (in batch order) yield bitwise-identical estimates.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -28,13 +27,6 @@ from repro.protocol import Protocol
 
 SEED = 20190408
 SHARDS = 4
-
-
-def _legacy_call(fn, *args, **kwargs):
-    """Run a deprecated legacy entry point without warning noise."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return fn(*args, **kwargs)
 
 
 def _mixed_dataset(n, rng):
@@ -123,8 +115,8 @@ class TestHistogramProtocol:
     def test_seed_matched_legacy_equivalence(self, rng):
         values = rng.uniform(-1, 1, 15_000)
         hist = LDPHistogram(1.0, bins=8)
-        legacy = _legacy_call(
-            hist.collect, values, np.random.default_rng(SEED)
+        legacy = hist.estimate(
+            hist.privatize(values, np.random.default_rng(SEED))
         )
         protocol = Protocol.histogram(1.0, bins=8)
         reports = protocol.client().encode_batch(
@@ -150,8 +142,8 @@ class TestMultidimNumericProtocol:
     def test_seed_matched_legacy_equivalence(self, rng, epsilon):
         t = rng.uniform(-1, 1, (8_000, 10))
         collector = MultidimNumericCollector(epsilon, 10, "hm")
-        legacy = _legacy_call(
-            collector.collect, t, np.random.default_rng(SEED)
+        legacy = collector.estimate_means(
+            collector.privatize(t, np.random.default_rng(SEED))
         )
         protocol = Protocol.multidim(epsilon, d=10, mechanism="hm")
         reports = protocol.client().encode_batch(
@@ -183,8 +175,8 @@ class TestMultidimMixedProtocol:
     def test_seed_matched_legacy_equivalence(self, rng, epsilon):
         ds = _mixed_dataset(10_000, rng)
         collector = MixedMultidimCollector(ds.schema, epsilon)
-        legacy = _legacy_call(
-            collector.collect, ds, np.random.default_rng(SEED)
+        legacy = collector.aggregate(
+            collector.privatize(ds, np.random.default_rng(SEED))
         )
         protocol = Protocol.multidim(epsilon, schema=ds.schema)
         reports = protocol.client().encode_batch(
@@ -217,56 +209,3 @@ class TestMultidimMixedProtocol:
             assert np.array_equal(
                 merged.frequencies[name], single.frequencies[name]
             )
-
-
-class TestStreamingShimsMatchProtocol:
-    """The legacy streaming aggregators are the protocol accumulators."""
-
-    def test_streaming_mean_is_accumulator(self, rng):
-        from repro.multidim import StreamingMeanAggregator
-        from repro.protocol import MultidimMeanAccumulator
-
-        assert issubclass(StreamingMeanAggregator, MultidimMeanAccumulator)
-        protocol = Protocol.multidim(4.0, d=5, mechanism="hm")
-        reports = protocol.client().encode_batch(
-            rng.uniform(-1, 1, (2_000, 5)), rng
-        )
-        legacy = StreamingMeanAggregator(5).update(reports.to_dense())
-        modern = protocol.server().absorb(reports)
-        assert np.allclose(
-            legacy.estimates(), modern.estimate(), atol=1e-12
-        )
-
-    def test_streaming_mixed_is_accumulator(self, rng):
-        from repro.multidim import StreamingMixedAggregator
-        from repro.protocol import MixedAccumulator
-
-        assert issubclass(StreamingMixedAggregator, MixedAccumulator)
-        ds = _mixed_dataset(4_000, rng)
-        collector = MixedMultidimCollector(ds.schema, 2.0)
-        reports = collector.privatize(ds, np.random.default_rng(SEED))
-        legacy = StreamingMixedAggregator(collector).update(reports)
-        modern = (
-            Protocol.multidim(2.0, schema=ds.schema).server().absorb(reports)
-        )
-        assert legacy.estimates().means == modern.estimate().means
-
-
-class TestDeprecationShims:
-    def test_collect_warns_but_works(self, rng):
-        collector = MultidimNumericCollector(4.0, 4, "hm")
-        t = rng.uniform(-1, 1, (500, 4))
-        with pytest.warns(DeprecationWarning, match="Protocol.multidim"):
-            est = collector.collect(t, rng)
-        assert est.shape == (4,)
-
-    def test_mixed_collect_warns(self, rng):
-        ds = _mixed_dataset(500, rng)
-        collector = MixedMultidimCollector(ds.schema, 2.0)
-        with pytest.warns(DeprecationWarning, match="Protocol.multidim"):
-            collector.collect(ds, rng)
-
-    def test_histogram_collect_warns(self, rng):
-        hist = LDPHistogram(1.0, bins=4)
-        with pytest.warns(DeprecationWarning, match="Protocol.histogram"):
-            hist.collect(rng.uniform(-1, 1, 500), rng)

@@ -8,6 +8,7 @@ must lint clean end-to-end through the real CLI.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -109,31 +110,60 @@ class TestSnapshotCompleteness:
 
     def test_inherited_surface_counts(self):
         # ScaledCounterAccumulator implements nothing itself; the
-        # parent's absorb/merge/state_dict/load_state must satisfy it.
+        # parent's _parse/_fold/merge/state_dict/load_state must
+        # satisfy it.
         assert findings(FIXTURES / "QA401" / "good", ["QA401"]) == []
+
+    def test_parse_and_fold_are_the_required_surface(self, tmp_path):
+        # The root derives absorb from _parse/_fold, so an accumulator
+        # without _fold is incomplete even though it defines absorb.
+        good = FIXTURES / "QA401" / "good" / "accumulators.py"
+        (tmp_path / "accumulators.py").write_text(
+            good.read_text().replace("def _fold(", "def absorb(")
+        )
+        found = findings(tmp_path, ["QA401"])
+        assert len(found) == 2  # both concrete classes lack _fold
+        assert all("_fold()" in v.message for v in found)
 
 
 class TestWireCodecExhaustiveness:
-    def test_orphan_container_flagged_in_all_four_functions(self):
+    def test_orphan_container_flagged_on_every_leg(self):
         found = findings(FIXTURES / "QA501" / "bad", ["QA501"])
         orphan = [v for v in found if "OrphanReports" in v.message]
-        assert len(orphan) == 4
+        assert len(orphan) == 3
         joined = " ".join(v.message for v in orphan)
         assert "encode_reports" in joined
         assert "decode_reports" in joined
-        assert "reports_to_columns" in joined
-        assert "columns_to_reports" in joined
+        assert "to_block" in joined
 
     def test_v1_only_container_flagged_on_columnar_path(self):
-        # HalfWiredReports has v1 JSON entries but no columnar ones:
-        # exactly the two v2 functions must flag it.
+        # HalfWiredReports has v1 JSON entries but no to_block(): only
+        # the conversion leg must flag it.
         found = findings(FIXTURES / "QA501" / "bad", ["QA501"])
         half = [v for v in found if "HalfWiredReports" in v.message]
-        assert len(half) == 2
-        joined = " ".join(v.message for v in half)
-        assert "reports_to_columns" in joined
-        assert "columns_to_reports" in joined
-        assert "encode_reports" not in joined
+        assert len(half) == 1
+        assert "to_block" in half[0].message
+        assert "encode_reports" not in half[0].message
+
+    def test_container_outside_reports_module_is_found(self):
+        # BlockOnlyReports lives in frequency/olh.py; its to_block()
+        # makes it a container, so a missing v1 codec entry is flagged.
+        found = findings(FIXTURES / "QA501" / "bad", ["QA501"])
+        block_only = [v for v in found if "BlockOnlyReports" in v.message]
+        assert len(block_only) == 2
+        assert all(v.path.endswith("olh.py") for v in block_only)
+
+    def test_conversion_must_dispatch_through_to_block(self, tmp_path):
+        shutil.copytree(FIXTURES / "QA501" / "good", tmp_path / "tree")
+        reports = tmp_path / "tree/src/repro/protocol/reports.py"
+        reports.write_text(
+            reports.read_text().replace(
+                "return batch.to_block()", "return ColumnBlock()"
+            )
+        )
+        found = findings(tmp_path / "tree", ["QA501"])
+        assert len(found) == 1
+        assert "no longer dispatches" in found[0].message
 
     def test_registered_container_passes(self):
         # The good tree also defines the ColumnBlock carrier, which is

@@ -173,12 +173,13 @@ class TestReportCodec:
         assert set(PROTOCOL_KINDS) <= covered
 
     def test_report_count(self):
+        # The server counts a batch's users from its block header.
         protocol, values = _protocols()["multidim-numeric"]
         reports = protocol.client().encode_batch(values, 0)
-        assert wire.report_count(reports) == N
+        assert wire.reports_to_columns(reports).n == N
         mixed_protocol, dataset = _protocols()["multidim-mixed"]
         mixed = mixed_protocol.client().encode_batch(dataset, 0)
-        assert wire.report_count(mixed) == N
+        assert wire.reports_to_columns(mixed).n == N
 
     def test_unknown_payload_type_rejected(self):
         with pytest.raises(wire.WireFormatError):

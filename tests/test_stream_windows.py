@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data.census import make_br_like
 from repro.protocol import Protocol
 from repro.service import wire
 from repro.stream import (
@@ -215,13 +216,57 @@ class TestWindowedAccumulator:
         proto = frequency_protocol(domain=4)
         acc = WindowConfig(panes=2).build(proto.server)
         with pytest.raises(ValueError):
-            acc.validate_reports(np.array([0, 99]))
+            acc.validate(np.array([0, 99]))
 
     def test_rejects_negative_round(self):
         proto = frequency_protocol()
         acc = WindowConfig(panes=2).build(proto.server)
         with pytest.raises(ValueError):
             acc.absorb_round(-1, np.array([0, 1]))
+
+    @pytest.mark.parametrize("oracle", ["oue", "olh"])
+    def test_mixed_protocol_windows(self, oracle):
+        # A mixed batch's categorical sub-batches must fold into the
+        # pane (and the expired tail), never into the parsing template.
+        dataset = make_br_like(60, rng=np.random.default_rng(4))
+        proto = Protocol.multidim(2.0, schema=dataset.schema, oracle=oracle)
+        batches = [
+            proto.client().encode_batch(dataset, np.random.default_rng(r))
+            for r in range(4)
+        ]
+        acc = WindowConfig(panes=2).build(proto.server)
+        for r, batch in enumerate(batches[1:], start=1):
+            acc.absorb_round(r, batch)
+        acc.absorb_round(0, batches[0])  # late: into the expired tail
+        # the v2 wire route lands in the same pane as the container
+        acc.absorb_round(3, wire.reports_to_columns(batches[3]))
+
+        def same(got, want):
+            assert got.means == want.means
+            assert got.frequencies.keys() == want.frequencies.keys()
+            for name, freq in want.frequencies.items():
+                assert np.array_equal(got.frequencies[name], freq)
+
+        def merged(*panes):
+            # Plain accumulators over the same batches, combined in the
+            # windowed merge order: expired tail, then ascending rounds.
+            out = proto.server()
+            for pane in panes:
+                plain = proto.server()
+                for batch in pane:
+                    plain.absorb(batch)
+                out.merge(plain)
+            return out
+
+        b0, b1, b2, b3 = batches
+        same(acc.window_estimate(1), merged([b3, b3]).estimate())
+        same(acc.window_estimate(2), merged([b2], [b3, b3]).estimate())
+        everything = merged([b1, b0], [b2], [b3, b3])
+        same(acc.estimate(), everything.estimate())
+        assert acc.count == everything.count == 5 * 60
+        assert wire.encode_accumulator_state(
+            acc.template
+        ) == wire.encode_accumulator_state(proto.server())
 
 
 class TestDecayedWindowedAccumulator:

@@ -59,7 +59,9 @@ class TestBoundHolds:
         radius = mean_error_bound_md(eps, d, n, beta=0.05, mechanism="hm")
         inside = 0
         for child in spawn_rngs(123, trials):
-            estimates = collector.collect(matrix, child)
+            estimates = collector.estimate_means(
+                collector.privatize(matrix, child)
+            )
             if float(np.abs(estimates).max()) <= radius:
                 inside += 1
         assert inside >= int(0.9 * trials)
