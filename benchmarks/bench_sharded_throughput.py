@@ -2,12 +2,11 @@
 
 For each workload the same :class:`repro.runtime.ShardPlan` is executed
 
-* serially (the 1-worker baseline),
-* on a 4-worker thread pool, and
-* on a 4-worker process pool,
+* serially (the 1-worker baseline), and
+* on a 4-worker thread pool,
 
-and the script records reports/second, the speedups over the serial
-baseline, and — the runtime's core guarantee — that every parallel run
+and the script records reports/second, the speedup over the serial
+baseline, and — the runtime's core guarantee — that the threaded run
 reproduces the serial run's estimates (bitwise for the count-based
 frequency protocol; float sums are also bitwise because merge order is
 fixed by shard index).  A second section times the OLH support-count
@@ -15,9 +14,9 @@ hot path (vectorized in this change set) against the per-value loop it
 replaced.
 
 Results land in a JSON whose committed baseline is
-``benchmarks/results/sharded_throughput_baseline.json``; CI runs
-``--smoke`` on every push and uploads the JSON as an artifact so the
-throughput trajectory accumulates.
+``benchmarks/results/sharded_throughput_baseline.json``, with the
+``cpu_count`` and ``git_sha`` it was measured at; CI runs ``--smoke``
+on every push and uploads the JSON as an artifact.
 
 Run:  PYTHONPATH=src python benchmarks/bench_sharded_throughput.py
       PYTHONPATH=src python benchmarks/bench_sharded_throughput.py --smoke
@@ -32,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -99,27 +99,23 @@ def bench_workloads(n: int, batch_size: int, repeats: int) -> dict:
                 "reports_per_second": n / serial_s,
             },
         }
-        for executor in ("thread", "process"):
-            seconds, estimate = _timed_run(
-                ParallelRunner(executor, max_workers=WORKERS),
-                protocol, values, plan, repeats,
-            )
-            bitwise = bool(np.array_equal(estimate, reference))
-            entry[f"{executor}_{WORKERS}workers"] = {
-                "seconds": seconds,
-                "reports_per_second": n / seconds,
-                "speedup_vs_serial": serial_s / seconds,
-                "bitwise_equal_to_serial": bitwise,
-            }
-            if not bitwise:
-                raise AssertionError(
-                    f"{name}/{executor}: parallel estimates diverged from "
-                    "the serial run of the same plan"
-                )
-        entry["speedup_at_4_workers"] = max(
-            entry[f"{e}_{WORKERS}workers"]["speedup_vs_serial"]
-            for e in ("thread", "process")
+        seconds, estimate = _timed_run(
+            ParallelRunner("thread", max_workers=WORKERS),
+            protocol, values, plan, repeats,
         )
+        bitwise = bool(np.array_equal(estimate, reference))
+        entry[f"thread_{WORKERS}workers"] = {
+            "seconds": seconds,
+            "reports_per_second": n / seconds,
+            "speedup_vs_serial": serial_s / seconds,
+            "bitwise_equal_to_serial": bitwise,
+        }
+        if not bitwise:
+            raise AssertionError(
+                f"{name}/thread: parallel estimates diverged from the "
+                "serial run of the same plan"
+            )
+        entry["speedup_at_4_workers"] = serial_s / seconds
         out[name] = entry
     return {"plan": plan.to_dict(), "workloads": out}
 
@@ -161,6 +157,23 @@ def bench_olh_hot_path(n: int, k: int, repeats: int) -> dict:
     }
 
 
+def _git_sha():
+    """``git rev-parse HEAD`` of this checkout, or ``None``."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    if done.returncode != 0:
+        return None
+    return done.stdout.strip() or None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=1_200_000,
@@ -183,6 +196,7 @@ def main(argv=None) -> int:
         "num_shards": NUM_SHARDS,
         "workers": WORKERS,
         "cpu_count": cpus,
+        "git_sha": _git_sha(),
         **bench_workloads(n, args.batch_size, repeats),
         "olh_support_hot_path": bench_olh_hot_path(
             30_000 if args.smoke else 300_000, 64, repeats
@@ -203,12 +217,12 @@ def main(argv=None) -> int:
             if target_met
             else (
                 f"only {cpus} CPU(s) visible to this run; a 4-worker "
-                "process pool cannot exceed 1x on CPU-bound encoding — "
+                "thread pool cannot exceed 1x on CPU-bound encoding — "
                 "correctness (bitwise equality across executors) is "
                 "verified above, throughput scaling requires >= "
                 f"{int(TARGET_SPEEDUP)} cores"
                 if cpus < 2
-                else "not met — investigate scheduling/pickling overhead"
+                else "not met — investigate scheduling overhead"
             )
         ),
     }

@@ -83,12 +83,7 @@ from repro.protocol import (
     available_primitives,
     get_primitive,
 )
-from repro.runtime import (
-    ParallelRunner,
-    ShardPlan,
-    StreamingRunner,
-    run_sharded,
-)
+from repro.runtime import ParallelRunner, ShardPlan, run_sharded
 from repro.sgd import (
     LDPSGDTrainer,
     LinearRegression,
@@ -109,10 +104,9 @@ __all__ = [
     "ServerAccumulator",
     "available_primitives",
     "get_primitive",
-    # runtime (sharded / parallel / streaming execution)
+    # runtime (sharded / parallel execution)
     "ShardPlan",
     "ParallelRunner",
-    "StreamingRunner",
     "run_sharded",
     # core
     "NumericMechanism",

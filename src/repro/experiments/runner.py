@@ -49,9 +49,9 @@ def _collect(protocol: Protocol, values, gen, num_shards: int,
              executor: str, max_workers):
     """Run one collection through the runtime layer.
 
-    One serial shard (the default) is the inline path — bitwise-
-    identical to the pre-runtime ``Protocol.run`` (same rng stream
-    consumption).  Anything else plans a sharded run whose seed is
+    One shard (the default) is the inline path on either executor —
+    bitwise-identical to the pre-runtime ``Protocol.run`` (same rng
+    stream consumption).  More shards plan a sharded run whose seed is
     drawn from ``gen``, keeping the sweep reproducible end to end.
     """
     return run_auto(
@@ -90,7 +90,7 @@ def numeric_matrix_mse(
 
     * "pm"/"hm": Algorithm 4 at full budget, through the sharded
       runtime (``num_shards``/``executor`` select the parallel plan;
-      the defaults run inline on this machine);
+      one shard runs inline on either executor);
     * "duchi":   Algorithm 3 at full budget;
     * "laplace"/"scdf"/"staircase": per-attribute 1-D mechanism at eps/d
       (the composition baseline).

@@ -17,9 +17,9 @@ is wired through:
   the drain receipt.  The drained snapshot is bitwise-equal to an
   uninterrupted run's — drain only stops admission early.
 
-Layering: ``obs`` sits below ``service``/``campaigns``/``runtime`` in
-the import graph and imports none of them (nor numpy), so any layer —
-and any future subsystem — can instrument itself without cycles.
+Layering: ``obs`` sits below ``service``/``campaigns`` in the import
+graph and imports none of them (nor numpy), so any layer — and any
+future subsystem — can instrument itself without cycles.
 """
 
 from repro.obs.lifecycle import DrainResult, DrainState, SignalDrain

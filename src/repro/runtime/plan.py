@@ -7,19 +7,18 @@ plan — not the executor — owns all randomness, which yields the
 runtime's central guarantee:
 
     **The result of a planned run depends only on the plan, never on
-    how it is executed.**  Serial, thread-pool and process-pool
-    execution of the same plan produce identical reports, because shard
-    i always encodes users ``[start_i, stop_i)`` with the generator
-    seeded by spawn key i, and accumulators are merged in shard order.
+    how it is executed.**  Serial and thread-pool execution of the
+    same plan produce identical reports, because shard i always
+    encodes users ``[start_i, stop_i)`` with the generator seeded by
+    spawn key i, and accumulators are merged in shard order.
 
 Changing ``num_shards`` (or ``batch_size``, for protocols whose
 encoders draw data-dependent numbers of variates) changes which random
 variates each user receives — runs are comparable *statistically*, not
 bitwise, across different plans.  Fix the plan, vary the workers.
 
-Plans are plain data: :meth:`ShardPlan.to_dict` round-trips through
-JSON so a driver can ship the plan (with the protocol's
-:class:`~repro.protocol.spec.ProtocolSpec`) to remote workers.
+Plans are plain data: :meth:`ShardPlan.to_dict` is a JSON-safe record
+of one, from which ``ShardPlan(**payload)`` rebuilds it.
 """
 
 from __future__ import annotations
@@ -48,8 +47,7 @@ class Shard:
         Half-open user range ``[start, stop)`` this shard covers.
     seed_sequence:
         The spawned child :class:`numpy.random.SeedSequence` owning this
-        shard's random stream.  Picklable, so process-pool workers can
-        receive the shard and build the generator locally.
+        shard's random stream.
     """
 
     index: int
@@ -138,24 +136,11 @@ class ShardPlan:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe description; round-trips through :meth:`from_dict`."""
+        """JSON-safe description; ``ShardPlan(**plan.to_dict())`` is
+        the same plan."""
         return {
             "n": self.n,
             "num_shards": self.num_shards,
             "seed": self.seed,
             "batch_size": self.batch_size,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ShardPlan":
-        """Rebuild a plan from a :meth:`to_dict` payload."""
-        return cls(
-            n=int(payload["n"]),
-            num_shards=int(payload["num_shards"]),
-            seed=int(payload["seed"]),
-            batch_size=(
-                None
-                if payload.get("batch_size") is None
-                else int(payload["batch_size"])
-            ),
-        )

@@ -10,39 +10,22 @@ The driver/worker split mirrors the protocol's client/server split:
   estimates once.
 
 Because encoders are stateless and every shard owns an independent
-SeedSequence-spawned stream (see :mod:`repro.runtime.plan`), the three
-executors — ``"serial"``, ``"thread"``, ``"process"`` — produce
-identical accumulator state for the same plan.  ``"process"`` pickles
-the encoder and each shard's data chunk to the workers; sufficient
-statistics (a few vectors) come back, so driver memory stays O(state).
+SeedSequence-spawned stream (see :mod:`repro.runtime.plan`), the two
+executors — ``"serial"`` and ``"thread"`` — produce identical
+accumulator state for the same plan.
 
     from repro.runtime import ShardPlan, run_sharded
 
     protocol = Protocol.frequency(epsilon=1.0, domain=64)
     acc = run_sharded(protocol, values, num_shards=8, seed=2019,
-                      executor="process", max_workers=4)
+                      executor="thread", max_workers=4)
     frequencies = acc.estimate()
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    cast,
-)
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, cast
 
 import numpy as np
 
@@ -54,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.protocol.encoders import ClientEncoder
 
 #: Executor names accepted by :class:`ParallelRunner`.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "thread")
 
 
 def _resolve_encoder(protocol_or_encoder: Any) -> "ClientEncoder":
@@ -81,20 +64,11 @@ def _slice_workload(values: Any, start: int, stop: int) -> Any:
     return values[start:stop]
 
 
-def _encode_shard(
-    encoder: "ClientEncoder",
-    chunk: Any,
-    seed_sequence: np.random.SeedSequence,
-    batch_size: Optional[int],
-) -> ServerAccumulator:
-    """Worker body: encode one shard's users into a fresh accumulator.
-
-    Module-level (not a closure) so process pools can pickle it; the
-    returned accumulator carries only sufficient statistics.
-    """
-    return run_inline(
-        encoder, chunk, np.random.default_rng(seed_sequence), batch_size
-    )
+def _check_executor(executor: str) -> None:
+    if executor not in EXECUTORS:
+        raise ValueError(
+            f"executor must be one of {EXECUTORS}, got {executor!r}"
+        )
 
 
 class ParallelRunner:
@@ -103,23 +77,18 @@ class ParallelRunner:
     Parameters
     ----------
     executor:
-        ``"serial"`` (in-process loop), ``"thread"``
-        (:class:`~concurrent.futures.ThreadPoolExecutor` — cheap, shares
-        memory, parallel where numpy releases the GIL) or ``"process"``
-        (:class:`~concurrent.futures.ProcessPoolExecutor` — true
-        parallelism; encoder and chunks are pickled to the workers).
+        ``"serial"`` (in-process loop) or ``"thread"``
+        (:class:`~concurrent.futures.ThreadPoolExecutor` — shares
+        memory, parallel where numpy releases the GIL).
     max_workers:
-        Pool size for the parallel executors; defaults to the number of
+        Pool size for the thread executor; defaults to the number of
         shards in the plan being run.  Never affects results — only the
         plan does.
     """
 
     def __init__(self, executor: str = "serial",
                  max_workers: Optional[int] = None) -> None:
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {executor!r}"
-            )
+        _check_executor(executor)
         if max_workers is not None and max_workers < 1:
             raise ValueError(
                 f"max_workers must be >= 1, got {max_workers}"
@@ -131,72 +100,51 @@ class ParallelRunner:
     def _shard_accumulators(
         self, encoder: "ClientEncoder", values: Any, shards: Sequence[Shard],
         batch_size: Optional[int],
-    ) -> Tuple[ServerAccumulator, ...]:
+    ) -> List[ServerAccumulator]:
+        """One accumulator per shard, in shard order.
+
+        Chunks are sliced on the driver one shard at a time; the thread
+        executor keeps at most ``workers`` chunks sliced and in flight,
+        so driver memory stays O(workers * shard size) even for
+        loader-callable workloads.
+        """
         if self.executor == "serial":
-            # Chunks are sliced one shard at a time, so driver memory
-            # holds a single shard even for loader-callable workloads.
-            return tuple(
-                _encode_shard(
+            return [
+                run_inline(
                     encoder,
                     _slice_workload(values, shard.start, shard.stop),
-                    shard.seed_sequence,
+                    shard.rng(),
                     batch_size,
                 )
                 for shard in shards
-            )
+            ]
         workers = self.max_workers or len(shards)
-        if self.executor == "thread":
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return self._drain_pool(
-                    pool, workers, encoder, values, shards, batch_size
-                )
-        # "process": fork where available (cheap, inherits the parent's
-        # imports); the default start method elsewhere.
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = multiprocessing.get_context()
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=context) as pool:
-            return self._drain_pool(
-                pool, workers, encoder, values, shards, batch_size
-            )
-
-    @staticmethod
-    def _drain_pool(
-        pool: Any, workers: int, encoder: "ClientEncoder", values: Any,
-        shards: Sequence[Shard],
-        batch_size: Optional[int],
-    ) -> Tuple[ServerAccumulator, ...]:
-        """Windowed submission: at most ``workers`` shard chunks are
-        sliced and in flight at once, so driver memory stays
-        O(workers * shard size) for arbitrarily large workloads."""
         results: List[Optional[ServerAccumulator]] = [None] * len(shards)
         pending: Dict[Any, int] = {}
         queue = iter(shards)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
 
-        def submit_next() -> bool:
-            shard = next(queue, None)
-            if shard is None:
-                return False
-            future = pool.submit(
-                _encode_shard,
-                encoder,
-                _slice_workload(values, shard.start, shard.stop),
-                shard.seed_sequence,
-                batch_size,
-            )
-            pending[future] = shard.index
-            return True
+            def submit_next() -> None:
+                shard = next(queue, None)
+                if shard is None:
+                    return
+                future = pool.submit(
+                    run_inline,
+                    encoder,
+                    _slice_workload(values, shard.start, shard.stop),
+                    shard.rng(),
+                    batch_size,
+                )
+                pending[future] = shard.index
 
-        for _ in range(min(workers, len(shards))):
-            submit_next()
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                results[pending.pop(future)] = future.result()
+            for _ in range(min(workers, len(shards))):
                 submit_next()
-        return cast(Tuple[ServerAccumulator, ...], tuple(results))
+            while pending:
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    results[pending.pop(future)] = future.result()
+                    submit_next()
+        return cast(List[ServerAccumulator], results)
 
     def run(
         self, protocol_or_encoder: Any, values: Any, plan: ShardPlan
@@ -278,13 +226,15 @@ def run_auto(
 ) -> ServerAccumulator:
     """Dispatch between the inline and sharded paths.
 
-    One serial shard (the default) runs :func:`run_inline`, consuming
-    ``rng`` directly — bitwise-compatible with ``Protocol.run``.
-    Anything else plans a sharded run seeded from ``rng``.  This is the
-    single dispatch rule the experiment harnesses and the LDP-SGD
+    One shard (the default) runs :func:`run_inline` on either executor,
+    consuming ``rng`` directly — bitwise-compatible with
+    ``Protocol.run``.  More shards plan a sharded run seeded from
+    ``rng``, which both executors then run to the same bits.  This is
+    the single dispatch rule the experiment harnesses and the LDP-SGD
     trainer share.
     """
-    if num_shards == 1 and executor == "serial":
+    _check_executor(executor)
+    if num_shards == 1:
         return run_inline(protocol_or_encoder, values, rng, batch_size)
     return run_sharded(
         protocol_or_encoder,

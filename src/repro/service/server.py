@@ -97,7 +97,7 @@ from repro.protocol.facade import Protocol
 from repro.protocol.reports import to_block
 from repro.protocol.spec import ProtocolSpec
 from repro.service import wire
-from repro.service.store import RawJSON, SnapshotStore
+from repro.service.store import RawJSON, SnapshotCorruptError, SnapshotStore
 from repro.stream.windows import WindowConfig
 
 _log = get_logger("repro.service.server")
@@ -340,7 +340,9 @@ class IngestionServer:
     store:
         Snapshot store for durable checkpoints; when it already holds
         a manifest the server resumes *all* campaigns plus the ledger
-        from it (fingerprint-checked per campaign).
+        from it (fingerprint-checked per campaign).  A newest snapshot
+        that is not a campaign manifest raises
+        :class:`~repro.service.store.SnapshotCorruptError`.
     checkpoint_every:
         Write a snapshot after every this-many accepted batches
         (requires ``store``; ``None`` disables periodic checkpoints).
@@ -463,10 +465,14 @@ class IngestionServer:
         if loaded is None:
             return
         seq, snapshot = loaded
-        if "campaigns" in snapshot:
-            self._resume_manifest(seq, snapshot)
-        else:
-            self._resume_legacy(seq, snapshot)
+        if not isinstance(snapshot, dict) or not isinstance(
+            snapshot.get("campaigns"), dict
+        ):
+            raise SnapshotCorruptError(
+                f"snapshot {self.store.path(seq)} is not a campaign "
+                "manifest (pre-campaign snapshots are no longer read)"
+            )
+        self._resume_manifest(seq, snapshot)
         self._resumed_from = seq
 
     def _resume_manifest(self, seq: int, snapshot: Dict[str, Any]) -> None:
@@ -520,36 +526,6 @@ class IngestionServer:
                 "seq": seq,
                 "campaigns": len(self.registry),
                 "batches_accepted": int(snapshot["batches_accepted"]),
-            },
-        )
-
-    def _resume_legacy(self, seq: int, snapshot: Dict[str, Any]) -> None:
-        """Restore a pre-campaign (PR 3) single-protocol snapshot into
-        the default campaign."""
-        default = self.registry.default
-        if default is None or snapshot.get("fingerprint") != (
-            default.fingerprint
-        ):
-            raise wire.SpecMismatchError(
-                f"snapshot {seq} in {self.store.directory} was written "
-                f"by a different protocol (fingerprint "
-                f"{str(snapshot.get('fingerprint'))[:12]!r}...)"
-            )
-        wire.decode_accumulator_state(
-            default.accumulator, snapshot["accumulator"]
-        )
-        self.ledger = CrossCampaignLedger.from_dict(snapshot["accountant"])
-        default.seen_keys = set(snapshot.get("idempotency_keys", []))
-        default.batches_accepted = int(snapshot["batches_accepted"])
-        default.dirty = True
-        self.metrics.batches_accepted.labels(
-            campaign=default.fingerprint
-        ).restore(default.batches_accepted)
-        _log.info(
-            "resumed from legacy snapshot",
-            extra={
-                "seq": seq,
-                "batches_accepted": default.batches_accepted,
             },
         )
 

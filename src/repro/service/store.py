@@ -1,8 +1,12 @@
 """Durable checkpoint/recovery of service state.
 
-A :class:`SnapshotStore` persists the full ingestion state — encoded
-accumulator statistics, accountant ledger, batch counters, processed
-idempotency keys — as numbered JSON snapshot files in one directory.
+A :class:`SnapshotStore` persists numbered JSON snapshot files in one
+directory.  The server's root store holds campaign manifests: per
+campaign its spec, lifecycle state, counters, window config,
+heavy-hitter state and last-saved sequence, plus the cross-campaign
+privacy ledger and the global batch and duplicate counters.  Each
+campaign's encoded accumulator statistics and processed idempotency
+keys live in its own namespace (below).
 
 Write protocol (crash-safe): serialize to ``<name>.tmp`` in the same
 directory, flush + fsync, ``os.replace`` onto the final name, then
@@ -35,8 +39,10 @@ _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{10})\.json$")
 
 
 class SnapshotCorruptError(ValueError):
-    """A snapshot file that exists but is not valid JSON, e.g. a
-    manifest cut short on disk."""
+    """A snapshot file that exists but cannot be resumed from: it is
+    not valid JSON (e.g. a manifest cut short on disk), or, as the
+    newest snapshot a server boots on, it is not a campaign manifest
+    (pre-campaign snapshots are no longer read)."""
 
 
 class RawJSON:
@@ -88,7 +94,8 @@ class SnapshotStore:
         )
 
     # ------------------------------------------------------------------
-    def _path(self, seq: int) -> Path:
+    def path(self, seq: int) -> Path:
+        """The file that holds (or would hold) snapshot ``seq``."""
         return self.directory / f"snapshot-{seq:010d}.json"
 
     def sequences(self) -> List[int]:
@@ -115,7 +122,7 @@ class SnapshotStore:
         """
         if seq < 0:
             raise ValueError(f"seq must be >= 0, got {seq}")
-        final = self._path(seq)
+        final = self.path(seq)
         tmp = final.with_suffix(".tmp")
         parts: List[bytes] = []
         for key, value in {"seq": int(seq), **payload}.items():
@@ -143,7 +150,7 @@ class SnapshotStore:
     def _prune(self) -> None:
         for seq in self.sequences()[: -self.keep]:
             try:
-                self._path(seq).unlink()
+                self.path(seq).unlink()
             except FileNotFoundError:  # pragma: no cover - racing pruners
                 pass
 
@@ -154,7 +161,7 @@ class SnapshotStore:
         Raises :class:`SnapshotCorruptError` when the file is not valid
         JSON.
         """
-        path = self._path(seq)
+        path = self.path(seq)
         with open(path, encoding="utf-8") as handle:
             try:
                 return json.load(handle)
@@ -176,7 +183,7 @@ class SnapshotStore:
         seq = self.latest_sequence()
         if seq is None:
             return None
-        return seq, self._path(seq).stat().st_mtime
+        return seq, self.path(seq).stat().st_mtime
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -191,10 +191,11 @@ class LDPSGDTrainer(BaseSGDTrainer):
         Entry-wise gradient clipping bound (the paper clips to [-1, 1]).
     num_shards, executor, max_workers:
         How each iteration's gradient reports are collected through
-        :mod:`repro.runtime`.  The defaults (one shard, serial) run
-        inline and are bitwise-identical to the pre-runtime trainer;
-        ``num_shards > 1`` plans a sharded collection per iteration
-        (seeded from the fit rng, so training stays reproducible).
+        :mod:`repro.runtime`.  One shard (the default) runs inline on
+        either executor and is bitwise-identical to the pre-runtime
+        trainer; ``num_shards > 1`` plans a sharded collection per
+        iteration (seeded from the fit rng, so training stays
+        reproducible, and equal across executors).
     """
 
     def __init__(

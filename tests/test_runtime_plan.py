@@ -75,14 +75,14 @@ class TestSpecRoundTrip:
     def test_round_trip(self, batch_size):
         plan = ShardPlan(n=1_000_000, num_shards=16, seed=2019,
                          batch_size=batch_size)
-        assert ShardPlan.from_dict(plan.to_dict()) == plan
+        assert ShardPlan(**plan.to_dict()) == plan
 
     def test_round_trip_through_json(self):
         import json
 
         plan = ShardPlan(n=50, num_shards=3, seed=11, batch_size=7)
         payload = json.loads(json.dumps(plan.to_dict()))
-        restored = ShardPlan.from_dict(payload)
+        restored = ShardPlan(**payload)
         assert restored == plan
         # The restored plan replays identical shard streams.
         for a, b in zip(plan.shards(), restored.shards()):

@@ -7,6 +7,8 @@ float-sum accumulators are also bitwise here because merge order is
 fixed by shard index, with <= 1e-12 as the documented fallback bound.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,15 +18,17 @@ from repro.data.schema import (
     NumericAttribute,
     Schema,
 )
+from repro.experiments.runner import mixed_dataset_mse, numeric_matrix_mse
 from repro.protocol import Protocol
 from repro.runtime import (
+    EXECUTORS,
     ParallelRunner,
     ShardPlan,
-    StreamingRunner,
     run_auto,
     run_inline,
     run_sharded,
 )
+from repro.sgd.trainer import LDPSGDTrainer
 
 N = 3_000
 SEED = 2019
@@ -120,16 +124,6 @@ class TestExecutorEquivalence:
             assert acc.count == reference.count == N
             _assert_same_estimates(acc.estimate(), reference.estimate())
 
-    def test_process_pool_matches_serial(self, kind):
-        protocol, values = _workloads()[kind]
-        plan = ShardPlan(n=N, num_shards=4, seed=SEED)
-        reference = ParallelRunner("serial").run(protocol, values, plan)
-        acc = ParallelRunner("process", max_workers=2).run(
-            protocol, values, plan
-        )
-        assert acc.count == N
-        _assert_same_estimates(acc.estimate(), reference.estimate())
-
     def test_sharded_matches_manual_shard_loop(self, kind):
         """The runner is exactly: encode each shard with its spawned
         stream, merge in shard order."""
@@ -167,6 +161,22 @@ class TestRunnerSurface:
             ParallelRunner("mpi")
         with pytest.raises(ValueError):
             ParallelRunner("thread", max_workers=0)
+
+    def test_process_executor_is_gone(self):
+        assert EXECUTORS == ("serial", "thread")
+        protocol, values = _workloads()["mean"]
+        calls = [
+            lambda: ParallelRunner("process"),
+            lambda: run_sharded(
+                protocol, values, num_shards=4, seed=1, executor="process"
+            ),
+            lambda: run_auto(protocol, values, 1, executor="process"),
+            lambda: LDPSGDTrainer("linear", epsilon=1.0, executor="process"),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as excinfo:
+                call()
+            assert "('serial', 'thread')" in str(excinfo.value)
 
     def test_run_sharded_requires_plan_or_num_shards(self):
         protocol, values = _workloads()["mean"]
@@ -261,75 +271,77 @@ class TestRunnerSurface:
         assert acc.count == N
 
 
-class TestStreamingRunner:
-    def _batches(self, values, size=500):
-        return [
-            values[lo : lo + size]
-            if not hasattr(values, "subset")
-            else values.subset(np.arange(lo, min(lo + size, len(values))))
-            for lo in range(0, len(values), size)
-        ]
+class TestExecutorNeverChangesResults:
+    """One shard runs inline on either executor, and more shards run
+    one plan to the same bits on both: the executor is never part of
+    a result, at any shard count."""
 
-    def test_matches_serial_reference(self, kind):
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_run_auto(self, kind, num_shards):
         protocol, values = _workloads()[kind]
-        batches = self._batches(values)
-
-        runner = StreamingRunner(protocol, seed=SEED, max_pending=2)
-        for batch in batches:
-            runner.submit(batch)
-        streamed = runner.finish()
-
-        root = np.random.SeedSequence(SEED)
-        encoder = protocol.client()
-        reference = protocol.server()
-        for batch in batches:
-            reference.absorb(
-                encoder.encode_batch(
-                    batch, np.random.default_rng(root.spawn(1)[0])
-                )
-            )
-        assert streamed.count == reference.count == N
-        _assert_same_estimates(streamed.estimate(), reference.estimate())
-
-    def test_synchronous_mode_matches_pooled(self):
-        protocol, values = _workloads()["frequency"]
-        batches = self._batches(values)
-        pooled = StreamingRunner(protocol, seed=1, max_pending=3)
-        sync = StreamingRunner(protocol, seed=1, max_workers=0)
-        for batch in batches:
-            pooled.submit(batch)
-            sync.submit(batch)
-        _assert_same_estimates(
-            pooled.finish().estimate(), sync.finish().estimate()
+        serial, thread = (
+            run_auto(
+                protocol, values, 9, num_shards=num_shards,
+                executor=executor, max_workers=2,
+            ).estimate()
+            for executor in ("serial", "thread")
         )
+        _assert_same_estimates(serial, thread)
+        if num_shards == 1:
+            _assert_same_estimates(
+                serial, run_inline(protocol, values, rng=9).estimate()
+            )
 
-    def test_pending_is_bounded(self):
-        protocol, values = _workloads()["mean"]
-        runner = StreamingRunner(protocol, seed=0, max_pending=2)
-        for batch in self._batches(values, size=100):
-            runner.submit(batch)
-            assert len(runner._pending) <= 2
-        runner.finish()
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_ldp_sgd_fit(self, num_shards):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-1, 1, (1_200, 4))
+        y = np.clip(x @ np.array([0.5, -0.3, 0.2, 0.0]), -1, 1)
+        serial, thread = (
+            LDPSGDTrainer(
+                "linear", epsilon=4.0, method="hm", group_size=300,
+                num_shards=num_shards, executor=executor, max_workers=2,
+            ).fit(x, y, rng=11)
+            for executor in ("serial", "thread")
+        )
+        assert np.array_equal(serial, thread)
 
-    def test_finish_is_idempotent_and_closes(self):
-        protocol, values = _workloads()["mean"]
-        runner = StreamingRunner(protocol, seed=0)
-        runner.submit(values[:100])
-        acc = runner.finish()
-        assert runner.finish() is acc
-        with pytest.raises(RuntimeError):
-            runner.submit(values[:100])
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_numeric_matrix_mse(self, num_shards):
+        matrix = np.random.default_rng(5).uniform(-1, 1, (N, 5))
+        serial, thread = (
+            numeric_matrix_mse(
+                matrix, 4.0, "hm", rng=12, num_shards=num_shards,
+                executor=executor, max_workers=2,
+            )
+            for executor in ("serial", "thread")
+        )
+        assert np.array_equal(serial, thread)
 
-    def test_context_manager(self):
-        protocol, values = _workloads()["mean"]
-        with StreamingRunner(protocol, seed=0) as runner:
-            runner.submit(values[:200])
-        assert runner.batches_submitted == 1
-        assert runner.finish().count == 200
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_mixed_dataset_mse(self, num_shards):
+        serial, thread = (
+            mixed_dataset_mse(
+                _dataset(), 4.0, "pm", rng=13, num_shards=num_shards,
+                executor=executor, max_workers=2,
+            )
+            for executor in ("serial", "thread")
+        )
+        assert np.array_equal(serial, thread)
 
-    def test_validation(self):
-        protocol, _ = _workloads()["mean"]
-        with pytest.raises(ValueError):
-            StreamingRunner(protocol, max_pending=0)
-        with pytest.raises(ValueError):
-            StreamingRunner(protocol, max_workers=-1)
+
+def test_batched_inline_run_never_holds_the_dense_matrix():
+    """Batched encode/absorb holds one batch of compact reports at a
+    time, never the dense (n, d) matrix of privatized tuples."""
+    n, d = 20_000, 16
+    tuples = np.random.default_rng(0).uniform(-1, 1, (n, d))
+    protocol = Protocol.multidim(4.0, d=d, mechanism="hm")
+    tracemalloc.start()
+    try:
+        run_inline(protocol, tuples, np.random.default_rng(1),
+                   batch_size=2_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dense_bytes = n * d * np.dtype(np.float64).itemsize  # 2.56 MB
+    assert peak < dense_bytes, f"peak {peak} B >= dense {dense_bytes} B"

@@ -26,6 +26,7 @@ from repro.service import (
     OverBudgetError,
     ServiceClient,
     ServiceError,
+    SnapshotCorruptError,
     SnapshotStore,
     wire,
 )
@@ -480,6 +481,16 @@ def _cli_env():
     return env
 
 
+def _tree_bytes(root):
+    """Every path under ``root`` with its bytes (``None`` for dirs)."""
+    return {
+        str(path.relative_to(root)): (
+            path.read_bytes() if path.is_file() else None
+        )
+        for path in sorted(root.rglob("*"))
+    }
+
+
 class TestCommandLine:
     def test_cli_serves_and_checkpoints_on_sigint(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -520,29 +531,62 @@ class TestCommandLine:
         assert SnapshotStore(tmp_path / "snaps").latest_sequence() == 1
 
     def test_cli_exits_2_naming_a_corrupt_manifest(self, tmp_path):
+        """A newest snapshot that is cut short, or is not a campaign
+        manifest, fails boot closed: no fallback to the older cut, no
+        write, and the CLI exits 2 with one line naming the file."""
         protocol = Protocol.frequency(1.0, domain=6)
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(protocol.spec.to_dict()))
         snaps = tmp_path / "snaps"
-        IngestionServer(protocol, store=SnapshotStore(snaps)).checkpoint_now()
-        manifest = snaps / "snapshot-0000000000.json"
-        manifest.write_bytes(manifest.read_bytes()[:-1])
-        done = subprocess.run(
-            [
-                sys.executable, "-m", "repro.service",
-                "--spec", str(spec_path),
-                "--port", "0",
-                "--snapshot-dir", str(snaps),
-            ],
-            capture_output=True,
-            env=_cli_env(),
-            text=True,
-            timeout=60,
-        )
-        assert done.returncode == 2, done.stdout + done.stderr
-        assert done.stdout == ""
-        lines = done.stderr.splitlines()
-        assert len(lines) == 1 and str(manifest) in lines[0], done.stderr
+        server = IngestionServer(protocol, store=SnapshotStore(snaps))
+        older = snaps / "snapshot-0000000000.json"
+        assert server.checkpoint_now() == 0
+        # The single-protocol layout written before campaigns existed.
+        pre_campaign = {
+            "seq": 1,
+            "fingerprint": server.fingerprint,
+            "accumulator": wire.encode_accumulator_state(protocol.server()),
+            "accountant": server.ledger.to_dict(),
+            "idempotency_keys": ["k1"],
+            "batches_accepted": 1,
+        }
+        newest = snaps / "snapshot-0000000001.json"
+        bodies = {
+            "truncated": (older.read_bytes()[:-1], "is corrupt"),
+            "pre-campaign": (
+                json.dumps(pre_campaign).encode(),
+                "is not a campaign manifest",
+            ),
+            "list": (b"[]", "is not a campaign manifest"),
+            "no campaigns": (b'{"seq": 0}', "is not a campaign manifest"),
+        }
+        for name, (body, reason) in bodies.items():
+            newest.write_bytes(body)
+            before = _tree_bytes(snaps)
+            with pytest.raises(SnapshotCorruptError) as excinfo:
+                IngestionServer(protocol, store=SnapshotStore(snaps))
+            message = str(excinfo.value)
+            assert str(newest) in message and reason in message, name
+            assert _tree_bytes(snaps) == before, name
+            done = subprocess.run(
+                [
+                    sys.executable, "-m", "repro.service",
+                    "--spec", str(spec_path),
+                    "--port", "0",
+                    "--snapshot-dir", str(snaps),
+                ],
+                capture_output=True,
+                env=_cli_env(),
+                text=True,
+                timeout=60,
+            )
+            assert done.returncode == 2, (name, done.stdout + done.stderr)
+            assert done.stdout == "", name
+            lines = done.stderr.splitlines()
+            assert len(lines) == 1 and str(newest) in lines[0], (
+                name, done.stderr,
+            )
+            assert _tree_bytes(snaps) == before, name
 
     def test_cli_requires_spec_or_campaigns(self):
         from repro.service.__main__ import main
