@@ -13,27 +13,34 @@ server answers ``duplicate`` for a key it has already folded in.
 Transport retries use bounded exponential backoff with jitter and
 cover both connection failures and 5xx responses.
 
+Each thread reuses one keep-alive connection to the server.  When a
+reused connection turns out to have been closed by the server (its
+idle timeout) before any response arrived, the client reconnects
+once, immediately.  :meth:`ServiceClient.close`, or leaving a ``with
+ServiceClient(...)`` block, closes every connection the client opened.
+
 A client is bound to at most one campaign.  Constructed bare it talks
 to the server's *default* campaign (the pre-campaign v1 behavior);
 :meth:`ServiceClient.for_campaign` returns a sibling bound to a
 specific campaign fingerprint:
 
-    client = ServiceClient("127.0.0.1", 8321)
-    registered = client.register_campaign(spec)
-    ab_test = client.for_campaign(registered["campaign"])
-    ab_test.submit(values, users=user_ids, rng=7)
-    ab_test.seal_campaign()
-    estimate = ab_test.estimate()
+    with ServiceClient("127.0.0.1", 8321) as client:
+        registered = client.register_campaign(spec)
+        with client.for_campaign(registered["campaign"]) as ab_test:
+            ab_test.submit(values, users=user_ids, rng=7)
+            ab_test.seal_campaign()
+            estimate = ab_test.estimate()
 """
 
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import random
+import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Union
+import weakref
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,11 +48,20 @@ from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.protocol.facade import Protocol
 from repro.protocol.spec import ProtocolSpec
-from repro.service import wire
+from repro.service import http, wire
 from repro.stream.memo import MemoizedEncoder
 from repro.utils.rng import RngLike
 
 _log = get_logger("repro.service.client")
+
+#: How a kept-alive connection that the server has closed fails: the
+#: send breaks, or the response never starts.
+_STALE_ERRORS = (ConnectionResetError, BrokenPipeError, ConnectionAbortedError)
+
+
+def _close_all(connections: List[http.ClientConnection]) -> None:
+    for connection in list(connections):
+        connection.close()
 
 
 class ServiceError(RuntimeError):
@@ -81,6 +97,10 @@ class CampaignClosedError(ServiceError):
 class ServiceClient:
     """HTTP client bound to one ingestion server (and optionally one
     campaign on it).
+
+    Each thread that uses the client gets one keep-alive connection,
+    reused across requests; :meth:`close` (or the ``with`` form) closes
+    them all.  Siblings from :meth:`for_campaign` keep their own.
 
     Parameters
     ----------
@@ -185,9 +205,26 @@ class ServiceClient:
         self._retries = self.metrics_registry.counter(
             "repro_client_retries_total",
             "Transport retries, by what triggered them "
-            "(connection_error, server_error).",
+            "(connection_error, server_error, stale_connection).",
             labels=("reason",),
         )
+        self._local = threading.local()
+        self._opened: List[http.ClientConnection] = []
+        # A client dropped without close() still closes its sockets.
+        weakref.finalize(self, _close_all, self._opened)
+
+    def close(self) -> None:
+        """Close every connection this client opened, on every thread.
+
+        The client stays usable: a later request reconnects.
+        """
+        _close_all(self._opened)
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Campaign binding
@@ -235,6 +272,51 @@ class ServiceClient:
         )
         return base * (0.5 + 0.5 * self.backoff_rng.random())
 
+    def _connection(self) -> http.ClientConnection:
+        """This thread's connection (opened on first use)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.ClientConnection(
+                self.host, self.port, self.timeout
+            )
+            self._local.connection = connection
+            self._opened.append(connection)
+        return connection
+
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        data: Optional[bytes] = None,
+        content_type: str = "application/json",
+    ) -> Tuple[int, bytes]:
+        """One request and its response on this thread's connection.
+
+        A reused connection that fails before the response starts was
+        closed by the server while idle, so the request never reached
+        a handler: reconnect once, without sleeping or spending a
+        retry.  (Were it answered and the answer lost, resending is
+        what the retry path does anyway; a batch keeps its idempotency
+        key.)
+        """
+        connection = self._connection()
+        # A closed connection reopens on exchange(), so an open socket
+        # here is one an earlier response left alive.
+        reused = connection.sock is not None
+        try:
+            try:
+                return connection.exchange(method, path, data, content_type)
+            except _STALE_ERRORS:
+                if not reused:
+                    raise
+                connection.close()
+                self._retries.labels(reason="stale_connection").inc()
+                return connection.exchange(method, path, data, content_type)
+        except BaseException:
+            # Whatever broke, the next request starts on a new socket.
+            connection.close()
+            raise
+
     def _request(
         self,
         method: str,
@@ -261,21 +343,9 @@ class ServiceClient:
             if attempt:
                 time.sleep(self._backoff(attempt))
             attempts = attempt + 1
-            connection = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
             started = time.perf_counter()
             try:
-                connection.request(
-                    method,
-                    path,
-                    body=data,
-                    headers={"Content-Type": content_type}
-                    if data is not None
-                    else {},
-                )
-                response = connection.getresponse()
-                raw = response.read()
+                status, raw = self._exchange(method, path, data, content_type)
             except (ConnectionError, TimeoutError, OSError) as exc:
                 last_error = exc
                 if attempt < self.retries:
@@ -285,42 +355,36 @@ class ServiceClient:
                         extra={"endpoint": endpoint, "attempt": attempts},
                     )
                 continue
-            finally:
-                connection.close()
             self._request_seconds.labels(endpoint=endpoint).observe(
                 time.perf_counter() - started
             )
             self._responses.labels(
-                endpoint=endpoint, status=str(response.status)
+                endpoint=endpoint, status=str(status)
             ).inc()
             try:
                 payload = json.loads(raw) if raw else {}
             except json.JSONDecodeError as exc:
                 raise ServiceError(
-                    response.status,
+                    status,
                     {"error": "non_json_response"},
                     attempts=attempts,
                 ) from exc
-            if response.status >= 500:
+            if status >= 500:
                 # Transient server-side failure: retry (idempotency
                 # keys make resubmission safe), surface the last one.
                 last_error = None
-                last_response = (response.status, payload)
+                last_response = (status, payload)
                 if attempt < self.retries:
                     self._retries.labels(reason="server_error").inc()
                 continue
-            if response.status == 429:
-                raise OverBudgetError(
-                    response.status, payload, attempts=attempts
-                )
-            if response.status >= 400:
+            if status == 429:
+                raise OverBudgetError(status, payload, attempts=attempts)
+            if status >= 400:
                 if payload.get("error") == "campaign_sealed":
                     raise CampaignClosedError(
-                        response.status, payload, attempts=attempts
+                        status, payload, attempts=attempts
                     )
-                raise ServiceError(
-                    response.status, payload, attempts=attempts
-                )
+                raise ServiceError(status, payload, attempts=attempts)
             return payload
         if last_response is not None:
             raise ServiceError(
@@ -710,17 +774,9 @@ class ServiceClient:
     def server_metrics_text(self) -> str:
         """Fetch the server's ``GET /metrics`` page (raw exposition
         text; not retried — scraping is periodic by nature)."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            connection.request("GET", "/metrics")
-            response = connection.getresponse()
-            raw = response.read()
-        finally:
-            connection.close()
-        if response.status != 200:
-            raise ServiceError(response.status, {"error": "metrics"})
+        status, raw = self._exchange("GET", "/metrics")
+        if status != 200:
+            raise ServiceError(status, {"error": "metrics"})
         return raw.decode("utf-8")
 
     def checkpoint(self) -> int:

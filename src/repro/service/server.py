@@ -66,8 +66,11 @@ charged synchronously, so accumulators see batches in arrival order and
 a checkpoint always captures a quiescent state.
 
 The HTTP layer is a deliberately minimal HTTP/1.1 implementation over
-``asyncio.start_server`` (no third-party dependency, connection per
-request), sufficient for the SDK in :mod:`repro.service.client`.
+``asyncio.start_server`` with no third-party dependency, in
+:mod:`repro.service.http`: each connection is served in a loop until
+the client closes it, asks to, or idles past a timeout, and the SDK in
+:mod:`repro.service.client` reuses one connection per thread.  This
+module routes and answers each fully read request.
 """
 
 from __future__ import annotations
@@ -77,7 +80,6 @@ import itertools
 import json
 import threading
 import time
-import urllib.parse
 from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 from repro.campaigns.ledger import CrossCampaignLedger, batch_multiplicity
@@ -88,34 +90,15 @@ from repro.campaigns.registry import (
 )
 from repro.obs.lifecycle import DrainResult, DrainState, advance
 from repro.obs.logging import bind_campaign, bound_context, get_logger
-from repro.obs.metrics import (
-    CONTENT_TYPE_LATEST,
-    MetricsRegistry,
-    null_registry,
-)
+from repro.obs.metrics import MetricsRegistry, null_registry
 from repro.protocol.facade import Protocol
 from repro.protocol.reports import to_block
 from repro.protocol.spec import ProtocolSpec
-from repro.service import wire
+from repro.service import http, wire
 from repro.service.store import RawJSON, SnapshotCorruptError, SnapshotStore
 from repro.stream.windows import WindowConfig
 
 _log = get_logger("repro.service.server")
-
-_STATUS_TEXT = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
-
-#: Upper bound on accepted request bodies (64 MiB of JSON).
-MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: ``Retry-After`` (seconds) suggested while the server is draining —
 #: long enough that a well-behaved client gives up on this replica.
@@ -230,6 +213,18 @@ class ServerMetrics:
             "1 while the server is draining (new batches get 503), "
             "else 0.",
         )
+        self.connections_open = self.registry.gauge(
+            "repro_connections_open",
+            "HTTP connections open now (kept-alive ones included).",
+        )
+        self.connections_closed = self.registry.counter(
+            "repro_connections_closed_total",
+            "HTTP connections closed, by why: client, idle, "
+            "header_timeout, bad_request, over_cap, shutdown.",
+            labels=("reason",),
+        )
+        for reason in http.CLOSE_REASONS:
+            self.connections_closed.labels(reason=reason)
 
         # -- request-path observation (instrument-gated) ---------------
         self.ingest_reports = observed.counter(
@@ -426,7 +421,7 @@ class IngestionServer:
         self._request_seq = itertools.count(1)
         self._resumed_from: Optional[int] = None
         self._started_at = time.monotonic()
-        self._asyncio_server: Optional[asyncio.AbstractServer] = None
+        self._http: Optional[http.HttpServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self.metrics.track_server(self)
@@ -1198,107 +1193,24 @@ class IngestionServer:
             return self._handle_checkpoint()
         return 404, {"error": "not_found", "path": path}
 
-    # ------------------------------------------------------------------
-    # Minimal HTTP/1.1 plumbing
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            status, payload = await self._process_request(reader)
-        except Exception as exc:  # noqa: BLE001 - report, don't crash loop
-            status, payload = 500, {
-                "error": "internal",
-                "detail": f"{type(exc).__name__}: {exc}",
-            }
-        try:
-            if isinstance(payload, str):
-                # /metrics: pre-rendered text exposition, not JSON.
-                body = payload.encode("utf-8")
-                content_type = CONTENT_TYPE_LATEST
-            else:
-                body = json.dumps(payload).encode("utf-8")
-                content_type = "application/json"
-            extra = ""
-            if isinstance(payload, dict) and "retry_after" in payload:
-                extra = f"Retry-After: {int(payload['retry_after'])}\r\n"
-            writer.write(
-                (
-                    f"HTTP/1.1 {status} "
-                    f"{_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-                    f"Content-Type: {content_type}\r\n"
-                    f"Content-Length: {len(body)}\r\n"
-                    f"{extra}"
-                    f"Connection: close\r\n\r\n"
-                ).encode("ascii")
-                + body
-            )
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):  # pragma: no cover
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):  # pragma: no cover
-                pass
-
-    async def _process_request(
-        self, reader: asyncio.StreamReader
-    ) -> Tuple[int, Any]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
-        parts = request_line.split()
-        if len(parts) != 3:
-            return 400, {"error": "bad_request_line"}
-        method = parts[0].upper()
-        path, _, raw_query = parts[1].partition("?")
-        query = {
-            name: values[-1]
-            for name, values in urllib.parse.parse_qs(raw_query).items()
-        }
-        content_length = 0
-        content_type = "application/json"
-        while True:
-            line = (await reader.readline()).decode("latin-1").strip()
-            if not line:
-                break
-            name, _, value = line.partition(":")
-            header = name.strip().lower()
-            if header == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    return 400, {"error": "bad_content_length"}
-                if content_length < 0:
-                    return 400, {"error": "bad_content_length"}
-            elif header == "content-type":
-                content_type = value.strip().lower()
-        if content_length > MAX_BODY_BYTES:
-            return 413, {"error": "payload_too_large"}
+    def _handle_request(self, request: http.Request) -> Tuple[int, Any]:
+        """Decode a fully read request's body and dispatch it."""
         body = None
-        if content_length:
-            try:
-                raw = await reader.readexactly(content_length)
-            except asyncio.IncompleteReadError as exc:
-                return 400, {
-                    "error": "truncated_body",
-                    "detail": f"Content-Length {content_length}, body "
-                    f"ended after {len(exc.partial)} bytes",
-                }
-            if content_type.startswith(wire.COLUMNAR_CONTENT_TYPE):
+        if request.body:
+            if request.content_type.startswith(wire.COLUMNAR_CONTENT_TYPE):
                 try:
-                    body = wire.unpack_columns(raw)
+                    body = wire.unpack_columns(request.body)
                 except wire.WireFormatError as exc:
                     return 400, {"error": "bad_envelope", "detail": str(exc)}
             else:
                 try:
-                    body = json.loads(raw)
+                    body = json.loads(request.body)
                 except json.JSONDecodeError as exc:
                     return 400, {"error": "bad_json", "detail": str(exc)}
         with bound_context(request_id=f"r-{next(self._request_seq)}"):
-            return self._dispatch(method, path, query, body)
+            return self._dispatch(
+                request.method, request.path, request.query, body
+            )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -1364,10 +1276,14 @@ class IngestionServer:
 
     async def start(self) -> "IngestionServer":
         """Bind and start accepting connections (non-blocking)."""
-        self._asyncio_server = await asyncio.start_server(
-            self._handle_connection, host=self.host, port=self.port
+        server = http.HttpServer(
+            self._handle_request,
+            closing=lambda: self.draining,
+            connections_open=self.metrics.connections_open,
+            connections_closed=self.metrics.connections_closed,
         )
-        self.port = self._asyncio_server.sockets[0].getsockname()[1]
+        self.port = await server.start(self.host, self.port)
+        self._http = server
         # DEBUG, not INFO: the CLI banner is the contract-bearing
         # startup line (tests parse it), and merged-stream consumers
         # must see the banner first.
@@ -1382,17 +1298,24 @@ class IngestionServer:
         return self
 
     async def serve_forever(self) -> None:
-        """Start (if needed) and serve until cancelled."""
-        if self._asyncio_server is None:
+        """Start (if needed) and serve until cancelled, then
+        :meth:`aclose`."""
+        if self._http is None:
             await self.start()
-        async with self._asyncio_server:
-            await self._asyncio_server.serve_forever()
+        try:
+            await asyncio.get_running_loop().create_future()
+        finally:
+            await self.aclose()
 
     async def aclose(self) -> None:
-        if self._asyncio_server is not None:
-            self._asyncio_server.close()
-            await self._asyncio_server.wait_closed()
-            self._asyncio_server = None
+        """Stop listening and close every connection (idempotent).
+
+        A request already read in full has been answered; one still
+        arriving is cut off (see :mod:`repro.service.http`).
+        """
+        server, self._http = self._http, None
+        if server is not None:
+            await server.aclose()
 
     def run_in_thread(self) -> "IngestionServer":
         """Serve from a daemon thread; returns once the port is bound.

@@ -359,6 +359,31 @@ class TestSigtermDrain:
                 "uninterrupted runs"
             )
 
+    def test_sigterm_with_idle_keepalive_connection_exits_zero(
+        self, tmp_path
+    ):
+        """The SDK's kept-alive connection must not hold the drain open
+        (``Server.wait_closed()`` waits for open connections on
+        Python >= 3.12.1)."""
+        proc, port = _boot_cli(
+            tmp_path, "kept", ["--checkpoint-every", "1000"]
+        )
+        client = ServiceClient("127.0.0.1", port, retries=5)
+        try:
+            client.submit(np.arange(N) % 6, users=_users(N), rng=SEED)
+            assert client.healthz()["batches_accepted"] == 1
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=15)
+        except BaseException:
+            proc.kill()
+            raise
+        finally:
+            client.close()
+        assert proc.returncode == 0, out + err
+        assert "final checkpoint 1" in out
+        assert "repro.service: stopped" in out
+        assert SnapshotStore(tmp_path / "kept").latest_sequence() == 1
+
     def test_sigterm_before_any_traffic_exits_zero(self, tmp_path):
         proc, port = _boot_cli(
             tmp_path, "idle", ["--checkpoint-every", "1000"]
