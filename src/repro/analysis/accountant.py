@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import groupby, repeat
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 import numpy as np
@@ -48,7 +49,9 @@ class PrivacyAccountant:
     IEEE ``spent + cost`` that charging one user at a time gives, and
     :meth:`to_dict` writes plain per-user and per-charge JSON that does
     not depend on this layout; :meth:`json_parts` writes the same JSON
-    text and encodes each log chunk only once.
+    text and encodes each log chunk only once.  Users are ``str`` and
+    every spend and cost is finite (the charge paths and
+    :meth:`from_dict` both check), which that text relies on.
 
     Parameters
     ----------
@@ -62,8 +65,11 @@ class PrivacyAccountant:
         self._spent = np.zeros(1)
         self._log: List[Tuple[List[str], np.ndarray, int]] = []
         self._labels: Dict[str, int] = {}
-        # JSON text of _log[:len(_encoded)], one entry per chunk.
-        self._encoded: List[bytes] = []
+        # JSON text of _log[:_encoded_chunks], one immutable block per
+        # json_parts call that found new chunks; every block but the
+        # first starts with ", ".
+        self._blocks: List[bytes] = []
+        self._encoded_chunks = 0
 
     # ------------------------------------------------------------------
     def spent(self, user: str) -> float:
@@ -291,24 +297,38 @@ class PrivacyAccountant:
         write one after another.
 
         The charge log is append-only (:meth:`_append` is its one
-        writer), so each chunk is encoded once, on the first call after
-        it was recorded, and its text is kept.  A call costs O(charges
-        since the last call + users), not O(every charge).
+        writer), so its text is too.  A call encodes the chunks
+        recorded since the previous call into one new block, keeps it,
+        and returns every kept block as its own piece: it costs
+        O(charges since the last call + users) and never joins or
+        copies the whole log.  The blocks are immutable, so pieces
+        returned earlier still spell the text of their own call.
         """
-        self._encoded += [
-            # Chunks are never empty, so "[...]"[1:-1] is one or more
-            # entries, joined as json.dumps joins list items.
-            json.dumps(self._entries([chunk]))[1:-1].encode()
-            for chunk in self._log[len(self._encoded) :]
-        ]
+        new = self._log[self._encoded_chunks :]
+        if new:
+            labels = [json.dumps(label) for label in self._labels]
+            texts = [
+                _chunk_text(users, costs, labels[label_id])
+                for users, costs, label_id in new
+            ]
+            if self._blocks:
+                texts.insert(0, "")  # the block then starts with ", "
+            self._blocks.append(", ".join(texts).encode())
+            self._encoded_chunks = len(self._log)
         # The head ends in '"ledger": []}'; the log goes between the
         # brackets.
         top = json.dumps({**head, **self._head(), "ledger": []})
-        return [top[:-2].encode(), b", ".join(self._encoded), b"]}"]
+        return [top[:-2].encode(), *self._blocks, b"]}"]
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "PrivacyAccountant":
-        """Rebuild an accountant from :meth:`to_dict` output."""
+        """Rebuild an accountant from :meth:`to_dict` output.
+
+        Raises ``ValueError`` naming the user when a spend is negative
+        or not finite, or a logged cost is not positive and finite: the
+        first would under-charge that user, and neither can be written
+        back as the JSON :meth:`to_dict` gives.
+        """
         accountant = cls(lifetime_epsilon=float(payload["lifetime_epsilon"]))
         spent = {
             str(user): float(eps)
@@ -316,15 +336,61 @@ class PrivacyAccountant:
         }
         accountant._rows = dict(zip(spent, range(1, len(spent) + 1)))
         accountant._spent = np.array([0.0, *spent.values()])
+        balances = accountant._balances()
+        _check_values(
+            spent, balances, balances >= 0.0, "spent",
+            "finite and non-negative",
+        )
+        entries = payload.get("ledger", [])
+        users = [str(entry["user"]) for entry in entries]
+        costs = np.array([float(entry["epsilon"]) for entry in entries])
+        _check_values(
+            users, costs, costs > 0.0, "charge", "finite and positive"
+        )
         # One log chunk per run of consecutive entries with one label.
+        start = 0
         for label, run in groupby(
-            payload.get("ledger", []),
-            key=lambda entry: str(entry.get("label", "")),
+            str(entry.get("label", "")) for entry in entries
         ):
-            entries = list(run)
-            accountant._append(
-                [str(entry["user"]) for entry in entries],
-                np.array([float(entry["epsilon"]) for entry in entries]),
-                label,
-            )
+            stop = start + sum(1 for _ in run)
+            accountant._append(users[start:stop], costs[start:stop], label)
+            start = stop
         return accountant
+
+
+def _check_values(
+    users: Iterable[str], values: np.ndarray, ok: np.ndarray, what: str,
+    rule: str,
+) -> None:
+    """Raise ``ValueError`` for the first of ``users`` whose value is
+    not finite or fails ``ok``."""
+    ok &= np.isfinite(values)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(
+            f"user {list(users)[i]!r}: {what} {values.item(i)!r} is not "
+            f"{rule}"
+        )
+
+
+def _chunk_text(users: List[str], costs: np.ndarray, label: str) -> str:
+    """The charge-log entries of one chunk, as ``json.dumps`` writes
+    them inside the log's list.
+
+    Each entry's text is built directly instead of through a dict:
+    ``encode_basestring_ascii`` is ``json.dumps``' own string escaper,
+    ``float.__repr__`` is what it writes for a finite float (taken once
+    per distinct cost; costs are positive, so -0.0 never meets 0.0),
+    and ``label`` is already JSON text.
+    """
+    tail = f', "label": {label}}}'
+    text = [tail + ', {"user": ', "", ', "epsilon": ', ""] * len(users)
+    text[0] = '{"user": '
+    text[1::4] = map(encode_basestring_ascii, users)
+    floats = costs.tolist()
+    text[3::4] = map(
+        {cost: float.__repr__(cost) for cost in set(floats)}.__getitem__,
+        floats,
+    )
+    text.append(tail)
+    return "".join(text)

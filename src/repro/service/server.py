@@ -511,7 +511,13 @@ class IngestionServer:
                 continue
             payload = self.store.namespace(fp).load(int(saved_seq))
             campaign.restore(entry, payload)
-        self.ledger = CrossCampaignLedger.from_dict(snapshot["ledger"])
+        try:
+            self.ledger = CrossCampaignLedger.from_dict(snapshot["ledger"])
+        except ValueError as exc:
+            # A value that could under-charge a user must not resume.
+            raise SnapshotCorruptError(
+                f"snapshot {self.store.path(seq)} is corrupt: ledger: {exc}"
+            ) from exc
         self.metrics.duplicate_batches.restore(
             int(snapshot.get("duplicates", 0))
         )

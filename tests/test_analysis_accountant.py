@@ -1,13 +1,16 @@
 """Tests for the per-user privacy budget accountant."""
 
 import json
+import re
 
+import numpy as np
 import pytest
 
 from repro.analysis.accountant import (
     BudgetExceededError,
     PrivacyAccountant,
 )
+from repro.campaigns.ledger import CrossCampaignLedger
 
 
 class TestCharging:
@@ -237,3 +240,73 @@ class TestSerialization:
         rebuilt = PrivacyAccountant.from_dict(acc.to_dict())
         assert rebuilt.to_dict() == acc.to_dict()
         assert rebuilt.users() == ()
+
+    @pytest.mark.parametrize(
+        "spent, log, message",
+        [
+            ({"u": -100.0}, [], "user 'u': spent -100.0"),
+            ({"u": float("inf")}, [], "user 'u': spent inf"),
+            ({"v": 0.5, "u": float("nan")}, [], "user 'u': spent nan"),
+            (
+                {"u": 1.0},
+                [{"user": "u", "epsilon": float("inf"), "label": ""}],
+                "user 'u': charge inf",
+            ),
+            (
+                {"u": 1.0, "w": 1.0},
+                [
+                    {"user": "u", "epsilon": 1.0, "label": "a"},
+                    {"user": "w", "epsilon": 0.0, "label": "b"},
+                ],
+                "user 'w': charge 0.0",
+            ),
+        ],
+    )
+    def test_from_dict_rejects_out_of_range_values(self, spent, log, message):
+        """A negative spend would give its user more than the lifetime
+        budget; a non-finite value has no JSON text to write back."""
+        payload = {"lifetime_epsilon": 2.0, "spent": spent, "ledger": log}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PrivacyAccountant.from_dict(json.loads(json.dumps(payload)))
+
+
+class TestJsonParts:
+    """``json_parts`` against ``json.dumps(to_dict())`` on a history
+    shaped like a durable server's: many users charged over rounds by
+    two campaigns, read back at checkpoints."""
+
+    def test_parts_spell_to_dict_at_every_checkpoint(self):
+        rng = np.random.default_rng(18)
+        # The last three need JSON escaping.
+        users = [f"device-{i:05d}" for i in range(2000)]
+        users += ['q"\\', "\u00fc", "tab\there"]
+        # 0.1 and 0.3 are inexact in binary: 3 * 0.1 and 2 * 0.3 round.
+        campaigns = [("campaign-a", 0.1), ('b"\u00e9', 0.3)]
+        ledger = CrossCampaignLedger(lifetime_epsilon=10.0)
+        cuts = []
+        batches = 0
+        for round_ in range(4):
+            if round_ == 2:
+                ledger = CrossCampaignLedger.from_dict(
+                    json.loads(json.dumps(ledger.to_dict()))
+                )
+            for label, epsilon in campaigns:
+                for batch in np.array_split(rng.permutation(len(users)), 8):
+                    counts = rng.integers(1, 4, len(batch)).tolist()
+                    ledger.charge_batch(
+                        dict(zip((users[i] for i in batch), counts)),
+                        epsilon,
+                        label,
+                    )
+                    batches += 1
+                    if batches % 3 == 0:
+                        parts = ledger.json_parts()
+                        text = json.dumps(ledger.to_dict()).encode()
+                        assert b"".join(parts) == text
+                        cuts.append((parts, text))
+        text = json.dumps(ledger.to_dict()).encode()
+        assert b"".join(ledger.json_parts()) == text
+        assert b"".join(ledger.json_parts()) == text  # nothing new
+        # Later charges and the rebuild leave earlier parts as they were.
+        for parts, text in cuts:
+            assert b"".join(parts) == text

@@ -163,6 +163,44 @@ class TestMetricsEndpoint:
             "repro_duplicate_batches_total"
         ) == 1
 
+    def test_checkpoint_series_count_cuts_and_bytes_written(
+        self, serve, tmp_path
+    ):
+        """After k checkpoints: k in the counter and the histogram, and
+        the gauge holds the newest cut's manifest plus the payloads
+        that cut wrote (only campaigns dirty since the last cut)."""
+        other = Protocol.frequency(1.0, domain=4, oracle="grr")
+        server = serve(
+            _protocol(),
+            campaigns=[other.spec],
+            store=SnapshotStore(tmp_path),
+            checkpoint_every=2,
+        )
+        client = ServiceClient("127.0.0.1", server.port)
+        bound = client.for_campaign(other.spec)
+        # Cuts at seq 2 (both campaigns dirty) and 4 (the default only).
+        client.submit(np.arange(N) % 10, users=_users(N, "a"), rng=1)
+        bound.submit(np.arange(N) % 4, users=_users(N, "b"), rng=2)
+        client.submit(np.arange(N) % 10, users=_users(N, "c"), rng=3)
+        client.submit(np.arange(N) % 10, users=_users(N, "d"), rng=4)
+        samples = dict(
+            line.rsplit(" ", 1)
+            for line in client.server_metrics_text().splitlines()
+            if line and not line.startswith("#")
+        )
+        assert samples["repro_checkpoints_total"] == "2"
+        assert samples["repro_checkpoint_seconds_count"] == "2"
+        store = SnapshotStore(tmp_path)
+        assert store.latest_sequence() == 4
+        payloads = sorted(tmp_path.glob("*/snapshot-0000000004.json"))
+        assert [p.parent.name for p in payloads] == [
+            server.registry.default.fingerprint
+        ]
+        written = store.path(4).stat().st_size + sum(
+            p.stat().st_size for p in payloads
+        )
+        assert samples["repro_checkpoint_last_bytes"] == str(written)
+
 
 class TestClientMetrics:
     def test_client_tracks_its_own_requests(self, serve):

@@ -531,9 +531,11 @@ class TestCommandLine:
         assert SnapshotStore(tmp_path / "snaps").latest_sequence() == 1
 
     def test_cli_exits_2_naming_a_corrupt_manifest(self, tmp_path):
-        """A newest snapshot that is cut short, or is not a campaign
-        manifest, fails boot closed: no fallback to the older cut, no
-        write, and the CLI exits 2 with one line naming the file."""
+        """A newest snapshot that is cut short, is not a campaign
+        manifest, or holds ledger values that would under-charge a user
+        or cannot be written back as JSON, fails boot closed: no
+        fallback to the older cut, no write, and the CLI exits 2 with
+        one line naming the file."""
         protocol = Protocol.frequency(1.0, domain=6)
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(protocol.spec.to_dict()))
@@ -550,6 +552,12 @@ class TestCommandLine:
             "idempotency_keys": ["k1"],
             "batches_accepted": 1,
         }
+        manifest = json.loads(older.read_bytes())
+
+        def with_ledger(spent, log):
+            ledger = {**manifest["ledger"], "spent": spent, "ledger": log}
+            return json.dumps({**manifest, "seq": 1, "ledger": ledger})
+
         newest = snaps / "snapshot-0000000001.json"
         bodies = {
             "truncated": (older.read_bytes()[:-1], "is corrupt"),
@@ -559,6 +567,18 @@ class TestCommandLine:
             ),
             "list": (b"[]", "is not a campaign manifest"),
             "no campaigns": (b'{"seq": 0}', "is not a campaign manifest"),
+            # Lifetime 1.0: -100.0 spent would leave 101 of room.
+            "negative spend": (
+                with_ledger({"u": -100.0}, []).encode(),
+                "user 'u': spent -100.0",
+            ),
+            "infinite cost": (
+                with_ledger(
+                    {"u": 1.0},
+                    [{"user": "u", "epsilon": float("inf"), "label": ""}],
+                ).encode(),
+                "user 'u': charge inf",
+            ),
         }
         for name, (body, reason) in bodies.items():
             newest.write_bytes(body)
