@@ -12,17 +12,18 @@ is wired through:
   logging over stdlib :mod:`logging`, with request/campaign ids
   propagated through :mod:`contextvars` and a shared
   ``--log-format json|text`` CLI surface.
-* :mod:`repro.obs.lifecycle` — graceful-drain plumbing: POSIX signals
-  as awaitable events, the serving → draining → drained ladder, and
-  the drain receipt.  The drained snapshot is bitwise-equal to an
-  uninterrupted run's — drain only stops admission early.
+* :mod:`repro.obs.lifecycle` — graceful-drain bookkeeping: the
+  serving → draining → drained ladder and the drain receipt (the
+  service's entrypoint drains on SIGTERM and SIGINT alike).  The
+  drained snapshot is bitwise-equal to an uninterrupted run's — drain
+  only stops admission early.
 
 Layering: ``obs`` sits below ``service``/``campaigns`` in the import
 graph and imports none of them (nor numpy), so any layer — and any
 future subsystem — can instrument itself without cycles.
 """
 
-from repro.obs.lifecycle import DrainResult, DrainState, SignalDrain
+from repro.obs.lifecycle import DrainResult, DrainState
 from repro.obs.logging import (
     JsonFormatter,
     TextFormatter,
@@ -51,7 +52,6 @@ __all__ = [
     "Histogram",
     "JsonFormatter",
     "MetricsRegistry",
-    "SignalDrain",
     "TextFormatter",
     "add_logging_arguments",
     "bound_context",

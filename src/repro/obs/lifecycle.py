@@ -1,11 +1,13 @@
-"""Graceful-drain lifecycle: signal plumbing and drain bookkeeping.
+"""Graceful-drain lifecycle: the drain ladder and its receipt.
 
 Production shutdown is a *sequence*, not an event: stop admitting new
 work, finish what is in flight, persist state, then exit 0 so the
 orchestrator knows the stop was clean.  This module holds the generic
 half of that sequence — the service layer owns the specific steps
 (answer ``POST /report`` with 503, write the final checkpoint), see
-:meth:`repro.service.server.IngestionServer.drain`.
+:meth:`repro.service.server.IngestionServer.drain`, and the entrypoint
+owns the signals: ``python -m repro.service`` drains on SIGTERM and
+SIGINT alike, through one loop-level handler.
 
 The contract that makes drain *graceful* rather than merely polite:
 the snapshot a drained server leaves behind is **bitwise-equal** to
@@ -14,21 +16,17 @@ batches.  Drain adds no state of its own — it only stops admission and
 runs the same checkpoint path early.
 
 :class:`DrainState` is the three-step ladder (serving → draining →
-drained; strictly forward), :class:`SignalDrain` turns POSIX signals
-into an awaitable event on the loop, and :class:`DrainResult` is the
-receipt the drain path returns (what was persisted, how long it
-took).
+drained; strictly forward) and :class:`DrainResult` is the receipt the
+drain path returns (what was persisted, how long it took).
 """
 
 from __future__ import annotations
 
-import asyncio
 import enum
-import signal as _signal
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Optional
 
-__all__ = ["DrainResult", "DrainState", "SignalDrain"]
+__all__ = ["DrainResult", "DrainState"]
 
 
 class DrainState(enum.Enum):
@@ -64,70 +62,3 @@ class DrainResult:
     batches_accepted: int
     seconds: float
 
-
-class SignalDrain:
-    """Await POSIX shutdown signals as an asyncio event.
-
-    Usage (from an entrypoint, inside the running loop):
-
-        drain = SignalDrain().install()
-        ...
-        signum = await drain.wait()   # blocks until SIGTERM/SIGINT
-
-
-    ``install()`` registers loop-level handlers (not the default
-    Python signal handlers), so delivery is prompt even mid-select and
-    never interrupts a handler in an inconsistent state.  The second
-    signal of the same kind is deliberately left at its default
-    disposition-by-flag: :attr:`count` lets callers implement
-    "second SIGTERM = abort now" policies.
-    """
-
-    def __init__(
-        self, signals: Iterable[int] = (_signal.SIGTERM,)
-    ) -> None:
-        self.signals: Tuple[int, ...] = tuple(signals)
-        self._event = asyncio.Event()
-        self._received: Optional[int] = None
-        self.count = 0
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-
-    def _trigger(self, signum: int) -> None:
-        self.count += 1
-        if self._received is None:
-            self._received = signum
-        self._event.set()
-
-    def install(self) -> "SignalDrain":
-        """Register handlers on the *running* loop (call from inside)."""
-        loop = asyncio.get_running_loop()
-        for signum in self.signals:
-            loop.add_signal_handler(signum, self._trigger, signum)
-        self._loop = loop
-        return self
-
-    def uninstall(self) -> None:
-        """Restore default handling (idempotent; safe if never installed)."""
-        if self._loop is None:
-            return
-        for signum in self.signals:
-            try:
-                self._loop.remove_signal_handler(signum)
-            except (ValueError, RuntimeError):  # pragma: no cover
-                pass
-        self._loop = None
-
-    @property
-    def triggered(self) -> bool:
-        return self._event.is_set()
-
-    @property
-    def signal(self) -> Optional[int]:
-        """The first signal received, or ``None``."""
-        return self._received
-
-    async def wait(self) -> int:
-        """Block until a registered signal arrives; returns its number."""
-        await self._event.wait()
-        assert self._received is not None
-        return self._received

@@ -6,8 +6,8 @@ exception, or a failed process — anything but nothing.  Two patterns
 defeat that silently:
 
 * a bare ``except:`` — it also catches ``KeyboardInterrupt`` and
-  ``SystemExit``, so the SIGINT-triggered final-checkpoint path can be
-  eaten by an unrelated cleanup block;
+  ``SystemExit``, so an unrelated cleanup block can eat the
+  interpreter's own request to stop and carry on;
 * a blanket ``except Exception`` / ``except BaseException`` whose
   body is only ``pass`` (or ``...``) — the canonical silent
   swallow.

@@ -25,10 +25,12 @@ manifest on restart.
 
 Observability: ``GET /metrics`` serves Prometheus text exposition;
 ``--log-format json`` switches the process to one-JSON-object-per-line
-structured logs.  **SIGTERM drains gracefully**: new batches get 503,
-a final checkpoint lands (bitwise-equal to what an uninterrupted run
-would have written), and the process exits 0.
-SIGINT (Ctrl-C) keeps its historical behavior: checkpoint and stop.
+structured logs.  **SIGTERM and SIGINT (Ctrl-C) both drain
+gracefully**, through one handler: new batches get 503, a final
+checkpoint lands (bitwise-equal to what an uninterrupted run would have
+written), and the process exits 0.  A snapshot that cannot be resumed
+(corrupt, or checkpointed under another default campaign or window)
+stops boot with exit 2 and one line on stderr.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ import json
 import signal
 import sys
 
-from repro.obs.lifecycle import SignalDrain
 from repro.obs.logging import add_logging_arguments, configure_logging
 from repro.service.server import IngestionServer
 from repro.service.store import SnapshotCorruptError, SnapshotStore
+from repro.service.wire import SpecMismatchError
 from repro.stream.windows import WindowConfig
 
 
@@ -164,19 +166,20 @@ def main(argv=None) -> int:
             campaigns=campaign_specs,
             window=window,
         )
-    except SnapshotCorruptError as exc:
+    except (SnapshotCorruptError, SpecMismatchError) as exc:
         print(f"repro.service: {exc}", file=sys.stderr, flush=True)
         return 2
-    drained = False
 
     async def _serve() -> None:
-        nonlocal drained
+        # One handler for SIGTERM and SIGINT.  A loop-level handler only
+        # wakes the loop between two callbacks, so a signal can never
+        # land inside a request handler (between an absorb and its
+        # charge): every way to stop drains.
+        loop = asyncio.get_running_loop()
+        signals: asyncio.Queue[signal.Signals] = asyncio.Queue()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(signum, signals.put_nowait, signum)
         await server.start()
-        # SIGTERM = graceful drain: 503 new batches, final checkpoint,
-        # exit 0.  SIGINT stays a KeyboardInterrupt (handled below) for
-        # historical Ctrl-C behavior.  Installed before the banner: once
-        # the banner is readable the process must already be drainable.
-        sigterm = SignalDrain((signal.SIGTERM,)).install()
         default = server.registry.default
         headline = (
             f"{default.spec.kind!r} default campaign"
@@ -215,56 +218,31 @@ def main(argv=None) -> int:
                 f"{' [default]' if campaign.default else ''}",
                 flush=True,
             )
-        serve_task = asyncio.ensure_future(server.serve_forever())
-        drain_task = asyncio.ensure_future(sigterm.wait())
         try:
-            done, _ = await asyncio.wait(
-                {serve_task, drain_task},
-                return_when=asyncio.FIRST_COMPLETED,
+            signum = await signals.get()
+            print(
+                f"repro.service: draining ({signum.name}): refusing new "
+                "batches",
+                flush=True,
             )
-            if serve_task in done and serve_task.exception() is not None:
-                raise serve_task.exception()
-            if drain_task in done:
+            result = server.drain()
+            if result.checkpoint_seq is not None:
                 print(
-                    "repro.service: draining (SIGTERM): refusing new "
-                    "batches",
+                    f"repro.service: final checkpoint "
+                    f"{result.checkpoint_seq}",
                     flush=True,
                 )
-                result = server.drain()
-                if result.checkpoint_seq is not None:
-                    print(
-                        f"repro.service: final checkpoint "
-                        f"{result.checkpoint_seq}",
-                        flush=True,
-                    )
-                print(
-                    f"repro.service: drained "
-                    f"({result.batches_accepted} batches accepted, "
-                    f"{result.seconds:.3f}s)",
-                    flush=True,
-                )
-                drained = True
+            print(
+                f"repro.service: drained "
+                f"({result.batches_accepted} batches accepted, "
+                f"{result.seconds:.3f}s)",
+                flush=True,
+            )
         finally:
-            sigterm.uninstall()
-            for task in (serve_task, drain_task):
-                if not task.done():
-                    task.cancel()
-                    try:
-                        await task
-                    except asyncio.CancelledError:
-                        pass
             await server.aclose()
 
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        if store is not None:
-            seq = server.checkpoint_now()
-            print(f"repro.service: final checkpoint {seq}", flush=True)
-        print("repro.service: stopped", flush=True)
-        return 0
-    if drained:
-        print("repro.service: stopped", flush=True)
+    asyncio.run(_serve())
+    print("repro.service: stopped", flush=True)
     return 0
 
 

@@ -125,16 +125,18 @@ class Request(NamedTuple):
 Handler = Callable[[Request], Tuple[int, Any]]
 
 
-class _Reject(Exception):
-    """A request answered before it was read in full; the connection
-    closes after the answer."""
+class Refusal(Exception):
+    """Answer a request with ``status`` and ``{"error": error, **fields}``.
 
-    def __init__(self, status: int, error: str, detail: str = "") -> None:
+    Raised here for a request refused before it was read in full (its
+    connection then closes), and by the handlers of
+    :mod:`repro.service.server`.
+    """
+
+    def __init__(self, status: int, error: str, **fields: Any) -> None:
         super().__init__(error)
         self.status = status
-        self.payload = {"error": error}
-        if detail:
-            self.payload["detail"] = detail
+        self.payload = {"error": error, **fields}
 
 
 def _response(status: int, payload: Any, keep_alive: bool) -> bytes:
@@ -161,15 +163,15 @@ def _parse_head(head: bytes) -> Tuple[Request, int, bool]:
     """Parse a request head ending in a blank line.
 
     Returns the request (empty body), its ``Content-Length`` and whether
-    the client keeps the connection alive; raises :class:`_Reject`.
+    the client keeps the connection alive; raises :class:`Refusal`.
     """
     lines = head.decode("latin-1").split("\r\n")[:-2]
     parts = lines[0].split()
     if len(parts) != 3:
-        raise _Reject(400, "bad_request_line")
+        raise Refusal(400, "bad_request_line")
     if len(lines) - 1 > MAX_HEADERS:
-        raise _Reject(
-            431, "too_many_headers", f"more than {MAX_HEADERS} headers"
+        raise Refusal(
+            431, "too_many_headers", detail=f"more than {MAX_HEADERS} headers"
         )
     method, target, version = parts
     lengths: Set[str] = set()
@@ -185,16 +187,16 @@ def _parse_head(head: bytes) -> Tuple[Request, int, bool]:
         elif name == "connection":
             tokens.update(t.strip().lower() for t in value.split(","))
         elif name == "transfer-encoding":
-            raise _Reject(
+            raise Refusal(
                 501,
                 "unsupported_transfer_encoding",
-                "request bodies must be framed by Content-Length",
+                detail="request bodies must be framed by Content-Length",
             )
     content_length = 0
     if lengths:
         value = lengths.pop()
         if lengths or not (value.isascii() and value.isdigit()):
-            raise _Reject(400, "bad_content_length")
+            raise Refusal(400, "bad_content_length")
         content_length = int(value)
     if version == "HTTP/1.0":
         keep_alive = "keep-alive" in tokens
@@ -355,15 +357,17 @@ class HttpServer:
         except asyncio.CancelledError:
             pass  # aclose()
         finally:
-            self._closed_total.labels(reason=reason).inc()
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, asyncio.CancelledError):
                 pass
             finally:
-                # Last: aclose() must await the task to here.
+                # Last: aclose() must await the task to here.  Counted
+                # closed only once it has left the open set, so the two
+                # series never show one connection both open and closed.
                 self._tasks.discard(task)
+                self._closed_total.labels(reason=reason).inc()
 
     async def _requests(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -390,26 +394,26 @@ class HttpServer:
                 return "client"
             try:
                 if not head:
-                    raise _Reject(
+                    raise Refusal(
                         431,
                         "header_too_large",
-                        f"request head over {MAX_HEADER_BYTES} bytes",
+                        detail=f"request head over {MAX_HEADER_BYTES} bytes",
                     )
                 request, length, keep_alive = _parse_head(head)
                 if length > MAX_BODY_BYTES:
-                    raise _Reject(413, "payload_too_large")
+                    raise Refusal(413, "payload_too_large")
                 if length:
                     try:
                         body = await reader.readexactly(length)
                     except asyncio.IncompleteReadError as exc:
-                        raise _Reject(
+                        raise Refusal(
                             400,
                             "truncated_body",
-                            f"Content-Length {length}, body ended after "
-                            f"{len(exc.partial)} bytes",
+                            detail=f"Content-Length {length}, body ended "
+                            f"after {len(exc.partial)} bytes",
                         ) from None
                     request = request._replace(body=body)
-            except _Reject as exc:
+            except Refusal as exc:
                 writer.write(_response(exc.status, exc.payload, False))
                 return "bad_request"
             try:

@@ -19,22 +19,8 @@ service.  One :class:`IngestionServer` owns
   manifest (specs, lifecycle states, counters, the ledger), one child
   namespace per campaign holds its accumulator payload.
 
-Endpoints (all JSON):
-
-======================  ================================================
-``GET  /healthz``        liveness, uptime, snapshot seq/age, counters
-``GET  /campaigns``      list all campaigns and their states
-``POST /campaigns``      register a campaign from a ``{"spec": ...}``
-``POST /campaigns/<fp>/seal``  close a campaign to ingestion
-``GET  /spec``           spec + fingerprint (``?campaign=<fp>``)
-``GET  /estimate``       current estimate (``?campaign=<fp>``); windowed
-                         campaigns also take ``?window=<panes|duration>``
-                         and ``?decay=<gamma>`` for sliding/decayed views
-``GET  /heavy-hitters``  live top-k + churn for frequency campaigns
-                         (``?campaign=<fp>&k=<n>[&window=...]``)
-``POST /report``         enveloped report batch (batch, idempotent)
-``POST /checkpoint``     force a snapshot now; returns its sequence
-======================  ================================================
+Endpoints are listed once, with what each answers, in :data:`_ROUTES`
+(JSON, except the Prometheus text of ``/metrics``).
 
 Streaming: a campaign constructed (or registered) with a
 :class:`~repro.stream.windows.WindowConfig` buckets reports by the
@@ -70,7 +56,12 @@ The HTTP layer is a deliberately minimal HTTP/1.1 implementation over
 :mod:`repro.service.http`: each connection is served in a loop until
 the client closes it, asks to, or idles past a timeout, and the SDK in
 :mod:`repro.service.client` reuses one connection per thread.  This
-module routes and answers each fully read request.
+module answers each fully read request from one table: :data:`_ROUTES`
+maps path -> method -> handler, answers 404 and 405, and names the
+``endpoint`` label of the request metrics.  A handler that refuses a
+request raises :class:`~repro.service.http.Refusal` (status, ``error``
+and fields) at any depth; :meth:`IngestionServer._handle_request` is
+the one place that turns it into the response.
 """
 
 from __future__ import annotations
@@ -95,6 +86,7 @@ from repro.protocol.facade import Protocol
 from repro.protocol.reports import to_block
 from repro.protocol.spec import ProtocolSpec
 from repro.service import http, wire
+from repro.service.http import Refusal
 from repro.service.store import RawJSON, SnapshotCorruptError, SnapshotStore
 from repro.stream.windows import WindowConfig
 
@@ -106,18 +98,73 @@ DRAINING_RETRY_AFTER = 5
 
 SpecLike = Union[Protocol, ProtocolSpec, Dict[str, Any]]
 
-#: Fixed route labels for request metrics (unknown paths collapse to
-#: "other" so a URL-scanning client cannot inflate label cardinality).
-_KNOWN_ENDPOINTS = {
-    "/healthz",
-    "/metrics",
-    "/spec",
-    "/estimate",
-    "/heavy-hitters",
-    "/campaigns",
-    "/report",
-    "/checkpoint",
+#: A route handler's query (path parameter included) and its answer:
+#: the status and a JSON payload (Prometheus text for ``/metrics``).
+Query = Dict[str, str]
+Reply = Tuple[int, Any]
+
+#: Every route, listed once: path -> method -> handler.  A handler is
+#: an :class:`IngestionServer` method name, looked up per request, and
+#: takes the query and the decoded body.  The path is also the
+#: ``endpoint`` label of the request metrics; any other path is
+#: labelled "other", so a URL-scanning client cannot inflate label
+#: cardinality.
+_ROUTES: Dict[str, Dict[str, str]] = {
+    # liveness, uptime, snapshot seq/age, counters
+    "/healthz": {"GET": "_handle_healthz"},
+    # Prometheus text exposition v0.0.4
+    "/metrics": {"GET": "_handle_metrics"},
+    # every campaign and its state; register one from {"spec": ...}
+    "/campaigns": {
+        "GET": "_handle_campaign_list",
+        "POST": "_handle_campaign_register",
+    },
+    # POST /campaigns/<fp>/seal (see _match): close it to ingestion
+    "/campaigns/seal": {"POST": "_handle_campaign_seal"},
+    # spec + fingerprint (?campaign=<fp>, on every campaign view)
+    "/spec": {"GET": "_handle_spec"},
+    # all-time estimate; windowed campaigns also take
+    # ?window=<panes|duration> and ?decay=<gamma>
+    "/estimate": {"GET": "_handle_estimate"},
+    # live top-k + churn for frequency campaigns (?k=, ?window=)
+    "/heavy-hitters": {"GET": "_handle_heavy_hitters"},
+    # an enveloped report batch (idempotent under its key)
+    "/report": {"POST": "_handle_report"},
+    # force a snapshot now; answers its sequence
+    "/checkpoint": {"POST": "_handle_checkpoint"},
 }
+
+
+def _match(path: str, query: Query) -> Tuple[str, Query]:
+    """The route a request path names, and the query its handler sees.
+
+    ``/campaigns/<fp>/seal`` is the one path with a parameter: it routes
+    to "/campaigns/seal" with ``fp`` as the ``campaign`` argument.  A
+    path that no route names is "other".
+    """
+    if path in _ROUTES:
+        return path, query
+    parts = [p for p in path.split("/") if p]
+    if len(parts) == 3 and parts[0] == "campaigns" and parts[2] == "seal":
+        return "/campaigns/seal", {**query, "campaign": parts[1]}
+    return "other", query
+
+
+def _decode(request: http.Request) -> Any:
+    """A request's body: ``None`` when empty, a v2 frame's envelope
+    under the columnar content type, else JSON."""
+    if not request.body:
+        return None
+    if request.content_type.startswith(wire.COLUMNAR_CONTENT_TYPE):
+        try:
+            return wire.unpack_columns(request.body)
+        except wire.WireFormatError as exc:
+            raise Refusal(400, "bad_envelope", detail=str(exc)) from None
+    try:
+        return json.loads(request.body)
+    except json.JSONDecodeError as exc:
+        raise Refusal(400, "bad_json", detail=str(exc)) from None
+
 
 #: Budget-spend buckets: epsilon is O(1), not O(milliseconds), so the
 #: default latency buckets would put every user in the last bucket.
@@ -144,13 +191,9 @@ class ServerMetrics:
       benchmark's instrumented-vs-uninstrumented row bounds (≤ 5 %).
     """
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        instrument: bool = True,
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.instrumented = bool(instrument) and self.registry.enabled
+    def __init__(self, instrument: bool = True) -> None:
+        self.registry = MetricsRegistry()
+        self.instrumented = bool(instrument)
         observed = self.registry if self.instrumented else null_registry()
 
         # -- state (always live; healthz is a view over these) --------
@@ -347,11 +390,6 @@ class IngestionServer:
         :meth:`start`).
     campaigns:
         Additional (non-default) campaign specs to register at boot.
-    metrics_registry:
-        Mount the server's instruments on an existing
-        :class:`~repro.obs.metrics.MetricsRegistry` (embedding hosts
-        share one ``/metrics`` page this way).  ``None`` creates a
-        private registry; see :attr:`metrics`.
     instrument:
         ``False`` swaps the request-path observation instruments
         (latency/spend histograms, per-campaign counters) for no-ops.
@@ -376,7 +414,6 @@ class IngestionServer:
         host: str = "127.0.0.1",
         port: int = 0,
         campaigns: Optional[Iterable[SpecLike]] = None,
-        metrics_registry: Optional[MetricsRegistry] = None,
         instrument: bool = True,
         window: Optional[Union[WindowConfig, Dict[str, Any]]] = None,
     ):
@@ -387,7 +424,7 @@ class IngestionServer:
                 )
             if store is None:
                 raise ValueError("checkpoint_every requires a store")
-        self.metrics = ServerMetrics(metrics_registry, instrument)
+        self.metrics = ServerMetrics(instrument)
         self.registry = CampaignRegistry()
         if window is not None and not isinstance(window, WindowConfig):
             window = WindowConfig.from_dict(window)
@@ -487,6 +524,17 @@ class IngestionServer:
         for fp, entry in snapshot["campaigns"].items():
             if fp in self.registry:
                 campaign = self.registry.get(fp)
+                # The window shapes the checkpointed state: resuming it
+                # under another ring would break the window contract.
+                saved = entry.get("window")
+                saved = WindowConfig.from_dict(saved) if saved else None
+                if campaign.window != saved:
+                    raise wire.SpecMismatchError(
+                        f"snapshot {seq} in {self.store.directory} has "
+                        f"campaign {str(fp)[:12]!r}... with window={saved}, "
+                        f"this server was configured with "
+                        f"window={campaign.window}"
+                    )
             else:
                 campaign, _ = self.registry.register(
                     entry["spec"],
@@ -589,23 +637,62 @@ class IngestionServer:
     # ------------------------------------------------------------------
     # Request handling
     # ------------------------------------------------------------------
-    def _resolve(
-        self, campaign_id: Optional[str]
-    ) -> Tuple[Optional[Campaign], Optional[Tuple[int, Dict[str, Any]]]]:
-        """Route to a campaign; returns (campaign, error_response)."""
-        try:
-            return self.registry.resolve(campaign_id), None
-        except UnknownCampaignError as exc:
-            return None, (
-                404,
-                {
-                    "error": "unknown_campaign",
-                    "campaign": campaign_id,
-                    "detail": str(exc.args[0]) if exc.args else str(exc),
-                },
+    def _handle_request(self, request: http.Request) -> Reply:
+        """Answer one fully read request: decode its body, route it
+        through :data:`_ROUTES`, run its handler, and turn a
+        :class:`~repro.service.http.Refusal` raised anywhere on the way
+        into its response.  Times and counts every answer by route."""
+        endpoint, query = _match(request.path, request.query)
+        started = time.perf_counter()
+        with bound_context(request_id=f"r-{next(self._request_seq)}"):
+            try:
+                body = _decode(request)
+                if endpoint == "other":
+                    raise Refusal(404, "not_found", path=request.path)
+                handler = _ROUTES[endpoint].get(request.method)
+                if handler is None:
+                    raise Refusal(405, "method_not_allowed")
+                status, payload = getattr(self, handler)(query, body)
+            except Refusal as refusal:
+                status, payload = refusal.status, refusal.payload
+        if self.metrics.instrumented:
+            self.metrics.request_seconds.labels(endpoint=endpoint).observe(
+                time.perf_counter() - started
             )
+            self.metrics.http_responses.labels(
+                endpoint=endpoint, status=str(status)
+            ).inc()
+        return status, payload
 
-    def _handle_healthz(self) -> Tuple[int, Dict[str, Any]]:
+    def _resolve(self, campaign_id: Optional[str]) -> Campaign:
+        """The addressed campaign (the default one for ``None``)."""
+        try:
+            return self.registry.resolve(campaign_id)
+        except UnknownCampaignError as exc:
+            raise Refusal(
+                404,
+                "unknown_campaign",
+                campaign=campaign_id,
+                detail=str(exc.args[0]) if exc.args else str(exc),
+            ) from None
+
+    @staticmethod
+    def _window_panes(campaign: Campaign, query: Query, detail: str) -> int:
+        """The pane count ``?window=`` names, for every windowed view;
+        409 ``not_windowed`` (with ``detail``) on an unwindowed one."""
+        if not campaign.windowed:
+            raise Refusal(
+                409,
+                "not_windowed",
+                campaign=campaign.fingerprint,
+                detail=detail,
+            )
+        try:
+            return campaign.window.resolve_panes(query.get("window"))
+        except ValueError as exc:
+            raise Refusal(400, "bad_window", detail=str(exc)) from None
+
+    def _handle_healthz(self, query: Query, body: Any) -> Reply:
         """Liveness view, read back out of the metrics registry.
 
         Everything numeric here is a registry sample — the server keeps
@@ -656,16 +743,12 @@ class IngestionServer:
             },
         }
 
-    def _handle_metrics(self) -> Tuple[int, str]:
+    def _handle_metrics(self, query: Query, body: Any) -> Reply:
         """``GET /metrics`` — Prometheus text exposition v0.0.4."""
         return 200, self.metrics.registry.render()
 
-    def _handle_spec(
-        self, query: Dict[str, str]
-    ) -> Tuple[int, Dict[str, Any]]:
-        campaign, error = self._resolve(query.get("campaign"))
-        if error is not None:
-            return error
+    def _handle_spec(self, query: Query, body: Any) -> Reply:
+        campaign = self._resolve(query.get("campaign"))
         return 200, {
             # ``wire_version`` stays 1 — old clients equality-check it;
             # version-2-capable clients negotiate on ``wire_versions``.
@@ -686,19 +769,12 @@ class IngestionServer:
             ),
         }
 
-    def _handle_estimate(
-        self, query: Dict[str, str]
-    ) -> Tuple[int, Dict[str, Any]]:
-        campaign, error = self._resolve(query.get("campaign"))
-        if error is not None:
-            return error
+    def _handle_estimate(self, query: Query, body: Any) -> Reply:
+        campaign = self._resolve(query.get("campaign"))
         if query.get("window") is not None or query.get("decay") is not None:
             return self._handle_window_estimate(campaign, query)
         if campaign.reports == 0:
-            return 409, {
-                "error": "no_reports",
-                "campaign": campaign.fingerprint,
-            }
+            raise Refusal(409, "no_reports", campaign=campaign.fingerprint)
         # Serving an estimate from a *sealed* campaign finalizes it;
         # an open campaign may be estimated at any time, but the result
         # is explicitly non-final (more reports can still arrive).
@@ -711,11 +787,12 @@ class IngestionServer:
         except TypeError as exc:
             # A decay-configured campaign whose protocol kind has no
             # linear estimate (histogram projection, mixed tuples).
-            return 400, {
-                "error": "bad_estimate",
-                "campaign": campaign.fingerprint,
-                "detail": str(exc),
-            }
+            raise Refusal(
+                400,
+                "bad_estimate",
+                campaign=campaign.fingerprint,
+                detail=str(exc),
+            ) from None
         return 200, wire.pack(
             {
                 "estimate": wire.encode_estimate(estimate),
@@ -728,28 +805,26 @@ class IngestionServer:
         )
 
     def _handle_window_estimate(
-        self, campaign: Campaign, query: Dict[str, str]
-    ) -> Tuple[int, Dict[str, Any]]:
+        self, campaign: Campaign, query: Query
+    ) -> Reply:
         """``GET /estimate?window=<panes|duration>[&decay=<gamma>]``.
 
         Windowed estimates never finalize a campaign — they are live
         monitoring views, not the collection's final answer.
         """
-        if not campaign.windowed:
-            return 409, {
-                "error": "not_windowed",
-                "campaign": campaign.fingerprint,
-                "detail": "campaign has no window config; only the "
-                "all-time estimate is available",
-            }
+        panes = self._window_panes(
+            campaign,
+            query,
+            "campaign has no window config; only the all-time estimate "
+            "is available",
+        )
         try:
-            panes = campaign.window.resolve_panes(query.get("window"))
             decay = (
                 float(query["decay"]) if query.get("decay") is not None
                 else None
             )
         except ValueError as exc:
-            return 400, {"error": "bad_window", "detail": str(exc)}
+            raise Refusal(400, "bad_window", detail=str(exc)) from None
         windowed = campaign.merged_window()
         try:
             if decay is not None:
@@ -757,13 +832,14 @@ class IngestionServer:
             else:
                 estimate = windowed.window_estimate(panes)
         except ValueError as exc:
-            return 409, {
-                "error": "no_reports",
-                "campaign": campaign.fingerprint,
-                "detail": str(exc),
-            }
+            raise Refusal(
+                409,
+                "no_reports",
+                campaign=campaign.fingerprint,
+                detail=str(exc),
+            ) from None
         except TypeError as exc:
-            return 400, {"error": "bad_window", "detail": str(exc)}
+            raise Refusal(400, "bad_window", detail=str(exc)) from None
         return 200, wire.pack(
             {
                 "estimate": wire.encode_estimate(estimate),
@@ -780,9 +856,7 @@ class IngestionServer:
             campaign=campaign.fingerprint,
         )
 
-    def _handle_heavy_hitters(
-        self, query: Dict[str, str]
-    ) -> Tuple[int, Dict[str, Any]]:
+    def _handle_heavy_hitters(self, query: Query, body: Any) -> Reply:
         """``GET /heavy-hitters?[campaign=..&k=..&window=..]`` — top-k
         categories with churn against the previous round.
 
@@ -790,61 +864,42 @@ class IngestionServer:
         the current window (the live view heavy hitters are *for*);
         plain campaigns rank over the all-time estimate.
         """
-        campaign, error = self._resolve(query.get("campaign"))
-        if error is not None:
-            return error
+        campaign = self._resolve(query.get("campaign"))
         if campaign.spec.kind not in ("frequency", "histogram"):
-            return 409, {
-                "error": "not_frequency",
-                "campaign": campaign.fingerprint,
-                "detail": f"heavy hitters need a frequency-shaped "
+            raise Refusal(
+                409,
+                "not_frequency",
+                campaign=campaign.fingerprint,
+                detail=f"heavy hitters need a frequency-shaped "
                 f"campaign, not {campaign.spec.kind!r}",
-            }
+            )
         try:
             k = int(query.get("k", 10))
         except ValueError:
-            return 400, {
-                "error": "bad_request",
-                "detail": f"k must be an integer, got {query.get('k')!r}",
-            }
+            raise Refusal(
+                400,
+                "bad_request",
+                detail=f"k must be an integer, got {query.get('k')!r}",
+            ) from None
         if k < 1:
-            return 400, {
-                "error": "bad_request",
-                "detail": f"k must be >= 1, got {k}",
-            }
-        panes: Optional[int] = None
-        if campaign.windowed:
-            try:
-                panes = campaign.window.resolve_panes(query.get("window"))
-            except ValueError as exc:
-                return 400, {"error": "bad_window", "detail": str(exc)}
-        round_: Optional[int] = None
-        try:
-            if campaign.windowed:
-                windowed = campaign.merged_window()
-                windowed_view = windowed.window_accumulator(panes)
-                if windowed_view.count == 0:
-                    raise ValueError("no reports in window")
-                estimate = windowed_view.estimate()
-                round_ = windowed.latest_round
-                reports = int(windowed_view.count)
-            else:
-                if query.get("window") is not None:
-                    return 409, {
-                        "error": "not_windowed",
-                        "campaign": campaign.fingerprint,
-                        "detail": "campaign has no window config",
-                    }
-                if campaign.reports == 0:
-                    raise ValueError("no reports received yet")
-                estimate = campaign.accumulator.estimate()
-                reports = int(campaign.reports)
-        except ValueError as exc:
-            return 409, {
-                "error": "no_reports",
-                "campaign": campaign.fingerprint,
-                "detail": str(exc),
-            }
+            raise Refusal(
+                400, "bad_request", detail=f"k must be >= 1, got {k}"
+            )
+        if campaign.windowed or query.get("window") is not None:
+            panes = self._window_panes(
+                campaign, query, "campaign has no window config"
+            )
+            windowed = campaign.merged_window()
+            source = windowed.window_accumulator(panes)
+            round_, empty = windowed.latest_round, "no reports in window"
+        else:
+            source = campaign.accumulator
+            round_, empty = None, "no reports received yet"
+        if source.count == 0:
+            raise Refusal(
+                409, "no_reports", campaign=campaign.fingerprint, detail=empty
+            )
+        estimate = source.estimate()
         # Histogram estimates carry the projected probability vector;
         # frequency estimates are already the frequency vector.
         frequencies = getattr(estimate, "histogram", estimate)
@@ -853,32 +908,32 @@ class IngestionServer:
         )
         return 200, {
             "campaign": campaign.fingerprint,
-            "reports": reports,
+            "reports": int(source.count),
             **view.to_dict(),
         }
 
-    def _handle_campaign_list(self) -> Tuple[int, Dict[str, Any]]:
+    def _handle_campaign_list(self, query: Query, body: Any) -> Reply:
         return 200, {
             "campaigns": self.registry.describe(),
             "lifetime_epsilon": self.ledger.lifetime_epsilon,
         }
 
-    def _handle_campaign_register(
-        self, body: Optional[Dict[str, Any]]
-    ) -> Tuple[int, Dict[str, Any]]:
+    def _handle_campaign_register(self, query: Query, body: Any) -> Reply:
         if body is None or not isinstance(body.get("spec"), dict):
-            return 400, {
-                "error": "bad_request",
-                "detail": "POST /campaigns requires a JSON body with a "
+            raise Refusal(
+                400,
+                "bad_request",
+                detail="POST /campaigns requires a JSON body with a "
                 "'spec' object (ProtocolSpec.to_dict())",
-            }
+            )
         window = body.get("window")
         if window is not None and not isinstance(window, dict):
-            return 400, {
-                "error": "bad_request",
-                "detail": "'window' must be a WindowConfig object "
+            raise Refusal(
+                400,
+                "bad_request",
+                detail="'window' must be a WindowConfig object "
                 "(panes / pane_seconds / decay)",
-            }
+            )
         try:
             campaign, created = self.registry.register(
                 body["spec"], window=window
@@ -887,10 +942,12 @@ class IngestionServer:
             if "already registered" in str(exc):
                 # Same spec, conflicting window config: the campaign
                 # exists, so this is a conflict, not a bad request.
-                return 409, {"error": "window_conflict", "detail": str(exc)}
-            return 400, {"error": "bad_spec", "detail": str(exc)}
+                raise Refusal(
+                    409, "window_conflict", detail=str(exc)
+                ) from None
+            raise Refusal(400, "bad_spec", detail=str(exc)) from None
         except (KeyError, TypeError) as exc:
-            return 400, {"error": "bad_spec", "detail": str(exc)}
+            raise Refusal(400, "bad_spec", detail=str(exc)) from None
         if created:
             self.metrics.track_campaign(campaign)
             _log.info(
@@ -908,12 +965,8 @@ class IngestionServer:
             "created": created,
         }
 
-    def _handle_campaign_seal(
-        self, fingerprint: str
-    ) -> Tuple[int, Dict[str, Any]]:
-        campaign, error = self._resolve(fingerprint)
-        if error is not None:
-            return error
+    def _handle_campaign_seal(self, query: Query, body: Any) -> Reply:
+        campaign = self._resolve(query["campaign"])
         was = campaign.state
         state = campaign.seal()
         if state is not was:
@@ -931,63 +984,75 @@ class IngestionServer:
             "reports": campaign.reports,
         }
 
-    def _handle_report(
-        self, body: Dict[str, Any]
-    ) -> Tuple[int, Dict[str, Any]]:
+    def _handle_report(self, query: Query, body: Any) -> Reply:
         """Drain gate + instrumentation around the batch handler."""
+        if body is None:
+            raise Refusal(
+                400, "bad_request", detail="POST /report requires a JSON body"
+            )
         if self._drain_state is not DrainState.SERVING:
             self.metrics.rejected_batches.labels(reason="draining").inc()
-            return 503, {
-                "error": "draining",
-                "retry_after": DRAINING_RETRY_AFTER,
-                "detail": "server is draining; no new batches accepted",
-            }
+            raise Refusal(
+                503,
+                "draining",
+                retry_after=DRAINING_RETRY_AFTER,
+                detail="server is draining; no new batches accepted",
+            )
         started = time.perf_counter()
-        status, payload = self._handle_report_inner(body)
-        if self.metrics.instrumented:
-            self.metrics.batch_seconds.labels(
-                campaign=str(payload.get("campaign") or "")
-            ).observe(time.perf_counter() - started)
-            if status != 200:
-                reason = str(payload.get("error") or f"http_{status}")
-                self.metrics.rejected_batches.labels(reason=reason).inc()
-                _log.info(
-                    "batch rejected",
-                    extra={"status": status, "reason": reason},
-                )
-        return status, payload
+        try:
+            payload = self._handle_report_inner(body)
+        except Refusal as refusal:
+            self._observe_batch(started, refusal.status, refusal.payload)
+            raise
+        self._observe_batch(started, 200, payload)
+        return 200, payload
 
-    def _handle_report_inner(
-        self, body: Dict[str, Any]
-    ) -> Tuple[int, Dict[str, Any]]:
+    def _observe_batch(
+        self, started: float, status: int, payload: Dict[str, Any]
+    ) -> None:
+        m = self.metrics
+        if not m.instrumented:
+            return
+        m.batch_seconds.labels(
+            campaign=str(payload.get("campaign") or "")
+        ).observe(time.perf_counter() - started)
+        if status != 200:
+            reason = str(payload["error"])
+            m.rejected_batches.labels(reason=reason).inc()
+            _log.info(
+                "batch rejected", extra={"status": status, "reason": reason}
+            )
+
+    def _handle_report_inner(self, body: Dict[str, Any]) -> Dict[str, Any]:
+        """Check, admit, absorb and charge one batch; returns the 200
+        answer (``accepted`` or ``duplicate``) or raises a refusal."""
         try:
             campaign_id = wire.envelope_campaign(body)
         except wire.WireFormatError as exc:
-            return 400, {"error": "bad_envelope", "detail": str(exc)}
-        campaign, error = self._resolve(campaign_id)
-        if error is not None:
-            return error
+            raise Refusal(400, "bad_envelope", detail=str(exc)) from None
+        campaign = self._resolve(campaign_id)
         bind_campaign(campaign.fingerprint)
         try:
             payload = wire.unpack(body, campaign.fingerprint)
         except wire.SpecMismatchError as exc:
-            return 409, {"error": "spec_mismatch", "detail": str(exc)}
+            raise Refusal(409, "spec_mismatch", detail=str(exc)) from None
         except wire.WireFormatError as exc:
-            return 400, {"error": "bad_envelope", "detail": str(exc)}
+            raise Refusal(400, "bad_envelope", detail=str(exc)) from None
 
         if not campaign.accepts_reports:
-            return 409, {
-                "error": "campaign_sealed",
-                "campaign": campaign.fingerprint,
-                "state": campaign.state.value,
-                "detail": "campaign no longer accepts reports",
-            }
+            raise Refusal(
+                409,
+                "campaign_sealed",
+                campaign=campaign.fingerprint,
+                state=campaign.state.value,
+                detail="campaign no longer accepts reports",
+            )
 
         key = payload.get("idempotency_key")
         if key is not None and key in campaign.seen_keys:
             campaign.duplicates += 1
             self.metrics.duplicate_batches.inc()
-            return 200, {
+            return {
                 "status": "duplicate",
                 "accepted": 0,
                 "campaign": campaign.fingerprint,
@@ -996,10 +1061,11 @@ class IngestionServer:
 
         users = payload.get("users")
         if not isinstance(users, list) or not users:
-            return 400, {
-                "error": "bad_request",
-                "detail": "payload must carry a non-empty 'users' list",
-            }
+            raise Refusal(
+                400,
+                "bad_request",
+                detail="payload must carry a non-empty 'users' list",
+            )
 
         # Streaming extensions (both optional, both wire versions):
         # 'round' buckets the batch into a window pane, 'fresh' marks
@@ -1010,11 +1076,12 @@ class IngestionServer:
         if round_ is not None:
             if not isinstance(round_, int) or isinstance(round_, bool) \
                     or round_ < 0:
-                return 400, {
-                    "error": "bad_request",
-                    "detail": f"'round' must be a non-negative integer, "
+                raise Refusal(
+                    400,
+                    "bad_request",
+                    detail=f"'round' must be a non-negative integer, "
                     f"got {round_!r}",
-                }
+                )
         fresh = payload.get("fresh")
         if fresh is not None:
             if (
@@ -1022,11 +1089,12 @@ class IngestionServer:
                 or len(fresh) != len(users)
                 or not all(isinstance(f, bool) for f in fresh)
             ):
-                return 400, {
-                    "error": "bad_request",
-                    "detail": "'fresh' must be a list of booleans, one "
+                raise Refusal(
+                    400,
+                    "bad_request",
+                    detail="'fresh' must be a list of booleans, one "
                     "per user",
-                }
+                )
         # Both wire versions arrive as one ColumnBlock: v2 frames carry
         # it, v1 JSON decodes to a container and converts.
         block = payload.get("columns")
@@ -1037,14 +1105,15 @@ class IngestionServer:
             try:
                 block = to_block(wire.decode_reports(payload["reports"]))
             except (KeyError, wire.WireFormatError, ValueError) as exc:
-                return 400, {"error": "bad_reports", "detail": str(exc)}
+                raise Refusal(400, "bad_reports", detail=str(exc)) from None
         n = block.n
         if n != len(users):
-            return 400, {
-                "error": "bad_request",
-                "detail": f"batch carries {n} reports for {len(users)} "
+            raise Refusal(
+                400,
+                "bad_request",
+                detail=f"batch carries {n} reports for {len(users)} "
                 f"users",
-            }
+            )
 
         # Validate before charging: a kind, shape, value or row-count
         # violation the codec could not catch must not consume anyone's
@@ -1052,7 +1121,7 @@ class IngestionServer:
         try:
             campaign.validate_batch(block)
         except ValueError as exc:
-            return 400, {"error": "bad_reports", "detail": str(exc)}
+            raise Refusal(400, "bad_reports", detail=str(exc)) from None
 
         # Budget enforcement is atomic per batch *against the global
         # cross-campaign ledger*: either every user has room for all
@@ -1068,17 +1137,18 @@ class IngestionServer:
         multiplicity = batch_multiplicity(charged_users)
         rejected = self.ledger.rejected_users(multiplicity, epsilon)
         if rejected:
-            return 429, {
-                "error": "budget_exceeded",
-                "campaign": campaign.fingerprint,
-                "rejected_users": rejected,
-                "lifetime_epsilon": self.ledger.lifetime_epsilon,
-            }
+            raise Refusal(
+                429,
+                "budget_exceeded",
+                campaign=campaign.fingerprint,
+                rejected_users=rejected,
+                lifetime_epsilon=self.ledger.lifetime_epsilon,
+            )
 
         try:
             campaign.absorb_shard(block, round_)
         except ValueError as exc:  # pragma: no cover - validated
-            return 400, {"error": "bad_reports", "detail": str(exc)}
+            raise Refusal(400, "bad_reports", detail=str(exc)) from None
         self.ledger.charge_batch(
             multiplicity, epsilon, campaign=campaign.fingerprint
         )
@@ -1110,113 +1180,17 @@ class IngestionServer:
             and m.batches_accepted.value_int() % self.checkpoint_every == 0
         ):
             self.checkpoint_now()
-        return 200, {
+        return {
             "status": "accepted",
             "accepted": n,
             "campaign": campaign.fingerprint,
             "total_reports": campaign.reports,
         }
 
-    def _handle_checkpoint(self) -> Tuple[int, Dict[str, Any]]:
+    def _handle_checkpoint(self, query: Query, body: Any) -> Reply:
         if self.store is None:
-            return 409, {"error": "no_store"}
+            raise Refusal(409, "no_store")
         return 200, {"status": "ok", "seq": self.checkpoint_now()}
-
-    def _dispatch(
-        self,
-        method: str,
-        path: str,
-        query: Dict[str, str],
-        body: Optional[Dict[str, Any]],
-    ) -> Tuple[int, Any]:
-        """Route + request-level instrumentation (latency, responses)."""
-        endpoint = path if path in _KNOWN_ENDPOINTS else (
-            "/campaigns/seal" if path.startswith("/campaigns/") else "other"
-        )
-        started = time.perf_counter()
-        status, payload = self._route(method, path, query, body)
-        if self.metrics.instrumented:
-            self.metrics.request_seconds.labels(endpoint=endpoint).observe(
-                time.perf_counter() - started
-            )
-            self.metrics.http_responses.labels(
-                endpoint=endpoint, status=str(status)
-            ).inc()
-        return status, payload
-
-    def _route(
-        self,
-        method: str,
-        path: str,
-        query: Dict[str, str],
-        body: Optional[Dict[str, Any]],
-    ) -> Tuple[int, Any]:
-        if path == "/healthz":
-            if method != "GET":
-                return 405, {"error": "method_not_allowed"}
-            return self._handle_healthz()
-        if path == "/metrics":
-            if method != "GET":
-                return 405, {"error": "method_not_allowed"}
-            return self._handle_metrics()
-        if path == "/spec":
-            if method != "GET":
-                return 405, {"error": "method_not_allowed"}
-            return self._handle_spec(query)
-        if path == "/estimate":
-            if method != "GET":
-                return 405, {"error": "method_not_allowed"}
-            return self._handle_estimate(query)
-        if path == "/heavy-hitters":
-            if method != "GET":
-                return 405, {"error": "method_not_allowed"}
-            return self._handle_heavy_hitters(query)
-        if path == "/campaigns":
-            if method == "GET":
-                return self._handle_campaign_list()
-            if method == "POST":
-                return self._handle_campaign_register(body)
-            return 405, {"error": "method_not_allowed"}
-        parts = [p for p in path.split("/") if p]
-        if len(parts) == 3 and parts[0] == "campaigns" and (
-            parts[2] == "seal"
-        ):
-            if method != "POST":
-                return 405, {"error": "method_not_allowed"}
-            return self._handle_campaign_seal(parts[1])
-        if path == "/report":
-            if method != "POST":
-                return 405, {"error": "method_not_allowed"}
-            if body is None:
-                return 400, {
-                    "error": "bad_request",
-                    "detail": "POST /report requires a JSON body",
-                }
-            return self._handle_report(body)
-        if path == "/checkpoint":
-            if method != "POST":
-                return 405, {"error": "method_not_allowed"}
-            return self._handle_checkpoint()
-        return 404, {"error": "not_found", "path": path}
-
-    def _handle_request(self, request: http.Request) -> Tuple[int, Any]:
-        """Decode a fully read request's body and dispatch it."""
-        body = None
-        if request.body:
-            if request.content_type.startswith(wire.COLUMNAR_CONTENT_TYPE):
-                try:
-                    body = wire.unpack_columns(request.body)
-                except wire.WireFormatError as exc:
-                    return 400, {"error": "bad_envelope", "detail": str(exc)}
-            else:
-                try:
-                    body = json.loads(request.body)
-                except json.JSONDecodeError as exc:
-                    return 400, {"error": "bad_json", "detail": str(exc)}
-        with bound_context(request_id=f"r-{next(self._request_seq)}"):
-            return self._dispatch(
-                request.method, request.path, request.query, body
-            )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -1302,16 +1276,6 @@ class IngestionServer:
             },
         )
         return self
-
-    async def serve_forever(self) -> None:
-        """Start (if needed) and serve until cancelled, then
-        :meth:`aclose`."""
-        if self._http is None:
-            await self.start()
-        try:
-            await asyncio.get_running_loop().create_future()
-        finally:
-            await self.aclose()
 
     async def aclose(self) -> None:
         """Stop listening and close every connection (idempotent).

@@ -677,16 +677,16 @@ class TestClientRetry:
 
     def test_5xx_retried_then_succeeds(self, serve, monkeypatch):
         server = serve(_mean_protocol())
-        original = server._dispatch
+        original = server._handle_healthz
         failures = {"left": 2}
 
-        def flaky(method, path, query, body):
+        def flaky(query, body):
             if failures["left"] > 0:
                 failures["left"] -= 1
                 return 500, {"error": "internal", "detail": "injected"}
-            return original(method, path, query, body)
+            return original(query, body)
 
-        monkeypatch.setattr(server, "_dispatch", flaky)
+        monkeypatch.setattr(server, "_handle_healthz", flaky)
         monkeypatch.setattr(
             "repro.service.client.time.sleep", lambda _s: None
         )
@@ -697,10 +697,10 @@ class TestClientRetry:
     def test_5xx_exhaustion_surfaces_attempts(self, serve, monkeypatch):
         server = serve(_mean_protocol())
 
-        def always_500(method, path, query, body):
+        def always_500(query, body):
             return 500, {"error": "internal", "detail": "injected"}
 
-        monkeypatch.setattr(server, "_dispatch", always_500)
+        monkeypatch.setattr(server, "_handle_healthz", always_500)
         monkeypatch.setattr(
             "repro.service.client.time.sleep", lambda _s: None
         )

@@ -1,6 +1,7 @@
 """Observability tests against a live service: /metrics scrapes,
-healthz-as-registry-view consistency, drain semantics, and the SIGTERM
-graceful-drain e2e with its bitwise-equal checkpoint guarantee."""
+healthz-as-registry-view consistency, drain semantics, and the
+SIGTERM/SIGINT graceful-drain e2e with its bitwise-equal checkpoint
+guarantee."""
 
 import http.client
 import json
@@ -105,6 +106,34 @@ class TestMetricsEndpoint:
         text = ServiceClient("127.0.0.1", server.port).server_metrics_text()
         assert 'endpoint="other"' in text
         assert "/no/such/page" not in text
+
+    def test_only_the_seal_route_is_labelled_as_a_campaign_path(
+        self, serve
+    ):
+        server = serve(_protocol())
+        client = ServiceClient("127.0.0.1", server.port)
+        client.seal_campaign()
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=5
+        )
+        try:
+            for method, path in [
+                ("POST", "/campaigns/abc/unseal"),
+                ("GET", "/campaigns/abc"),
+                ("GET", "/campaigns/abc/seal"),
+            ]:
+                connection.request(method, path)
+                response = connection.getresponse()
+                response.read()
+                assert response.status in (404, 405), path
+        finally:
+            connection.close()
+        responses = server.metrics.registry.get("repro_http_responses_total")
+        labels = {labels for labels, _ in responses.children()}
+        assert ("/campaigns/seal", "200") in labels
+        assert ("/campaigns/seal", "405") in labels
+        assert ("other", "404") in labels
+        assert ("/campaigns/seal", "404") not in labels
 
     def test_healthz_is_a_view_over_the_registry(self, serve):
         server = serve(_protocol())
@@ -335,20 +364,25 @@ def _snapshot_files(directory, seq):
     return out
 
 
+# SIGTERM and SIGINT (Ctrl-C) stop the CLI through one handler: both
+# drain.
+@pytest.mark.parametrize(
+    "signum", [signal.SIGTERM, signal.SIGINT], ids=lambda s: s.name
+)
 class TestSigtermDrain:
-    def test_sigterm_drains_flushes_and_exits_zero(self, tmp_path):
+    def test_signal_drains_flushes_and_exits_zero(self, tmp_path, signum):
         proc, port = _boot_cli(
             tmp_path, "drained", ["--checkpoint-every", "1000"]
         )
         try:
             _submit_twin_batches(port)
-            proc.send_signal(signal.SIGTERM)
+            proc.send_signal(signum)
             out, err = proc.communicate(timeout=15)
         except BaseException:
             proc.kill()
             raise
         assert proc.returncode == 0, out + err
-        assert "draining (SIGTERM)" in out
+        assert f"draining ({signum.name})" in out
         assert "final checkpoint 3" in out
         assert "repro.service: stopped" in out
         # Structured stderr: every line is one JSON object, and the
@@ -360,16 +394,16 @@ class TestSigtermDrain:
         assert SnapshotStore(tmp_path / "drained").latest_sequence() == 3
 
     def test_drain_checkpoint_bitwise_equals_uninterrupted_twin(
-        self, tmp_path
+        self, tmp_path, signum
     ):
         # Twin A: never checkpoints on its own (interval 1000); the only
-        # snapshot it writes is the final one from the SIGTERM drain.
+        # snapshot it writes is the final one from the signal's drain.
         proc_a, port_a = _boot_cli(
             tmp_path, "a", ["--checkpoint-every", "1000"]
         )
         try:
             _submit_twin_batches(port_a)
-            proc_a.send_signal(signal.SIGTERM)
+            proc_a.send_signal(signum)
             out_a, err_a = proc_a.communicate(timeout=15)
         except BaseException:
             proc_a.kill()
@@ -397,8 +431,8 @@ class TestSigtermDrain:
                 "uninterrupted runs"
             )
 
-    def test_sigterm_with_idle_keepalive_connection_exits_zero(
-        self, tmp_path
+    def test_signal_with_idle_keepalive_connection_exits_zero(
+        self, tmp_path, signum
     ):
         """The SDK's kept-alive connection must not hold the drain open
         (``Server.wait_closed()`` waits for open connections on
@@ -410,7 +444,7 @@ class TestSigtermDrain:
         try:
             client.submit(np.arange(N) % 6, users=_users(N), rng=SEED)
             assert client.healthz()["batches_accepted"] == 1
-            proc.send_signal(signal.SIGTERM)
+            proc.send_signal(signum)
             out, err = proc.communicate(timeout=15)
         except BaseException:
             proc.kill()
@@ -422,16 +456,16 @@ class TestSigtermDrain:
         assert "repro.service: stopped" in out
         assert SnapshotStore(tmp_path / "kept").latest_sequence() == 1
 
-    def test_sigterm_before_any_traffic_exits_zero(self, tmp_path):
+    def test_signal_before_any_traffic_exits_zero(self, tmp_path, signum):
         proc, port = _boot_cli(
             tmp_path, "idle", ["--checkpoint-every", "1000"]
         )
         try:
             # Server is up (banner parsed); drain immediately.
-            proc.send_signal(signal.SIGTERM)
+            proc.send_signal(signum)
             out, err = proc.communicate(timeout=15)
         except BaseException:
             proc.kill()
             raise
         assert proc.returncode == 0, out + err
-        assert "draining (SIGTERM)" in out
+        assert f"draining ({signum.name})" in out

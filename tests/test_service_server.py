@@ -30,6 +30,8 @@ from repro.service import (
     SnapshotStore,
     wire,
 )
+from repro.campaigns import Campaign, CrossCampaignLedger
+from repro.stream import WindowConfig
 
 SEED = 77
 N = 200
@@ -607,6 +609,137 @@ class TestCommandLine:
                 name, done.stderr,
             )
             assert _tree_bytes(snaps) == before, name
+
+    @pytest.mark.parametrize(
+        "saved, configured",
+        [(None, 3), (3, None), (3, 4)],
+        ids=["unwindowed-snapshot", "windowed-snapshot", "other-ring"],
+    )
+    def test_resume_refuses_a_contradicting_window(
+        self, serve, tmp_path, saved, configured
+    ):
+        """A campaign configured at boot resumes only under the window
+        its snapshot was written with.  Otherwise the constructor raises
+        ``SpecMismatchError`` naming the campaign and both windows, the
+        CLI exits 2 with one line on stderr, and nothing is written."""
+        protocol = Protocol.frequency(1.0, domain=6)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(protocol.spec.to_dict()))
+        snaps = tmp_path / "snaps"
+
+        def window(panes):
+            return None if panes is None else WindowConfig(panes=panes)
+
+        server = serve(
+            protocol,
+            store=SnapshotStore(snaps),
+            checkpoint_every=1,
+            window=window(saved),
+        )
+        client = ServiceClient("127.0.0.1", server.port)
+        for r in range(5):
+            client.submit(
+                np.arange(8) % 6, users=_users(8, f"r{r}-"), rng=r, round=r
+            )
+        server.stop()
+        fp = server.fingerprint[:12]
+        before = _tree_bytes(snaps)
+        with pytest.raises(wire.SpecMismatchError) as excinfo:
+            IngestionServer(
+                protocol, store=SnapshotStore(snaps), window=window(configured)
+            )
+        message = str(excinfo.value)
+        assert fp in message, message
+        assert f"window={window(saved)}" in message, message
+        assert f"window={window(configured)}" in message, message
+        assert _tree_bytes(snaps) == before
+        flags = [] if configured is None else ["--window", str(configured)]
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro.service",
+                "--spec", str(spec_path),
+                "--port", "0",
+                "--snapshot-dir", str(snaps),
+                *flags,
+            ],
+            capture_output=True,
+            env=_cli_env(),
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 2, done.stdout + done.stderr
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and fp in lines[0], done.stderr
+        assert _tree_bytes(snaps) == before
+
+    def test_interrupt_inside_a_handler_writes_no_uncharged_cut(
+        self, tmp_path
+    ):
+        """A ``KeyboardInterrupt`` raised between a batch's absorb and
+        its charge must not be checkpointed: the cut would hold reports
+        that no user was charged for.  The one way to stop is the
+        loop-level signal handler, which never interrupts a handler."""
+        protocol = Protocol.frequency(1.0, domain=6)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(protocol.spec.to_dict()))
+        snaps = tmp_path / "snaps"
+        # Charge the first batch, raise inside the second one's charge.
+        launcher = (
+            "import runpy\n"
+            "from repro.campaigns.ledger import CrossCampaignLedger\n"
+            "charge = CrossCampaignLedger.charge_batch\n"
+            "calls = []\n"
+            "def interrupted(self, *args, **kwargs):\n"
+            "    calls.append(1)\n"
+            "    if len(calls) == 2:\n"
+            "        raise KeyboardInterrupt\n"
+            "    return charge(self, *args, **kwargs)\n"
+            "CrossCampaignLedger.charge_batch = interrupted\n"
+            "runpy.run_module('repro.service', run_name='__main__', "
+            "alter_sys=True)\n"
+        )
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-u", "-c", launcher,
+                "--spec", str(spec_path),
+                "--port", "0",
+                "--snapshot-dir", str(snaps),
+                "--checkpoint-every", "1000",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            env=_cli_env(),
+            text=True,
+        )
+        try:
+            banner = proc.stdout.readline()
+            port = int(banner.split("http://127.0.0.1:")[1].split()[0])
+            client = ServiceClient("127.0.0.1", port, retries=0)
+            assert client.checkpoint() == 0
+            client.submit(np.array([1, 2, 3, 1]), users=_users(4), rng=0)
+            with pytest.raises(ConnectionError):
+                client.submit(
+                    np.array([0, 5, 4, 2]), users=_users(4, "v"), rng=1
+                )
+            out, _ = proc.communicate(timeout=15)
+        except BaseException:
+            proc.kill()
+            raise
+        store = SnapshotStore(snaps)
+        assert store.sequences(), out
+        for seq in store.sequences():
+            manifest = store.load(seq)
+            charged = CrossCampaignLedger.from_dict(manifest["ledger"])
+            ((fp, entry),) = manifest["campaigns"].items()
+            campaign = Campaign(protocol).restore(
+                entry, store.namespace(fp).load(entry["seq"])
+            )
+            # Epsilon 1.0 a report against a lifetime of 1.0: one user
+            # charged per absorbed report.
+            assert campaign.reports == charged.user_count(), (seq, out)
+        assert proc.returncode != 0, out
+        assert "final checkpoint" not in out, out
 
     def test_cli_requires_spec_or_campaigns(self):
         from repro.service.__main__ import main
