@@ -28,7 +28,6 @@ from repro.campaigns.lifecycle import (
 from repro.campaigns.registry import (
     Campaign,
     CampaignRegistry,
-    CampaignSealedError,
     UnknownCampaignError,
 )
 
@@ -36,7 +35,6 @@ __all__ = [
     "TRANSITIONS",
     "Campaign",
     "CampaignRegistry",
-    "CampaignSealedError",
     "CampaignState",
     "CrossCampaignLedger",
     "InvalidTransitionError",

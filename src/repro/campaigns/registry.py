@@ -40,10 +40,6 @@ class UnknownCampaignError(KeyError):
     """No campaign registered under the requested fingerprint."""
 
 
-class CampaignSealedError(RuntimeError):
-    """A report was addressed at a campaign that no longer ingests."""
-
-
 class Campaign:
     """One collection: a protocol, its accumulator, and its lifecycle.
 
@@ -86,6 +82,8 @@ class Campaign:
         self.state = CampaignState.OPEN
         self.accumulator: ServerAccumulator = self._new_accumulator()
         self.seen_keys: set = set()
+        # The server's one copy of these counts: the snapshot sequence,
+        # /healthz and /metrics all read them.
         self.batches_accepted = 0
         self.duplicates = 0
         # Sequence of the last namespaced snapshot holding this
@@ -399,9 +397,6 @@ class CampaignRegistry:
     def __iter__(self) -> Iterator[Campaign]:
         return iter(self._campaigns.values())
 
-    def fingerprints(self) -> List[str]:
-        return list(self._campaigns)
-
     def describe(self) -> List[Dict[str, Any]]:
         """Public listing, default campaign first then by fingerprint."""
         return [
@@ -414,6 +409,13 @@ class CampaignRegistry:
 
     def total_reports(self) -> int:
         return sum(c.reports for c in self._campaigns.values())
+
+    def total_batches_accepted(self) -> int:
+        """Batches accepted over every campaign: the snapshot sequence."""
+        return sum(c.batches_accepted for c in self._campaigns.values())
+
+    def total_duplicates(self) -> int:
+        return sum(c.duplicates for c in self._campaigns.values())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -39,7 +39,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    null_registry,
 )
 
 __all__ = [
@@ -57,5 +56,4 @@ __all__ = [
     "bound_context",
     "configure_logging",
     "get_logger",
-    "null_registry",
 ]

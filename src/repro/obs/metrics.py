@@ -20,15 +20,11 @@ Semantics mirror the real client library where it matters:
   (``\\``, ``"`` and newline) exactly as the exposition format
   specifies.
 
-Differences, both deliberate:
-
-* :meth:`Counter.restore` exists so a counter whose value doubles as
-  *durable state* (the ingest server's ``batches_accepted``, which is
-  also the snapshot sequence number) can resume across restarts
-  instead of resetting to zero;
-* ``MetricsRegistry(enabled=False)`` hands out no-op instruments with
-  the same surface, which is how the benchmark measures the cost of
-  instrumentation itself (and how callers opt out wholesale).
+One difference, deliberate: a counter, like a gauge, can read its
+value live through ``set_function``.  A series that reports state
+(the ingest server's accepted and duplicate batch counts) reads it
+from the object that owns it: no metric holds state, so nothing ever
+restores one after a restart.
 
 Everything is thread-safe: one lock per metric family guards child
 creation, one lock per child guards its numbers.  Registration is
@@ -42,7 +38,6 @@ import bisect
 import math
 import re
 import threading
-import time
 from typing import (
     Any,
     Callable,
@@ -61,7 +56,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "null_registry",
 ]
 
 #: The Content-Type a /metrics response must carry for Prometheus.
@@ -135,23 +129,6 @@ def _render_labels(
     if extra:
         pairs.append(extra)
     return "{" + ",".join(pairs) + "}" if pairs else ""
-
-
-class _Timer:
-    """Context manager observing elapsed seconds into a histogram."""
-
-    __slots__ = ("_observer", "_start")
-
-    def __init__(self, observer: Callable[[float], None]):
-        self._observer = observer
-        self._start = 0.0
-
-    def __enter__(self) -> "_Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        self._observer(time.perf_counter() - self._start)
 
 
 class Metric:
@@ -244,68 +221,10 @@ class Metric:
         raise NotImplementedError
 
 
-class _CounterChild:
-    __slots__ = ("_lock", "_value", "label_names")
+class _Sample:
+    """One counter or gauge sample: a number it holds, or a live read
+    of state another object holds (:meth:`set_function`)."""
 
-    def __init__(self, label_names: Tuple[str, ...]):
-        self._lock = threading.Lock()
-        self._value = 0.0
-        self.label_names = label_names
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(
-                f"counters only go up; inc({amount}) is negative"
-            )
-        with self._lock:
-            self._value += amount
-
-    def restore(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def value_int(self) -> int:
-        return int(self._value)
-
-    def render_samples(self, name, values):
-        labels = _render_labels(self.label_names, values)
-        return [f"{name}{labels} {format_value(self._value)}"]
-
-
-class Counter(Metric):
-    """Monotonically increasing count (resets only on restart/restore)."""
-
-    typ = "counter"
-
-    def _new_child(self, values: Tuple[str, ...]) -> _CounterChild:
-        return _CounterChild(self.label_names)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._sole_child().inc(amount)
-
-    def restore(self, value: float) -> None:
-        """Reset to an absolute value — ONLY for resuming a counter
-        that doubles as durable state after a checkpoint restore.
-        Ordinary metrics must never go down; Prometheus handles the
-        restart discontinuity via its own reset detection."""
-        self._sole_child().restore(value)
-
-    @property
-    def value(self) -> float:
-        """Unlabelled value, or the sum over every labelled child."""
-        if not self.label_names:
-            return self._children[()].value
-        return sum(child.value for _, child in self.children())
-
-    def value_int(self) -> int:
-        return int(self.value)
-
-
-class _GaugeChild:
     __slots__ = ("_lock", "_value", "_fn", "label_names")
 
     def __init__(self, label_names: Tuple[str, ...]):
@@ -314,20 +233,8 @@ class _GaugeChild:
         self._fn: Optional[Callable[[], float]] = None
         self.label_names = label_names
 
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._fn = None
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     def set_function(self, fn: Callable[[], float]) -> None:
-        """Make this gauge *live*: every read calls ``fn``."""
+        """Make this sample *live*: every read calls ``fn``."""
         with self._lock:
             self._fn = fn
 
@@ -341,6 +248,50 @@ class _GaugeChild:
         return [f"{name}{labels} {format_value(self.value)}"]
 
 
+class _CounterChild(_Sample):
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError(
+                f"counters only go up; inc({amount}) is negative"
+            )
+        with self._lock:
+            self._value += amount
+
+
+class _GaugeChild(_Sample):
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        with self._lock:
+            self._fn = None
+            self._value = float(value)
+
+
+class Counter(Metric):
+    """Monotonically increasing count (resets only on restart), or a
+    live read of a count some other object keeps."""
+
+    typ = "counter"
+
+    def _new_child(self, values: Tuple[str, ...]) -> _CounterChild:
+        return _CounterChild(self.label_names)
+
+    def inc(self, amount: float = 1.0) -> None:
+        self._sole_child().inc(amount)
+
+    def set_function(self, fn: Callable[[], float]) -> None:
+        self._sole_child().set_function(fn)
+
+    @property
+    def value(self) -> float:
+        """Unlabelled value, or the sum over every labelled child."""
+        if not self.label_names:
+            return self._children[()].value
+        return sum(child.value for _, child in self.children())
+
+
 class Gauge(Metric):
     """A value that can go up and down — or a live callback."""
 
@@ -351,12 +302,6 @@ class Gauge(Metric):
 
     def set(self, value: float) -> None:
         self._sole_child().set(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._sole_child().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._sole_child().dec(amount)
 
     def set_function(self, fn: Callable[[], float]) -> None:
         self._sole_child().set_function(fn)
@@ -408,9 +353,6 @@ class _HistogramChild:
                 previous = cut
             self._counts[-1] += len(ordered) - previous
             self._sum += total
-
-    def time(self) -> _Timer:
-        return _Timer(self.observe)
 
     @property
     def count(self) -> int:
@@ -482,9 +424,6 @@ class Histogram(Metric):
     def observe_many(self, values: Iterable[float]) -> None:
         self._sole_child().observe_many(values)
 
-    def time(self) -> _Timer:
-        return self._sole_child().time()
-
     @property
     def count(self) -> int:
         return self._sole_child().count
@@ -492,60 +431,6 @@ class Histogram(Metric):
     @property
     def sum(self) -> float:
         return self._sole_child().sum
-
-
-class _NullInstrument:
-    """Absorbs the full Counter/Gauge/Histogram surface as no-ops.
-
-    ``MetricsRegistry(enabled=False)`` hands these out so call sites
-    never branch on whether instrumentation is on.  Reads return
-    zeros; ``labels`` returns the same instance.
-    """
-
-    def labels(self, *values: Any, **kv: Any) -> "_NullInstrument":
-        return self
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def set_function(self, fn: Callable[[], float]) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def observe_many(self, values: Iterable[float]) -> None:
-        pass
-
-    def restore(self, value: float) -> None:
-        pass
-
-    def time(self) -> _Timer:
-        return _Timer(lambda elapsed: None)
-
-    @property
-    def value(self) -> float:
-        return 0.0
-
-    def value_int(self) -> int:
-        return 0
-
-    @property
-    def count(self) -> int:
-        return 0
-
-    @property
-    def sum(self) -> float:
-        return 0.0
-
-
-_NULL = _NullInstrument()
 
 
 class MetricsRegistry:
@@ -561,15 +446,12 @@ class MetricsRegistry:
     with different schemas is a bug, not a merge).
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = bool(enabled)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: Dict[str, Metric] = {}
 
     # -- factories -------------------------------------------------------
     def _register(self, cls, name, help, labels, **kwargs):
-        if not self.enabled:
-            return _NULL
         with self._lock:
             existing = self._metrics.get(name)
             if existing is not None:
@@ -613,10 +495,6 @@ class MetricsRegistry:
         with self._lock:
             return self._metrics.get(name)
 
-    def names(self) -> List[str]:
-        with self._lock:
-            return list(self._metrics)
-
     def sample(
         self, name: str, labels: Optional[Dict[str, str]] = None
     ) -> Optional[float]:
@@ -646,10 +524,4 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n" if lines else ""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "enabled" if self.enabled else "disabled"
-        return f"MetricsRegistry({len(self._metrics)} metrics, {state})"
-
-
-def null_registry() -> MetricsRegistry:
-    """A disabled registry: every instrument it hands out is a no-op."""
-    return MetricsRegistry(enabled=False)
+        return f"MetricsRegistry({len(self._metrics)} metrics)"

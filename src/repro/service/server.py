@@ -81,7 +81,7 @@ from repro.campaigns.registry import (
 )
 from repro.obs.lifecycle import DrainResult, DrainState, advance
 from repro.obs.logging import bind_campaign, bound_context, get_logger
-from repro.obs.metrics import MetricsRegistry, null_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.protocol.facade import Protocol
 from repro.protocol.reports import to_block
 from repro.protocol.spec import ProtocolSpec
@@ -174,34 +174,37 @@ _EPSILON_BUCKETS = (
 
 
 class ServerMetrics:
-    """Every instrument the ingestion server owns, on one registry.
+    """Every instrument the ingestion server owns.
 
-    Two groups, one registry:
+    A series observes or reads state; it never holds it.  Two groups:
 
-    * **State counters/gauges** (always live, whatever ``instrument``
-      says) — ``/healthz`` and the checkpoint logic *read these back*,
-      so they are the single source of truth: batches accepted (which
-      doubles as the snapshot sequence and is restored on resume),
-      duplicates, per-wire-version batch counts, checkpoint
-      latency/size, and campaign/ledger views.
-    * **Request-path observation** (``instrument=False`` swaps these
-      for no-ops) — per-campaign ingest throughput, batch-handling and
-      request latency histograms, HTTP rejection counters, per-user
-      budget-spend distribution.  This is the group whose cost the
-      benchmark's instrumented-vs-uninstrumented row bounds (≤ 5 %).
+    * **State series** (rendered whatever ``instrument`` says).  Some
+      read state when a scrape renders them: batches accepted per
+      campaign and duplicates (the campaigns' own counts, which the
+      snapshot sequence and ``/healthz`` also read), and the campaign,
+      ledger, uptime, drain and connection views.  The rest count the
+      server's own work: batches per wire version, checkpoints and
+      their cost, closed connections.
+    * **Request-path observation**: per-campaign ingest throughput,
+      batch-handling and request latency histograms, HTTP rejection
+      counters, per-user budget-spend distribution.  ``instrumented``
+      is its one switch: every call site checks it, and without it the
+      group is registered on a registry that is never rendered.  This
+      is the group whose cost the benchmark's
+      instrumented-vs-uninstrumented row bounds (≤ 5 %).
     """
 
     def __init__(self, instrument: bool = True) -> None:
         self.registry = MetricsRegistry()
         self.instrumented = bool(instrument)
-        observed = self.registry if self.instrumented else null_registry()
+        observed = self.registry if self.instrumented else MetricsRegistry()
 
-        # -- state (always live; healthz is a view over these) --------
+        # -- state (always rendered) -----------------------------------
         self.batches_accepted = self.registry.counter(
             "repro_batches_accepted_total",
             "Report batches accepted, by campaign; the sum over "
-            "campaigns doubles as the snapshot sequence number and "
-            "therefore resumes across restarts (per-child restore).",
+            "campaigns is the snapshot sequence number.  Read from the "
+            "campaigns, so it resumes across restarts.",
             labels=("campaign",),
         )
         self.duplicate_batches = self.registry.counter(
@@ -269,7 +272,7 @@ class ServerMetrics:
         for reason in http.CLOSE_REASONS:
             self.connections_closed.labels(reason=reason)
 
-        # -- request-path observation (instrument-gated) ---------------
+        # -- request-path observation (instrumented only) --------------
         self.ingest_reports = observed.counter(
             "repro_ingest_reports_total",
             "Individual LDP reports accepted, by campaign and wire "
@@ -329,6 +332,7 @@ class ServerMetrics:
     def track_server(self, server: "IngestionServer") -> None:
         """Point the live-view gauges at the server's real state."""
         self.campaigns.set_function(lambda: len(server.registry))
+        self.duplicate_batches.set_function(server.registry.total_duplicates)
         # A lambda, not a bound method: resume replaces server.ledger.
         self.users_charged.set_function(lambda: server.ledger.user_count())
         self.uptime.set_function(
@@ -343,10 +347,13 @@ class ServerMetrics:
         self.campaign_reports.labels(campaign=fp).set_function(
             lambda: campaign.reports
         )
-        # Pre-seed the per-campaign series so exposition shows explicit
-        # zeros (deterministically, children render sorted by label).
-        self.batches_accepted.labels(campaign=fp)
-        self.budget_spend.labels(campaign=fp)
+        self.batches_accepted.labels(campaign=fp).set_function(
+            lambda: campaign.batches_accepted
+        )
+        if self.instrumented:
+            # Pre-seed so exposition shows explicit zeros
+            # (deterministically, children render sorted by label).
+            self.budget_spend.labels(campaign=fp)
         if campaign.windowed:
             self.campaign_window_latest.labels(campaign=fp).set_function(
                 campaign.window_latest_round
@@ -391,10 +398,9 @@ class IngestionServer:
     campaigns:
         Additional (non-default) campaign specs to register at boot.
     instrument:
-        ``False`` swaps the request-path observation instruments
-        (latency/spend histograms, per-campaign counters) for no-ops.
-        State counters stay live either way — healthz and the
-        checkpoint sequence read them.
+        ``False`` skips the request-path observation (latency and spend
+        histograms, per-campaign report counters) and leaves it off
+        ``/metrics``.  The state series stay either way.
     window:
         Optional :class:`~repro.stream.windows.WindowConfig` (or its
         dict form) applied to every campaign registered at boot.  The
@@ -430,13 +436,11 @@ class IngestionServer:
             window = WindowConfig.from_dict(window)
         self.window = window
         if protocol_or_spec is not None:
-            campaign, _ = self.registry.register(
+            self.registry.register(
                 protocol_or_spec, default=True, window=window
             )
-            self.metrics.track_campaign(campaign)
         for spec in campaigns or ():
-            campaign, _ = self.registry.register(spec, window=window)
-            self.metrics.track_campaign(campaign)
+            self.registry.register(spec, window=window)
         if lifetime_epsilon is None:
             if len(self.registry) == 0:
                 raise ValueError(
@@ -461,9 +465,11 @@ class IngestionServer:
         self._http: Optional[http.HttpServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
-        self.metrics.track_server(self)
         if self.store is not None:
             self._maybe_resume()
+        self.metrics.track_server(self)
+        for campaign in self.registry:
+            self.metrics.track_campaign(campaign)
 
     # ------------------------------------------------------------------
     # Single-campaign (v1) compatibility surface
@@ -541,19 +547,12 @@ class IngestionServer:
                     default=(fp == manifest_default),
                     window=entry.get("window"),
                 )
-                self.metrics.track_campaign(campaign)
             if campaign.fingerprint != fp:
                 raise wire.SpecMismatchError(
                     f"manifest entry {str(fp)[:12]!r}... does not match "
                     f"its own spec (fingerprint "
                     f"{campaign.fingerprint[:12]!r}...)"
                 )
-            # The sequence counter is labelled by campaign; restore each
-            # child so both the per-campaign series and the summed
-            # snapshot seq come back exact.
-            self.metrics.batches_accepted.labels(campaign=fp).restore(
-                int(entry.get("batches_accepted", 0))
-            )
             saved_seq = entry.get("seq")
             if saved_seq is None:  # registered but never checkpointed
                 continue
@@ -566,9 +565,6 @@ class IngestionServer:
             raise SnapshotCorruptError(
                 f"snapshot {self.store.path(seq)} is corrupt: ledger: {exc}"
             ) from exc
-        self.metrics.duplicate_batches.restore(
-            int(snapshot.get("duplicates", 0))
-        )
         _log.info(
             "resumed from snapshot",
             extra={
@@ -589,7 +585,7 @@ class IngestionServer:
         if self.store is None:
             raise RuntimeError("server has no snapshot store")
         started = time.perf_counter()
-        seq = self.metrics.batches_accepted.value_int()
+        seq = self.registry.total_batches_accepted()
         written_bytes = 0
         for campaign in self.registry:
             if not campaign.dirty:
@@ -611,7 +607,7 @@ class IngestionServer:
                 },
                 "ledger": RawJSON(self.ledger.json_parts()),
                 "batches_accepted": seq,
-                "duplicates": self.metrics.duplicate_batches.value_int(),
+                "duplicates": self.registry.total_duplicates(),
             },
         )
         written_bytes += manifest_path.stat().st_size
@@ -693,12 +689,13 @@ class IngestionServer:
             raise Refusal(400, "bad_window", detail=str(exc)) from None
 
     def _handle_healthz(self, query: Query, body: Any) -> Reply:
-        """Liveness view, read back out of the metrics registry.
+        """Liveness view over the state ``/metrics`` also reads.
 
-        Everything numeric here is a registry sample — the server keeps
-        no parallel healthz bookkeeping.  ``/metrics`` is the same data
-        with history (histograms) and labels; this endpoint stays for
-        humans and cheap liveness probes.
+        Batch and duplicate counts are the campaigns' own, users come
+        from the ledger, and per-wire-version counts from their counter:
+        the server keeps no parallel healthz bookkeeping.  ``/metrics``
+        is the same data with history (histograms) and labels; this
+        endpoint stays for humans and cheap liveness probes.
         """
         m = self.metrics
         snapshot_info = None
@@ -718,16 +715,14 @@ class IngestionServer:
             ),
             "uptime_seconds": m.uptime.value,
             "reports": self.registry.total_reports(),
-            "batches_accepted": m.batches_accepted.value_int(),
-            "duplicates": m.duplicate_batches.value_int(),
+            "batches_accepted": self.registry.total_batches_accepted(),
+            "duplicates": self.registry.total_duplicates(),
             "wire_versions": {
-                str(v): m.wire_batches.labels(
-                    wire_version=str(v)
-                ).value_int()
+                str(v): int(m.wire_batches.labels(wire_version=str(v)).value)
                 for v in wire.SUPPORTED_WIRE_VERSIONS
             },
             "resumed_from_snapshot": self._resumed_from,
-            "users_charged": int(m.users_charged.value),
+            "users_charged": self.ledger.user_count(),
             "lifetime_epsilon": self.ledger.lifetime_epsilon,
             "snapshot": snapshot_info,
             "campaigns": {
@@ -919,7 +914,9 @@ class IngestionServer:
         }
 
     def _handle_campaign_register(self, query: Query, body: Any) -> Reply:
-        if body is None or not isinstance(body.get("spec"), dict):
+        if not isinstance(body, dict) or not isinstance(
+            body.get("spec"), dict
+        ):
             raise Refusal(
                 400,
                 "bad_request",
@@ -986,12 +983,15 @@ class IngestionServer:
 
     def _handle_report(self, query: Query, body: Any) -> Reply:
         """Drain gate + instrumentation around the batch handler."""
-        if body is None:
+        if not isinstance(body, dict):
             raise Refusal(
-                400, "bad_request", detail="POST /report requires a JSON body"
+                400,
+                "bad_request",
+                detail="POST /report requires a JSON object body",
             )
         if self._drain_state is not DrainState.SERVING:
-            self.metrics.rejected_batches.labels(reason="draining").inc()
+            if self.metrics.instrumented:
+                self.metrics.rejected_batches.labels(reason="draining").inc()
             raise Refusal(
                 503,
                 "draining",
@@ -1049,9 +1049,17 @@ class IngestionServer:
             )
 
         key = payload.get("idempotency_key")
+        if key is not None and not isinstance(key, str):
+            # Keys are stored and checkpointed sorted next to the SDK's
+            # string keys; any other type would break every later cut.
+            raise Refusal(
+                400,
+                "bad_request",
+                detail=f"'idempotency_key' must be a string, got "
+                f"{type(key).__name__}",
+            )
         if key is not None and key in campaign.seen_keys:
             campaign.duplicates += 1
-            self.metrics.duplicate_batches.inc()
             return {
                 "status": "duplicate",
                 "accepted": 0,
@@ -1156,7 +1164,6 @@ class IngestionServer:
         m.wire_batches.labels(wire_version=str(wire_version)).inc()
         campaign.batches_accepted += 1
         campaign.dirty = True
-        m.batches_accepted.labels(campaign=campaign.fingerprint).inc()
         if m.instrumented:
             m.ingest_reports.labels(
                 campaign=campaign.fingerprint,
@@ -1177,7 +1184,8 @@ class IngestionServer:
             campaign.seen_keys.add(key)
         if (
             self.checkpoint_every is not None
-            and m.batches_accepted.value_int() % self.checkpoint_every == 0
+            and self.registry.total_batches_accepted()
+            % self.checkpoint_every == 0
         ):
             self.checkpoint_now()
         return {
@@ -1217,9 +1225,7 @@ class IngestionServer:
             _log.info(
                 "drain started",
                 extra={
-                    "batches_accepted": (
-                        self.metrics.batches_accepted.value_int()
-                    ),
+                    "batches_accepted": self.registry.total_batches_accepted()
                 },
             )
 
@@ -1241,7 +1247,7 @@ class IngestionServer:
         self._drain_state = advance(self._drain_state, DrainState.DRAINED)
         result = DrainResult(
             checkpoint_seq=checkpoint_seq,
-            batches_accepted=self.metrics.batches_accepted.value_int(),
+            batches_accepted=self.registry.total_batches_accepted(),
             seconds=time.perf_counter() - started,
         )
         _log.info(

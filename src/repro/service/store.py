@@ -85,14 +85,6 @@ class SnapshotStore:
             raise ValueError(f"invalid namespace name {name!r}")
         return SnapshotStore(self.directory / name, keep=self.keep)
 
-    def namespaces(self) -> List[str]:
-        """Names of all existing child namespaces, sorted."""
-        return sorted(
-            entry.name
-            for entry in self.directory.iterdir()
-            if entry.is_dir()
-        )
-
     # ------------------------------------------------------------------
     def path(self, seq: int) -> Path:
         """The file that holds (or would hold) snapshot ``seq``."""

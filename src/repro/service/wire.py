@@ -154,31 +154,45 @@ def encode_reports(reports) -> Dict[str, Any]:
 
 
 def decode_reports(obj: Dict[str, Any]):
-    """Inverse of :func:`encode_reports`."""
+    """Inverse of :func:`encode_reports`.
+
+    Raises :class:`WireFormatError` for any field it cannot read.
+    """
+    if not isinstance(obj, dict):
+        raise WireFormatError(
+            f"report payload must be an object, got {type(obj).__name__}"
+        )
     kind = obj.get("type")
-    if kind == "array":
-        return decode_array(obj["array"])
-    if kind == "sampled-numeric":
-        return SampledNumericReports(
-            d=int(obj["d"]),
-            k=int(obj["k"]),
-            cols=decode_array(obj["cols"]),
-            values=decode_array(obj["values"]),
-        )
-    if kind == "olh":
-        return OLHReports(
-            seeds=decode_array(obj["seeds"]),
-            buckets=decode_array(obj["buckets"]),
-        )
-    if kind == "mixed":
-        return MixedReports(
-            n=int(obj["n"]),
-            numeric=decode_array(obj["numeric"]),
-            categorical={
-                name: decode_reports(sub)
-                for name, sub in obj["categorical"].items()
-            },
-        )
+    try:
+        if kind == "array":
+            return decode_array(obj["array"])
+        if kind == "sampled-numeric":
+            return SampledNumericReports(
+                d=int(obj["d"]),
+                k=int(obj["k"]),
+                cols=decode_array(obj["cols"]),
+                values=decode_array(obj["values"]),
+            )
+        if kind == "olh":
+            return OLHReports(
+                seeds=decode_array(obj["seeds"]),
+                buckets=decode_array(obj["buckets"]),
+            )
+        if kind == "mixed":
+            return MixedReports(
+                n=int(obj["n"]),
+                numeric=decode_array(obj["numeric"]),
+                categorical={
+                    name: decode_reports(sub)
+                    for name, sub in obj["categorical"].items()
+                },
+            )
+    except WireFormatError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise WireFormatError(
+            f"malformed {kind!r} report payload: {exc!r}"
+        ) from exc
     raise WireFormatError(f"unknown report payload type {kind!r}")
 
 

@@ -19,7 +19,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     format_value,
-    null_registry,
 )
 
 
@@ -95,19 +94,25 @@ class TestCounterGolden:
             'repro_req_total{endpoint="/spec",status="200"} 1\n'
         )
 
-    def test_counter_rejects_decrease_but_allows_restore(self):
+    def test_counter_rejects_decrease(self):
         counter = Counter("repro_x_total", "x")
         with pytest.raises(ValueError):
             counter.inc(-1)
-        counter.restore(41)
-        counter.inc()
-        assert counter.value_int() == 42
+
+    def test_live_counter_renders_what_its_source_holds(self):
+        state = {"a": 2}
+        registry = MetricsRegistry()
+        counter = registry.counter("repro_live_total", "l", labels=("k",))
+        counter.labels(k="a").set_function(lambda: state["a"])
+        state["a"] = 5
+        assert 'repro_live_total{k="a"} 5' in registry.render()
+        assert counter.value == 5
 
     def test_labelled_family_value_is_sum_of_children(self):
         counter = Counter("repro_y_total", "y", labels=("k",))
         counter.labels(k="a").inc(3)
         counter.labels(k="b").inc(4)
-        assert counter.value_int() == 7
+        assert counter.value == 7
 
 
 class TestEscaping:
@@ -216,12 +221,10 @@ class TestHistogramGolden:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set(self):
         gauge = Gauge("repro_depth", "d")
         gauge.set(5)
-        gauge.inc()
-        gauge.dec(2)
-        assert gauge.value == 4.0
+        assert gauge.value == 5.0
 
     def test_callback_gauge_is_live(self):
         state = {"depth": 1}
@@ -280,29 +283,6 @@ class TestRegistry:
         )
 
 
-class TestNullRegistry:
-    def test_disabled_registry_hands_out_noops(self):
-        registry = null_registry()
-        counter = registry.counter("repro_n_total", "n")
-        gauge = registry.gauge("repro_ng", "n", labels=("k",))
-        hist = registry.histogram("repro_nh", "n")
-        counter.inc(5)
-        gauge.labels(k="x").set(3)
-        hist.observe(1.0)
-        hist.observe_many([1.0, 2.0])
-        with hist.time():
-            pass
-        assert counter.value == 0.0
-        assert counter.value_int() == 0
-        assert hist.count == 0
-        assert registry.render() == ""
-
-    def test_null_instruments_never_validate_names(self):
-        # Disabled registries skip registration entirely — even a name
-        # that would be rejected live is absorbed silently.
-        null_registry().counter("would-be-invalid", "x").inc()
-
-
 class TestThreadSafety:
     def test_concurrent_increments_do_not_lose_updates(self):
         counter = Counter("repro_t_total", "t")
@@ -318,5 +298,5 @@ class TestThreadSafety:
             t.start()
         for t in threads:
             t.join()
-        assert counter.value_int() == 8000
+        assert counter.value == 8000
         assert hist.count == 8000

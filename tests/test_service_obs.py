@@ -178,6 +178,61 @@ class TestMetricsEndpoint:
         assert "repro_ingest_reports_total" not in text
         assert client.healthz()["batches_accepted"] == 1
 
+    @pytest.mark.parametrize("instrument", [True, False])
+    def test_state_series_survive_a_restart(self, serve, tmp_path, instrument):
+        """No series holds state: after a drain and a restart, the
+        counts ``/metrics`` and ``/healthz`` show are read from the
+        resumed campaigns and ledger, equal to what they were before
+        the stop."""
+        other = Protocol.frequency(1.0, domain=4, oracle="grr")
+        kwargs = dict(
+            campaigns=[other.spec],
+            lifetime_epsilon=2.0,
+            checkpoint_every=2,
+            instrument=instrument,
+        )
+        server = serve(_protocol(), store=SnapshotStore(tmp_path), **kwargs)
+        client = ServiceClient("127.0.0.1", server.port)
+        for _ in range(2):
+            client.submit(
+                np.arange(N) % 10, users=_users(N), rng=1,
+                idempotency_key="k1",
+            )
+        client.for_campaign(other.spec).submit(
+            np.arange(N) % 4, users=_users(N, "b"), rng=2
+        )
+        client.submit(np.arange(N) % 10, users=_users(N, "c"), rng=3)
+
+        def state(port):
+            client = ServiceClient("127.0.0.1", port)
+            lines = [
+                line
+                for line in client.server_metrics_text().splitlines()
+                if line.startswith((
+                    "repro_batches_accepted_total{",
+                    "repro_duplicate_batches_total ",
+                    "repro_campaign_reports{",
+                    "repro_users_charged ",
+                ))
+            ]
+            health = client.healthz()
+            counts = [
+                health[k]
+                for k in (
+                    "batches_accepted", "duplicates", "reports",
+                    "users_charged", "campaigns",
+                )
+            ]
+            return lines, counts
+
+        before = state(server.port)
+        assert len(before[0]) == 6
+        assert before[1][:4] == [3, 1, 3 * N, 3 * N]
+        server.drain()
+        server.stop()
+        resumed = serve(_protocol(), store=SnapshotStore(tmp_path), **kwargs)
+        assert state(resumed.port) == before
+
     def test_duplicate_batches_counted(self, serve):
         server = serve(_protocol())
         client = ServiceClient("127.0.0.1", server.port)

@@ -11,6 +11,7 @@ import json
 import os
 import signal
 import socket
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -364,6 +365,132 @@ class TestRejections:
         assert payload["error"] == error
         assert state() == before
         assert client.healthz()["batches_accepted"] == 1
+
+    @pytest.mark.parametrize(
+        "path, field, value, error",
+        [
+            ("/report", None, [1, 2], "bad_request"),
+            ("/report", None, "report", "bad_request"),
+            ("/campaigns", None, [1, 2], "bad_request"),
+            ("/report", "reports", [1, 2], "bad_reports"),
+            ("/report", "n", {}, "bad_reports"),
+            ("/report", "categorical", [], "bad_reports"),
+        ],
+        ids=[
+            "report-array", "report-string", "campaigns-array",
+            "reports-array", "mixed-n-object", "mixed-categorical-list",
+        ],
+    )
+    def test_malformed_body_is_400_and_changes_nothing(
+        self, serve, path, field, value, error
+    ):
+        """A body the handlers cannot read gets 400, not 500 internal:
+        a whole body that is not a JSON object, or a v1 ``reports``
+        field that ``decode_reports`` cannot read.  The ledger, the
+        accumulator and the campaign list stay byte-identical."""
+        protocol, values = _cases()["multidim-mixed"]
+        server = serve(protocol, lifetime_epsilon=8.0)
+        client = ServiceClient("127.0.0.1", server.port, retries=0)
+        client.submit(values.subset(np.arange(20)), users=_users(20), rng=0)
+        reports = wire.encode_reports(
+            client.encode(values.subset(np.arange(20, 40)), rng=1)
+        )
+        envelope = wire.pack(
+            {
+                "users": _users(20, "x"),
+                "idempotency_key": "forged",
+                "reports": reports,
+            },
+            server.fingerprint,
+        )
+        if field == "reports":
+            envelope["payload"]["reports"] = value
+        elif field is not None:
+            reports[field] = value
+        accumulator = server.registry.default.accumulator
+
+        def state():
+            return (
+                json.dumps(server.ledger.to_dict()),
+                json.dumps(wire.encode_accumulator_state(accumulator)),
+                json.dumps(server.registry.describe()),
+            )
+
+        before = state()
+        with pytest.raises(ServiceError) as excinfo:
+            client._request(
+                "POST", path, envelope if field is not None else value
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error"] == error
+        assert state() == before
+
+    @pytest.mark.parametrize("wire_version", [1, 2])
+    @pytest.mark.parametrize(
+        "key", [7, ["k"], {"k": 1}], ids=["int", "list", "object"]
+    )
+    def test_non_string_idempotency_key_is_400_and_later_cuts_succeed(
+        self, serve, tmp_path, wire_version, key
+    ):
+        """Keys are checkpointed sorted next to the SDK's string keys.
+        An accepted int key broke every later checkpoint and drain, and
+        a restart then resumed a cut without the charges since."""
+        protocol, values = _cases()["frequency"]
+        kwargs = dict(lifetime_epsilon=3.0, store=SnapshotStore(tmp_path))
+        server = serve(protocol, **kwargs)
+        client = ServiceClient("127.0.0.1", server.port, retries=0)
+        client.submit(values[:20], users=_users(20), rng=0)
+        reports = client.encode(values[20:40], rng=1)
+        if wire_version == 1:
+            request = {
+                "body": wire.pack(
+                    {
+                        "users": _users(20, "x"),
+                        "idempotency_key": key,
+                        "reports": wire.encode_reports(reports),
+                    },
+                    server.fingerprint,
+                )
+            }
+        else:
+            # The SDK sends string keys; a hand-made frame's JSON
+            # header can carry any type.
+            frame = wire.pack_columns(
+                wire.reports_to_columns(reports),
+                server.fingerprint,
+                users=_users(20, "x"),
+            )
+            (head_len,) = struct.unpack("<I", frame[4:8])
+            header = json.loads(frame[8:8 + head_len])
+            header["idempotency_key"] = key
+            head = json.dumps(header).encode("utf-8")
+            request = {
+                "raw_body": frame[:4] + struct.pack("<I", len(head)) + head
+                + frame[8 + head_len:],
+                "content_type": wire.COLUMNAR_CONTENT_TYPE,
+            }
+        accumulator = server.registry.default.accumulator
+
+        def state():
+            return json.dumps(server.ledger.to_dict()), json.dumps(
+                wire.encode_accumulator_state(accumulator)
+            )
+
+        before = state()
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/report", **request)
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error"] == "bad_request"
+        assert state() == before
+        client.submit(values[40:60], users=_users(20, "y"), rng=2)
+        assert client.checkpoint() == 2
+        assert server.drain().checkpoint_seq == 2
+        server.stop()
+        resumed = serve(protocol, **kwargs)
+        health = ServiceClient("127.0.0.1", resumed.port).healthz()
+        assert health["batches_accepted"] == 2
+        assert health["reports"] == 40
+        assert health["users_charged"] == 40
 
     def test_estimate_before_any_report_is_409(self, serve):
         protocol, _ = _cases()["mean"]
