@@ -50,10 +50,6 @@ class UnaryEncodingOracle(FrequencyOracle):
             )
         return reports.sum(axis=0).astype(float)
 
-    def bit_flip_probabilities(self) -> Tuple[float, float]:
-        """Alias of (p, q) emphasizing the per-bit interpretation."""
-        return self.support_probabilities
-
 
 @register_oracle
 class SymmetricUnaryEncoding(UnaryEncodingOracle):

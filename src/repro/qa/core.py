@@ -25,6 +25,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
@@ -186,8 +187,10 @@ class Module:
             anchor = anchor + node.module.split(".")
         return ".".join(anchor)
 
+    @cached_property
     def alias_map(self) -> Dict[str, str]:
-        """Local name -> the dotted path it stands for.
+        """Local name -> the dotted path it stands for, built once per
+        module (every call a rule resolves reads it).
 
         ``import numpy as np`` maps ``np`` to ``numpy``;
         ``from numpy.random import rand`` maps ``rand`` to
@@ -229,7 +232,7 @@ class Module:
             node = node.value
         if not isinstance(node, ast.Name):
             return None
-        root = self.alias_map().get(node.id)
+        root = self.alias_map.get(node.id)
         if root is None:
             return None
         return ".".join([root, *reversed(chain)])

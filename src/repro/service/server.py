@@ -87,7 +87,12 @@ from repro.protocol.reports import to_block
 from repro.protocol.spec import ProtocolSpec
 from repro.service import http, wire
 from repro.service.http import Refusal
-from repro.service.store import RawJSON, SnapshotCorruptError, SnapshotStore
+from repro.service.store import (
+    Cut,
+    RawJSON,
+    SnapshotCorruptError,
+    SnapshotStore,
+)
 from repro.stream.windows import WindowConfig
 
 _log = get_logger("repro.service.server")
@@ -471,29 +476,10 @@ class IngestionServer:
         for campaign in self.registry:
             self.metrics.track_campaign(campaign)
 
-    # ------------------------------------------------------------------
-    # Single-campaign (v1) compatibility surface
-    # ------------------------------------------------------------------
-    @property
-    def protocol(self) -> Optional[Protocol]:
-        """The default campaign's protocol (``None`` without one)."""
-        default = self.registry.default
-        return default.protocol if default is not None else None
-
-    @property
-    def spec(self) -> Optional[ProtocolSpec]:
-        default = self.registry.default
-        return default.spec if default is not None else None
-
     @property
     def fingerprint(self) -> Optional[str]:
         default = self.registry.default
         return default.fingerprint if default is not None else None
-
-    @property
-    def accountant(self):
-        """The cross-campaign ledger's underlying accountant."""
-        return self.ledger.accountant
 
     # ------------------------------------------------------------------
     # Durability
@@ -574,56 +560,61 @@ class IngestionServer:
             },
         )
 
-    def checkpoint_now(self) -> int:
-        """Write a full snapshot — every dirty campaign's payload into
-        its namespace, then the root manifest — and return its seq.
-
-        The manifest lands last, so a crash mid-checkpoint leaves the
-        previous manifest pointing at campaign payloads that are still
-        retained (``keep`` >= 2 guarantees the window).
-        """
+    def take_cut(self) -> Cut:
+        """The current state as a checkpoint's bytes: each dirty
+        campaign's payload, then the manifest naming them.  Changes no
+        state; :meth:`checkpoint_now` moves ``saved_seq`` once written."""
         if self.store is None:
             raise RuntimeError("server has no snapshot store")
-        started = time.perf_counter()
         seq = self.registry.total_batches_accepted()
-        written_bytes = 0
-        for campaign in self.registry:
-            if not campaign.dirty:
-                continue
-            namespace = self.store.namespace(campaign.fingerprint)
-            path = namespace.save(seq, campaign.snapshot_payload())
-            written_bytes += path.stat().st_size
-            campaign.saved_seq = seq
-            campaign.dirty = False
+        dirty = [c for c in self.registry if c.dirty]
+        files = [
+            self.store.namespace(c.fingerprint).encode(
+                seq, c.snapshot_payload()
+            )
+            for c in dirty
+        ]
+        entries = {c.fingerprint: c.manifest_entry() for c in self.registry}
+        for campaign in dirty:
+            entries[campaign.fingerprint]["seq"] = seq
         default = self.registry.default
-        manifest_path = self.store.save(
-            seq,
-            {
-                "wire_version": wire.WIRE_VERSION,
-                "type": "campaign-manifest",
-                "default": default.fingerprint if default else None,
-                "campaigns": {
-                    c.fingerprint: c.manifest_entry() for c in self.registry
-                },
-                "ledger": RawJSON(self.ledger.json_parts()),
-                "batches_accepted": seq,
-                "duplicates": self.registry.total_duplicates(),
-            },
-        )
-        written_bytes += manifest_path.stat().st_size
+        manifest = {
+            "wire_version": wire.WIRE_VERSION,
+            "type": "campaign-manifest",
+            "default": default.fingerprint if default else None,
+            "campaigns": entries,
+            "ledger": RawJSON(self.ledger.json_parts()),
+            "batches_accepted": seq,
+            "duplicates": self.registry.total_duplicates(),
+        }
+        files.append(self.store.encode(seq, manifest))
+        return Cut(seq, tuple(files))
+
+    def checkpoint_now(self) -> int:
+        """Take a cut, write it, then mark the campaigns it saved clean;
+        returns its seq.  If the write raises, no campaign changes and
+        the next cut rewrites every dirty payload."""
+        started = time.perf_counter()
+        saved = [c for c in self.registry if c.dirty]
+        cut = self.take_cut()
+        self.store.save(cut)
+        for campaign in saved:
+            campaign.saved_seq = cut.seq
+            campaign.dirty = False
+        written = sum(len(part) for _, parts in cut.files for part in parts)
         elapsed = time.perf_counter() - started
         self.metrics.checkpoints.inc()
         self.metrics.checkpoint_seconds.observe(elapsed)
-        self.metrics.checkpoint_bytes.set(written_bytes)
+        self.metrics.checkpoint_bytes.set(written)
         _log.info(
             "checkpoint written",
             extra={
-                "seq": seq,
-                "bytes": written_bytes,
+                "seq": cut.seq,
+                "bytes": written,
                 "seconds": round(elapsed, 6),
             },
         )
-        return seq
+        return cut.seq
 
     def _checkpoint_if_durable(self) -> None:
         """Persist registry mutations (register/seal) immediately."""

@@ -8,23 +8,25 @@ privacy ledger and the global batch and duplicate counters.  Each
 campaign's encoded accumulator statistics and processed idempotency
 keys live in its own namespace (below).
 
-Write protocol (crash-safe): serialize to ``<name>.tmp`` in the same
-directory, flush + fsync, ``os.replace`` onto the final name, then
-fsync the directory so the rename itself survives power loss.  A
-reader therefore only ever observes complete snapshots; a crash
-mid-write leaves at worst a stale ``.tmp`` file that the next save
-overwrites.  Old snapshots are pruned down to ``keep`` after every
-save, and recovery always resumes from the highest surviving sequence
-number.  A newest snapshot that is damaged anyway fails recovery with
+A checkpoint is a :class:`Cut`, every file it writes as bytes, and
+:meth:`SnapshotStore.save` is the one function that writes snapshot
+files: each to ``<name>.tmp``, flushed and fsynced, moved into place
+with ``os.replace``, then its directory fsynced so the rename survives
+power loss.  A reader therefore only ever observes complete snapshots.
+Only once the cut's manifest (its last file) is durable is each
+directory it wrote pruned, to its newest :data:`RETAIN` snapshots and
+no ``.tmp``, so a failed cut deletes nothing the previous manifest
+names.  Recovery resumes from the highest surviving sequence number.
+A newest snapshot that is damaged anyway fails recovery with
 :class:`SnapshotCorruptError` rather than resuming from an older one,
 which could forget budget already charged.
 
 Stores can be **namespaced**: :meth:`SnapshotStore.namespace` returns
-a child store rooted at a subdirectory of this one, with the same
-``keep`` policy but independent sequences and pruning.  The campaign
-layer gives every campaign its own namespace (accumulator payloads)
-under the root store (which holds the manifest + cross-campaign
-ledger), so one campaign's churn never prunes another's history.
+a child store rooted at a subdirectory of this one, with independent
+sequences and pruning.  The campaign layer gives every campaign its
+own namespace (accumulator payloads) under the root store (which
+holds the manifest + cross-campaign ledger), so one campaign's churn
+never prunes another's history.
 """
 
 from __future__ import annotations
@@ -33,9 +35,12 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{10})\.json$")
+
+#: Snapshots a directory keeps after each cut that writes into it.
+RETAIN = 3
 
 
 class SnapshotCorruptError(ValueError):
@@ -46,11 +51,24 @@ class SnapshotCorruptError(ValueError):
 
 
 class RawJSON:
-    """A payload value :meth:`SnapshotStore.save` writes verbatim:
+    """A payload value :meth:`SnapshotStore.encode` writes verbatim:
     ``parts`` concatenated are the value's ASCII JSON text."""
 
     def __init__(self, parts: List[bytes]):
         self.parts = parts
+
+
+#: One file of a cut: its path, and its bytes as parts.
+SnapshotFile = Tuple[Path, Tuple[bytes, ...]]
+
+
+class Cut(NamedTuple):
+    """One checkpoint, whole as bytes before any of it is written:
+    each campaign payload it rewrites, then the manifest naming them.
+    """
+
+    seq: int
+    files: Tuple[SnapshotFile, ...]
 
 
 class SnapshotStore:
@@ -60,20 +78,15 @@ class SnapshotStore:
     ----------
     directory:
         Where snapshots live; created if missing.
-    keep:
-        How many most-recent snapshots to retain (>= 1).
     """
 
-    def __init__(self, directory, keep: int = 3):
-        if keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
+    def __init__(self, directory):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.keep = int(keep)
 
     # ------------------------------------------------------------------
     def namespace(self, name: str) -> "SnapshotStore":
-        """Child store at ``directory/name`` (same ``keep`` policy).
+        """Child store at ``directory/name``.
 
         Namespace names must be flat path components (the campaign
         layer uses spec fingerprints, which are hex).
@@ -83,7 +96,7 @@ class SnapshotStore:
             "..",
         }:
             raise ValueError(f"invalid namespace name {name!r}")
-        return SnapshotStore(self.directory / name, keep=self.keep)
+        return SnapshotStore(self.directory / name)
 
     # ------------------------------------------------------------------
     def path(self, seq: int) -> Path:
@@ -105,17 +118,12 @@ class SnapshotStore:
         return seqs[-1] if seqs else None
 
     # ------------------------------------------------------------------
-    def save(self, seq: int, payload: Dict[str, Any]) -> Path:
-        """Atomically and durably write snapshot ``seq``; prunes old
-        snapshots.
-
-        The file holds ``json.dumps({"seq": seq, **payload})``, with a
-        top-level :class:`RawJSON` value written as its text.
-        """
+    def encode(self, seq: int, payload: Dict[str, Any]) -> SnapshotFile:
+        """Snapshot ``seq`` of this store as a file of a cut: its bytes
+        are ``json.dumps({"seq": seq, **payload})``, with a top-level
+        :class:`RawJSON` value written as its text."""
         if seq < 0:
             raise ValueError(f"seq must be >= 0, got {seq}")
-        final = self.path(seq)
-        tmp = final.with_suffix(".tmp")
         parts: List[bytes] = []
         for key, value in {"seq": int(seq), **payload}.items():
             parts.append(b", " if parts else b"{")
@@ -125,26 +133,32 @@ class SnapshotStore:
             else:
                 parts.append(json.dumps(value).encode())
         parts.append(b"}")
-        with open(tmp, "wb") as handle:
-            handle.writelines(parts)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, final)
-        # The rename is durable only once the directory entry is.
-        directory = os.open(self.directory, os.O_RDONLY)
-        try:
-            os.fsync(directory)
-        finally:
-            os.close(directory)
-        self._prune()
-        return final
+        return self.path(seq), tuple(parts)
+
+    def save(self, cut: Cut) -> None:
+        """Write ``cut`` durably, file by file in order, and prune only
+        once its manifest is durable (see the module docstring)."""
+        for path, parts in cut.files:
+            tmp = path.with_suffix(".tmp")
+            with open(tmp, "wb") as handle:
+                handle.writelines(parts)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+            # The rename is durable only once the directory entry is.
+            directory = os.open(path.parent, os.O_RDONLY)
+            try:
+                os.fsync(directory)
+            finally:
+                os.close(directory)
+        for directory in dict.fromkeys(path.parent for path, _ in cut.files):
+            SnapshotStore(directory)._prune()
 
     def _prune(self) -> None:
-        for seq in self.sequences()[: -self.keep]:
-            try:
-                self.path(seq).unlink()
-            except FileNotFoundError:  # pragma: no cover - racing pruners
-                pass
+        """Keep the newest :data:`RETAIN` snapshots and no ``.tmp``."""
+        stale = [self.path(seq) for seq in self.sequences()[:-RETAIN]]
+        for path in [*stale, *self.directory.glob("snapshot-*.tmp")]:
+            path.unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
     def load(self, seq: int) -> Dict[str, Any]:
@@ -180,5 +194,5 @@ class SnapshotStore:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SnapshotStore({str(self.directory)!r}, "
-            f"snapshots={len(self.sequences())}, keep={self.keep})"
+            f"snapshots={len(self.sequences())})"
         )

@@ -96,11 +96,6 @@ class HeavyHitterTracker:
         self._previous: List[int] = []
         self._observed = False
 
-    @property
-    def observed_round(self) -> Optional[int]:
-        """Round of the most recent observation (``None`` initially)."""
-        return self._round
-
     def update(
         self,
         frequencies: Any,

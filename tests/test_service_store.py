@@ -11,23 +11,35 @@ import pytest
 
 from repro.protocol import Protocol
 from repro.service import wire
-from repro.service.store import RawJSON, SnapshotCorruptError, SnapshotStore
+from repro.service.store import (
+    RETAIN,
+    Cut,
+    RawJSON,
+    SnapshotCorruptError,
+    SnapshotStore,
+)
+
+
+def save(store, seq, payload):
+    """Write snapshot ``seq`` as a one-file cut; returns its path."""
+    store.save(Cut(seq, (store.encode(seq, payload),)))
+    return store.path(seq)
 
 
 class TestSnapshotStore:
     def test_save_load_round_trip(self, tmp_path):
         store = SnapshotStore(tmp_path)
         payload = {"fingerprint": "abc", "value": [1, 2, 3]}
-        path = store.save(4, payload)
+        path = save(store, 4, payload)
         assert path.exists()
         loaded = store.load(4)
         assert loaded["seq"] == 4
         assert loaded["value"] == [1, 2, 3]
 
     def test_latest_picks_highest_sequence(self, tmp_path):
-        store = SnapshotStore(tmp_path, keep=10)
+        store = SnapshotStore(tmp_path)
         for seq in (1, 5, 3):
-            store.save(seq, {"marker": seq})
+            save(store, seq, {"marker": seq})
         assert store.latest_sequence() == 5
         seq, payload = store.load_latest()
         assert seq == 5 and payload["marker"] == 5
@@ -38,43 +50,43 @@ class TestSnapshotStore:
         assert store.load_latest() is None
 
     def test_prunes_to_keep(self, tmp_path):
-        store = SnapshotStore(tmp_path, keep=2)
+        store = SnapshotStore(tmp_path)
         for seq in range(5):
-            store.save(seq, {})
-        assert store.sequences() == [3, 4]
+            save(store, seq, {})
+        assert RETAIN == 3
+        assert store.sequences() == [2, 3, 4]
 
     def test_no_partial_snapshot_visible(self, tmp_path):
         """A leftover .tmp from a crashed write is never read."""
         store = SnapshotStore(tmp_path)
-        store.save(1, {"ok": True})
+        save(store, 1, {"ok": True})
         # Simulate a crash mid-write of snapshot 2.
         (tmp_path / "snapshot-0000000002.tmp").write_text('{"seq": 2, "tru')
         assert store.sequences() == [1]
         assert store.load_latest()[0] == 1
         # The next save of seq 2 overwrites the junk and completes.
-        store.save(2, {"ok": True})
+        save(store, 2, {"ok": True})
         assert store.load(2)["ok"] is True
 
     def test_saved_file_is_complete_json(self, tmp_path):
         store = SnapshotStore(tmp_path)
-        path = store.save(7, {"blob": "x" * 100_000})
+        path = save(store, 7, {"blob": "x" * 100_000})
         assert json.loads(path.read_text())["blob"] == "x" * 100_000
 
     def test_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            SnapshotStore(tmp_path, keep=0)
         store = SnapshotStore(tmp_path)
         with pytest.raises(ValueError):
-            store.save(-1, {})
+            save(store, -1, {})
 
     def test_creates_directory(self, tmp_path):
         nested = tmp_path / "a" / "b"
-        SnapshotStore(nested).save(0, {})
+        save(SnapshotStore(nested), 0, {})
         assert nested.exists()
 
     def test_bytes_are_json_dumps_with_raw_values_verbatim(self, tmp_path):
         store = SnapshotStore(tmp_path)
-        path = store.save(
+        path = save(
+            store,
             3,
             {
                 "a": [1, 2.5, None],
@@ -94,8 +106,9 @@ class TestSnapshotStore:
     def test_directory_is_fsynced_after_each_rename(
         self, tmp_path, monkeypatch
     ):
-        """Each save makes its rename durable before returning, so a
-        namespace payload is on disk before the manifest naming it."""
+        """A cut makes each file's rename durable before it writes the
+        next, so a namespace payload is on disk before the manifest
+        naming it."""
         events = []
         real_fsync, real_replace = os.fsync, os.replace
 
@@ -112,8 +125,10 @@ class TestSnapshotStore:
         monkeypatch.setattr(os, "replace", replace)
         store = SnapshotStore(tmp_path)
         child = store.namespace("campaign")
-        payload = child.save(1, {"x": 1})
-        manifest = store.save(1, {"child": 1})
+        payload, manifest = child.path(1), store.path(1)
+        store.save(
+            Cut(1, (child.encode(1, {"x": 1}), store.encode(1, {"child": 1})))
+        )
 
         def inode(path):
             return os.stat(path).st_ino
@@ -137,8 +152,8 @@ class TestSnapshotStore:
     )
     def test_corrupt_snapshot_names_the_file(self, tmp_path, damage):
         store = SnapshotStore(tmp_path)
-        store.save(1, {"ok": True})
-        path = store.save(2, {"ok": True, "blob": "x" * 100})
+        save(store, 1, {"ok": True})
+        path = save(store, 2, {"ok": True, "blob": "x" * 100})
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(SnapshotCorruptError, match=re.escape(str(path))):
             store.load_latest()
@@ -183,7 +198,7 @@ class TestResumeEquality:
         first = protocol.server()
         for batch in batches[:3]:
             first.absorb(batch)
-        store.save(3, {"accumulator": wire.encode_accumulator_state(first)})
+        save(store, 3, {"accumulator": wire.encode_accumulator_state(first)})
         del first
 
         # Second process: recover from disk, absorb the rest.
