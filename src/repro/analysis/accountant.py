@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 import numpy as np
@@ -43,15 +44,17 @@ class PrivacyAccountant:
     first-charge order; ``_spent`` holds every row's spend in one
     float64 vector whose row 0 stays 0.0 and stands for every user not
     yet charged; the charge log keeps one ``(users, costs, label id)``
-    chunk per call.  A batch (:meth:`charge_batch`,
-    :meth:`rejected_users`) looks each user up once and tests the cap
-    for all of them in one vectorized comparison.  Every balance is the
-    IEEE ``spent + cost`` that charging one user at a time gives, and
-    :meth:`to_dict` writes plain per-user and per-charge JSON that does
-    not depend on this layout; :meth:`json_parts` writes the same JSON
-    text and encodes each log chunk only once.  Users are ``str`` and
-    every spend and cost is finite (the charge paths and
-    :meth:`from_dict` both check), which that text relies on.
+    chunk per call, and ``_labels`` numbers the labels in first-use
+    order.  A batch (:meth:`charge_batch`, :meth:`rejected_users`)
+    looks each user up once and tests the cap for all of them in one
+    vectorized comparison.  Every balance is the IEEE ``spent + cost``
+    that charging one user at a time gives.  :meth:`to_dict` writes a
+    per-user ``spent`` map, the ``labels`` list and one
+    ``[user, epsilon, label index]`` array per charge, which do not
+    depend on this layout; :meth:`json_parts` writes the same JSON text
+    and encodes each log chunk only once.  Users are ``str`` and every
+    spend and cost is finite (the charge paths and :meth:`from_dict`
+    both check), which that text relies on.
 
     Parameters
     ----------
@@ -223,15 +226,12 @@ class PrivacyAccountant:
         """Spend per user, in row (first-charge) order."""
         return self._spent[1 : len(self._rows) + 1]
 
-    def _entries(
-        self, chunks: Iterable[Tuple[List[str], np.ndarray, int]]
-    ) -> List[Dict[str, Any]]:
-        """The charge-log entries of ``chunks``, as :meth:`to_dict`
-        writes them."""
-        labels = list(self._labels)
+    def _entries(self) -> List[List[Any]]:
+        """Every charge as ``[user, epsilon, label index]``, the form
+        :meth:`to_dict` writes."""
         return [
-            {"user": user, "epsilon": cost, "label": labels[label_id]}
-            for users, costs, label_id in chunks
+            [user, cost, label_id]
+            for users, costs, label_id in self._log
             for user, cost in zip(users, costs.tolist())
         ]
 
@@ -239,7 +239,11 @@ class PrivacyAccountant:
     @property
     def ledger(self) -> Tuple[Charge, ...]:
         """Immutable view of every recorded charge."""
-        return tuple(Charge(**entry) for entry in self._entries(self._log))
+        labels = list(self._labels)
+        return tuple(
+            Charge(user, cost, labels[label_id])
+            for user, cost, label_id in self._entries()
+        )
 
     def total_spent(self) -> float:
         """Sum of eps across all users (a deployment-level cost figure)."""
@@ -279,17 +283,20 @@ class PrivacyAccountant:
         """JSON-friendly snapshot of the full accounting state.
 
         Carries both the per-user spent map and the charge ledger so a
-        service can persist budgets across restarts;
+        service can persist budgets across restarts: ``labels`` lists
+        each charge label once, in first-use order, and ``ledger``
+        holds one ``[user, epsilon, label index]`` array per charge.
         :meth:`from_dict` round-trips exactly (floats survive JSON
         bitwise — ``json`` serializes them via ``repr`` round-trip).
         """
-        return {**self._head(), "ledger": self._entries(self._log)}
+        return {**self._head(), "ledger": self._entries()}
 
     def _head(self) -> Dict[str, Any]:
         """Every :meth:`to_dict` key but the charge log."""
         return {
             "lifetime_epsilon": self.lifetime_epsilon,
             "spent": dict(zip(self._rows, self._balances().tolist())),
+            "labels": list(self._labels),
         }
 
     def json_parts(self, head: Mapping[str, Any]) -> List[bytes]:
@@ -306,9 +313,8 @@ class PrivacyAccountant:
         """
         new = self._log[self._encoded_chunks :]
         if new:
-            labels = [json.dumps(label) for label in self._labels]
             texts = [
-                _chunk_text(users, costs, labels[label_id])
+                _chunk_text(users, costs, label_id)
                 for users, costs, label_id in new
             ]
             if self._blocks:
@@ -324,38 +330,123 @@ class PrivacyAccountant:
     def from_dict(cls, payload: Dict[str, Any]) -> "PrivacyAccountant":
         """Rebuild an accountant from :meth:`to_dict` output.
 
-        Raises ``ValueError`` naming the user when a spend is negative
-        or not finite, or a logged cost is not positive and finite: the
-        first would under-charge that user, and neither can be written
-        back as the JSON :meth:`to_dict` gives.
+        Reads the charge log in either form: ``[user, epsilon, label
+        index]`` arrays into ``labels`` when the payload has that key,
+        else the ``{"user", "epsilon", "label"}`` objects written before
+        it existed.  Raises ``ValueError`` when the payload does not
+        have that shape, and one naming the user when a spend is
+        negative or not finite, or a logged cost is not positive and
+        finite: the first would under-charge that user, and neither can
+        be written back as the JSON :meth:`to_dict` gives.
         """
-        accountant = cls(lifetime_epsilon=float(payload["lifetime_epsilon"]))
-        spent = {
-            str(user): float(eps)
-            for user, eps in payload.get("spent", {}).items()
-        }
-        accountant._rows = dict(zip(spent, range(1, len(spent) + 1)))
-        accountant._spent = np.array([0.0, *spent.values()])
+        if not isinstance(payload, dict) or "lifetime_epsilon" not in payload:
+            raise ValueError("not an object with a lifetime_epsilon")
+        spent = payload.get("spent", {})
+        entries = payload.get("ledger", [])
+        if not isinstance(spent, dict):
+            raise ValueError("spent is not an object")
+        if not isinstance(entries, list):
+            raise ValueError("the charge log is not a list")
+        accountant = cls(
+            lifetime_epsilon=_floats([payload["lifetime_epsilon"]]).item()
+        )
+        accountant._rows = dict(
+            zip(map(str, spent), range(1, len(spent) + 1))
+        )
+        accountant._spent = np.concatenate(([0.0], _floats(spent.values())))
         balances = accountant._balances()
         _check_values(
             spent, balances, balances >= 0.0, "spent",
             "finite and non-negative",
         )
-        entries = payload.get("ledger", [])
-        users = [str(entry["user"]) for entry in entries]
-        costs = np.array([float(entry["epsilon"]) for entry in entries])
+        labels, entries = (
+            (payload["labels"], entries)
+            if "labels" in payload
+            else _compact(entries)
+        )
+        users, costs, ids = _columns(labels, entries)
+        costs = _floats(costs)
         _check_values(
             users, costs, costs > 0.0, "charge", "finite and positive"
         )
         # One log chunk per run of consecutive entries with one label.
-        start = 0
-        for label, run in groupby(
-            str(entry.get("label", "")) for entry in entries
-        ):
-            stop = start + sum(1 for _ in run)
-            accountant._append(users[start:stop], costs[start:stop], label)
-            start = stop
+        ids = np.array(ids, dtype=np.intp)
+        starts = np.flatnonzero(np.diff(ids, prepend=-1)).tolist()
+        for start, stop in zip(starts, [*starts[1:], len(ids)]):
+            accountant._append(
+                users[start:stop], costs[start:stop], str(labels[ids[start]])
+            )
         return accountant
+
+
+def _columns(
+    labels: Any, entries: List[Any]
+) -> Tuple[List[str], List[Any], List[int]]:
+    """The users, costs and label indices of a log of ``[user, epsilon,
+    label index]`` arrays into ``labels``; ``ValueError`` names the
+    first malformed entry.
+
+    The log is checked a column at a time, each check one pass in C;
+    only a log that fails is walked entry by entry, to name the entry.
+    """
+    if not isinstance(labels, list):
+        raise ValueError("labels is not a list")
+    shaped = {*map(type, entries)} <= {list} and {*map(len, entries)} <= {3}
+    users, costs, ids = (
+        [list(map(itemgetter(k), entries)) for k in range(3)]
+        if shaped else ([], [], [])
+    )
+    if not (
+        shaped
+        and {*map(type, users)} <= {str}
+        and {*map(type, ids)} <= {int}
+        and 0 <= min(ids, default=0)
+        and max(ids, default=-1) < len(labels)
+    ):
+        for n, entry in enumerate(entries):
+            if type(entry) is not list or len(entry) != 3 or (
+                type(entry[0]) is not str
+            ):
+                raise ValueError(
+                    f"log entry {n} is not [user, epsilon, label index]"
+                )
+            if type(entry[2]) is not int or not 0 <= entry[2] < len(labels):
+                raise ValueError(
+                    f"log entry {n}: label index {entry[2]!r} is not an "
+                    f"int in [0, {len(labels)})"
+                )
+    return users, costs, ids
+
+
+def _compact(entries: List[Any]) -> Tuple[List[str], List[List[Any]]]:
+    """A log of ``{"user", "epsilon", "label"}`` objects, the form
+    written before ``labels``, as labels in first-use order and
+    ``[user, epsilon, label index]`` arrays; ``ValueError`` names the
+    first malformed entry."""
+    index: Dict[str, int] = {}
+    log = []
+    for n, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and "user" in entry
+                and "epsilon" in entry):
+            raise ValueError(
+                f"log entry {n} is not a {{user, epsilon, label}} object"
+            )
+        label = str(entry.get("label", ""))
+        log.append([
+            str(entry["user"]),
+            entry["epsilon"],
+            index.setdefault(label, len(index)),
+        ])
+    return list(index), log
+
+
+def _floats(values: Iterable[Any]) -> np.ndarray:
+    """``values`` as float64, ``ValueError`` for one that is not a
+    number."""
+    try:
+        return np.array(list(map(float, values)), dtype=float)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _check_values(
@@ -373,19 +464,19 @@ def _check_values(
         )
 
 
-def _chunk_text(users: List[str], costs: np.ndarray, label: str) -> str:
+def _chunk_text(users: List[str], costs: np.ndarray, label_id: int) -> str:
     """The charge-log entries of one chunk, as ``json.dumps`` writes
     them inside the log's list.
 
-    Each entry's text is built directly instead of through a dict:
+    Each entry's text is built directly instead of through a list:
     ``encode_basestring_ascii`` is ``json.dumps``' own string escaper,
-    ``float.__repr__`` is what it writes for a finite float (taken once
-    per distinct cost; costs are positive, so -0.0 never meets 0.0),
-    and ``label`` is already JSON text.
+    and ``float.__repr__`` is what it writes for a finite float (taken
+    once per distinct cost; costs are positive, so -0.0 never meets
+    0.0).
     """
-    tail = f', "label": {label}}}'
-    text = [tail + ', {"user": ', "", ', "epsilon": ', ""] * len(users)
-    text[0] = '{"user": '
+    tail = f", {label_id}]"
+    text = [tail + ", [", "", ", ", ""] * len(users)
+    text[0] = "["
     text[1::4] = map(encode_basestring_ascii, users)
     floats = costs.tolist()
     text[3::4] = map(

@@ -114,10 +114,10 @@ class CrossCampaignLedger:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "CrossCampaignLedger":
-        return cls(
-            lifetime_epsilon=float(payload["lifetime_epsilon"]),
-            accountant=PrivacyAccountant.from_dict(payload),
-        )
+        """Rebuild from :meth:`to_dict` output; ``ValueError`` as
+        ``PrivacyAccountant.from_dict`` raises it."""
+        accountant = PrivacyAccountant.from_dict(payload)
+        return cls(accountant.lifetime_epsilon, accountant)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -74,6 +74,7 @@ import time
 from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 from repro.campaigns.ledger import CrossCampaignLedger, batch_multiplicity
+from repro.campaigns.lifecycle import InvalidTransitionError
 from repro.campaigns.registry import (
     Campaign,
     CampaignRegistry,
@@ -102,6 +103,12 @@ _log = get_logger("repro.service.server")
 DRAINING_RETRY_AFTER = 5
 
 SpecLike = Union[Protocol, ProtocolSpec, Dict[str, Any]]
+
+#: What reading a manifest value of the wrong shape, or a missing one,
+#: raises (an unknown campaign state raises the last).
+_MALFORMED = (
+    AttributeError, KeyError, TypeError, ValueError, InvalidTransitionError,
+)
 
 #: A route handler's query (path parameter included) and its answer:
 #: the status and a JSON payload (Prometheus text for ``/metrics``).
@@ -391,7 +398,8 @@ class IngestionServer:
         Snapshot store for durable checkpoints; when it already holds
         a manifest the server resumes *all* campaigns plus the ledger
         from it (fingerprint-checked per campaign).  A newest snapshot
-        that is not a campaign manifest raises
+        that is not a campaign manifest, or has a value of the wrong
+        shape or none where a cut writes one, raises
         :class:`~repro.service.store.SnapshotCorruptError`.
     checkpoint_every:
         Write a snapshot after every this-many accepted batches
@@ -489,6 +497,24 @@ class IngestionServer:
         if loaded is None:
             return
         seq, snapshot = loaded
+        try:
+            self._resume_manifest(seq, snapshot)
+        except (SnapshotCorruptError, wire.SpecMismatchError):
+            raise
+        except _MALFORMED as exc:
+            # A manifest that does not have the shape a cut writes must
+            # not resume, and must not crash boot either.
+            reason = f"missing {exc}" if isinstance(exc, KeyError) else exc
+            raise SnapshotCorruptError(
+                f"snapshot {self.store.path(seq)} is corrupt: {reason}"
+            ) from exc
+        self._resumed_from = seq
+
+    def _resume_manifest(self, seq: int, snapshot: Dict[str, Any]) -> None:
+        """Restore every campaign + the ledger from a campaign manifest.
+
+        Raises one of :data:`_MALFORMED` when a value has the wrong
+        shape or is missing."""
         if not isinstance(snapshot, dict) or not isinstance(
             snapshot.get("campaigns"), dict
         ):
@@ -496,11 +522,6 @@ class IngestionServer:
                 f"snapshot {self.store.path(seq)} is not a campaign "
                 "manifest (pre-campaign snapshots are no longer read)"
             )
-        self._resume_manifest(seq, snapshot)
-        self._resumed_from = seq
-
-    def _resume_manifest(self, seq: int, snapshot: Dict[str, Any]) -> None:
-        """Restore every campaign + the ledger from a campaign manifest."""
         manifest_default = snapshot.get("default")
         configured = self.registry.default
         if (
@@ -514,6 +535,18 @@ class IngestionServer:
                 f"was configured with {configured.fingerprint[:12]!r}..."
             )
         for fp, entry in snapshot["campaigns"].items():
+            if not isinstance(entry, dict) or not isinstance(
+                entry.get("spec"), dict
+            ):
+                raise ValueError(f"campaign {fp[:12]!r}... has no spec")
+            saved_seq = entry.get("seq")
+            if saved_seq is not None and (
+                type(saved_seq) is not int or saved_seq < 0
+            ):
+                raise ValueError(
+                    f"campaign {fp[:12]!r}... has seq {saved_seq!r}, not "
+                    "a snapshot number"
+                )
             if fp in self.registry:
                 campaign = self.registry.get(fp)
                 # The window shapes the checkpointed state: resuming it
@@ -539,10 +572,9 @@ class IngestionServer:
                     f"its own spec (fingerprint "
                     f"{campaign.fingerprint[:12]!r}...)"
                 )
-            saved_seq = entry.get("seq")
             if saved_seq is None:  # registered but never checkpointed
                 continue
-            payload = self.store.namespace(fp).load(int(saved_seq))
+            payload = self.store.namespace(fp).load(saved_seq)
             campaign.restore(entry, payload)
         try:
             self.ledger = CrossCampaignLedger.from_dict(snapshot["ledger"])

@@ -47,7 +47,8 @@ class SnapshotCorruptError(ValueError):
     """A snapshot file that exists but cannot be resumed from: it is
     not valid JSON (e.g. a manifest cut short on disk), or, as the
     newest snapshot a server boots on, it is not a campaign manifest
-    (pre-campaign snapshots are no longer read)."""
+    (pre-campaign snapshots are no longer read) or has a value of the
+    wrong shape, or none, where a cut writes one."""
 
 
 class RawJSON:

@@ -4,10 +4,12 @@ This is the dict-and-dataclass ``PrivacyAccountant`` that
 ``repro.analysis.accountant`` replaced with an array-backed one, kept
 verbatim but for one fix: an atomic ``charge_group`` that fails
 restores every user's pre-group spend exactly (the original recomputed
-``(s + e) - e`` and dropped users whose result rounded to <= 0).  The
-property tests drive both implementations with the same operations and
-require every public read, and the JSON bytes of ``to_dict()``, to
-agree.
+``(s + e) - e`` and dropped users whose result rounded to <= 0).  Its
+``to_dict``/``from_dict`` follow the serialized form: a ``labels``
+list in first-use order and one ``[user, epsilon, label index]`` array
+per charge.  The property tests drive both implementations with the
+same operations and require every public read, and the JSON bytes of
+``to_dict()``, to agree.
 """
 
 from __future__ import annotations
@@ -172,12 +174,14 @@ class PrivacyAccountant:
         :meth:`from_dict` round-trips exactly (floats survive JSON
         bitwise — ``json`` serializes them via ``repr`` round-trip).
         """
+        labels = list(dict.fromkeys(c.label for c in self._ledger))
+        index = {label: i for i, label in enumerate(labels)}
         return {
             "lifetime_epsilon": self.lifetime_epsilon,
             "spent": dict(self._spent),
+            "labels": labels,
             "ledger": [
-                {"user": c.user, "epsilon": c.epsilon, "label": c.label}
-                for c in self._ledger
+                [c.user, c.epsilon, index[c.label]] for c in self._ledger
             ],
         }
 
@@ -189,12 +193,9 @@ class PrivacyAccountant:
             str(user): float(eps)
             for user, eps in payload.get("spent", {}).items()
         }
+        labels = payload.get("labels", [])
         accountant._ledger = [
-            Charge(
-                user=str(entry["user"]),
-                epsilon=float(entry["epsilon"]),
-                label=str(entry.get("label", "")),
-            )
-            for entry in payload.get("ledger", [])
+            Charge(user=str(user), epsilon=float(eps), label=labels[i])
+            for user, eps, i in payload.get("ledger", [])
         ]
         return accountant

@@ -264,10 +264,77 @@ class TestSerialization:
     )
     def test_from_dict_rejects_out_of_range_values(self, spent, log, message):
         """A negative spend would give its user more than the lifetime
-        budget; a non-finite value has no JSON text to write back."""
+        budget; a non-finite value has no JSON text to write back.  The
+        log here is in the verbose form, which the compact reader's
+        cases below mirror."""
         payload = {"lifetime_epsilon": 2.0, "spent": spent, "ledger": log}
         with pytest.raises(ValueError, match=re.escape(message)):
             PrivacyAccountant.from_dict(json.loads(json.dumps(payload)))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"ledger": [["u", float("inf"), 0]]}, "user 'u': charge inf"),
+            (
+                {"ledger": [["u", 1.0, 0], ["w", 0.0, 1]]},
+                "user 'w': charge 0.0",
+            ),
+            ({"labels": "ab"}, "labels is not a list"),
+            ({"ledger": {"u": 1.0}}, "the charge log is not a list"),
+            ({"spent": [1.0]}, "spent is not an object"),
+            ({"lifetime_epsilon": None}, "lifetime_epsilon"),
+            ({"ledger": [["u", 1.0]]}, "log entry 0 is not [user"),
+            ({"ledger": [["u", 1.0, 0, 0]]}, "log entry 0 is not [user"),
+            ({"ledger": [[1, 1.0, 0]]}, "log entry 0 is not [user"),
+            ({"ledger": ["u10"]}, "log entry 0 is not [user"),
+            (
+                {"ledger": [["u", 1.0, 0], {"user": "u", "epsilon": 1.0}]},
+                "log entry 1 is not [user",
+            ),
+            ({"ledger": [["u", 1.0, -1]]}, "label index -1 is not"),
+            ({"ledger": [["u", 1.0, 2]]}, "label index 2 is not"),
+            ({"ledger": [["u", 1.0, True]]}, "label index True is not"),
+            ({"ledger": [["u", 1.0, 1.0]]}, "label index 1.0 is not"),
+            ({"ledger": [["u", 1.0, "a"]]}, "label index 'a' is not"),
+            ({"ledger": [["u", [1.0], 0]]}, "float() argument"),
+        ],
+    )
+    def test_from_dict_rejects_a_malformed_compact_log(self, fields, message):
+        """A payload with ``labels`` reads its log as ``[user, epsilon,
+        label index]`` arrays, and rejects one of any other shape, or an
+        index that is not an int into ``labels``, with ``ValueError``."""
+        payload = {
+            "lifetime_epsilon": 2.0,
+            "spent": {"u": 1.0, "w": 1.0},
+            "labels": ["a", "b"],
+            "ledger": [],
+            **fields,
+        }
+        payload = {k: v for k, v in payload.items() if v is not None}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PrivacyAccountant.from_dict(json.loads(json.dumps(payload)))
+
+    def test_from_dict_reads_both_log_forms_alike(self):
+        """The verbose ``{user, epsilon, label}`` log of a payload
+        without ``labels`` rebuilds the same accountant, which then
+        writes the compact form."""
+        acc = self._populated()
+        compact = acc.to_dict()
+        labels = compact["labels"]
+        verbose = {
+            **{k: v for k, v in compact.items() if k != "labels"},
+            "ledger": [
+                {"user": user, "epsilon": cost, "label": labels[i]}
+                for user, cost, i in compact["ledger"]
+            ],
+        }
+        rebuilt = PrivacyAccountant.from_dict(json.loads(json.dumps(verbose)))
+        assert rebuilt.ledger == acc.ledger
+        assert json.dumps(rebuilt.to_dict()) == json.dumps(compact)
+        assert compact["labels"] == ["mean query", "freq query", "sgd"]
+        assert compact["ledger"] == [
+            ["u1", 1.0, 0], ["u1", 0.5, 1], ["u2", 4.0, 2],
+        ]
 
 
 class TestJsonParts:

@@ -9,11 +9,13 @@ from the latest snapshot.
 
 import json
 import os
+import shutil
 import signal
 import socket
 import struct
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -622,49 +624,95 @@ def _tree_bytes(root):
 
 class TestCommandLine:
     def test_cli_serves_and_checkpoints_on_sigint(self, tmp_path):
+        """The CLI answers a resent key as a duplicate, drains on SIGINT
+        with a final checkpoint, and a CLI restart on the same snapshot
+        directory serves the same counts and drains to the same
+        ledger."""
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(
             json.dumps(Protocol.frequency(1.0, domain=6).spec.to_dict())
         )
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-u", "-m", "repro.service",
-                "--spec", str(spec_path),
-                "--port", "0",
-                "--snapshot-dir", str(tmp_path / "snaps"),
-                "--checkpoint-every", "1",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            env=_cli_env(),
-            text=True,
-        )
-        try:
-            banner = proc.stdout.readline()
-            assert "repro.service:" in banner
-            port = int(banner.split("http://127.0.0.1:")[1].split()[0])
-            client = ServiceClient("127.0.0.1", port, retries=5)
-            client.submit(
-                np.array([1, 2, 3, 1]), users=_users(4), rng=0
+        snaps = SnapshotStore(tmp_path / "snaps")
+        running = []
+
+        def boot():
+            proc = subprocess.Popen(
+                [
+                    sys.executable, "-u", "-m", "repro.service",
+                    "--spec", str(spec_path),
+                    "--port", "0",
+                    "--snapshot-dir", str(snaps.directory),
+                    "--checkpoint-every", "1",
+                ],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
+                env=_cli_env(),
+                text=True,
             )
-            assert client.healthz()["reports"] == 4
-        finally:
+            running.append(proc)
+            # A restart logs "resumed from snapshot" before the banner.
+            banner = proc.stdout.readline()
+            while "http://127.0.0.1:" not in banner:
+                assert banner, "the server exited before its banner"
+                banner = proc.stdout.readline()
+            port = int(banner.split("http://127.0.0.1:")[1].split()[0])
+            return proc, ServiceClient("127.0.0.1", port, retries=5)
+
+        def drain(proc):
+            """SIGINT; the ledger of the manifest the drain wrote."""
             proc.send_signal(signal.SIGINT)
-            try:
-                out, _ = proc.communicate(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                out, _ = proc.communicate()
-        assert proc.returncode == 0, out
-        assert "final checkpoint" in out
-        assert SnapshotStore(tmp_path / "snaps").latest_sequence() == 1
+            out, _ = proc.communicate(timeout=10)
+            assert proc.returncode == 0, out
+            assert "draining (SIGINT)" in out, out
+            assert "final checkpoint" in out, out
+            assert snaps.latest_sequence() == 1
+            return snaps.load_latest()[1]["ledger"]
+
+        def counts(client):
+            """The batch-count series, which read the campaigns'
+            counts."""
+            return [
+                line
+                for line in client.server_metrics_text().splitlines()
+                if line.startswith((
+                    "repro_batches_accepted_total{campaign=",
+                    "repro_duplicate_batches_total ",
+                ))
+            ]
+
+        try:
+            proc, client = boot()
+            for status in ("accepted", "duplicate"):
+                answer = client.submit(
+                    np.array([1, 2, 3, 1]), users=_users(4), rng=0,
+                    idempotency_key="k1",
+                )
+                assert answer["status"] == status, answer
+            assert client.healthz()["reports"] == 4
+            served = counts(client)
+            assert [line.split()[-1] for line in served] == ["1", "1"]
+            ledger = drain(proc)
+
+            proc, client = boot()
+            assert client.healthz()["reports"] == 4
+            assert counts(client) == served
+            assert drain(proc) == ledger
+        finally:
+            for proc in running:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.communicate()
 
     def test_cli_exits_2_naming_a_corrupt_manifest(self, tmp_path):
         """A newest snapshot that is cut short, is not a campaign
-        manifest, or holds ledger values that would under-charge a user
-        or cannot be written back as JSON, fails boot closed: no
+        manifest, has a value of the wrong shape or none where a cut
+        writes one, or holds ledger values that would under-charge a
+        user or cannot be written back as JSON, fails boot closed: no
         fallback to the older cut, no write, and the CLI exits 2 with
-        one line naming the file."""
+        one line naming the file.  The charge log is checked in both
+        forms: ``[user, epsilon, label index]`` arrays into ``labels``,
+        and the ``{user, epsilon, label}`` objects of a manifest
+        without ``labels``."""
         protocol = Protocol.frequency(1.0, domain=6)
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(protocol.spec.to_dict()))
@@ -682,12 +730,34 @@ class TestCommandLine:
             "batches_accepted": 1,
         }
         manifest = json.loads(older.read_bytes())
+        fp = server.fingerprint
+        campaign = manifest["campaigns"][fp]
 
-        def with_ledger(spent, log):
-            ledger = {**manifest["ledger"], "spent": spent, "ledger": log}
-            return json.dumps({**manifest, "seq": 1, "ledger": ledger})
+        def newest_with(**fields):
+            """The manifest as snapshot 1, with these top-level fields
+            (``None`` drops one)."""
+            body = {**manifest, "seq": 1, **fields}
+            return json.dumps(
+                {k: v for k, v in body.items() if v is not None}
+            ).encode()
 
-        newest = snaps / "snapshot-0000000001.json"
+        def with_ledger(**fields):
+            """``newest_with`` these ledger fields; ``labels=None`` makes
+            the charge log verbose."""
+            ledger = {**manifest["ledger"], **fields}
+            return newest_with(
+                ledger={k: v for k, v in ledger.items() if v is not None}
+            )
+
+        def with_log(*entries, labels=("a",)):
+            return with_ledger(
+                spent={"u": 1.0},
+                labels=None if labels is None else list(labels),
+                ledger=list(entries),
+            )
+
+        verbose = "is not a {user, epsilon, label} object"
+        compact = "is not [user, epsilon, label index]"
         bodies = {
             "truncated": (older.read_bytes()[:-1], "is corrupt"),
             "pre-campaign": (
@@ -698,44 +768,113 @@ class TestCommandLine:
             "no campaigns": (b'{"seq": 0}', "is not a campaign manifest"),
             # Lifetime 1.0: -100.0 spent would leave 101 of room.
             "negative spend": (
-                with_ledger({"u": -100.0}, []).encode(),
+                with_ledger(spent={"u": -100.0}),
                 "user 'u': spent -100.0",
             ),
             "infinite cost": (
-                with_ledger(
-                    {"u": 1.0},
-                    [{"user": "u", "epsilon": float("inf"), "label": ""}],
-                ).encode(),
+                with_log(["u", float("inf"), 0]), "user 'u': charge inf"
+            ),
+            "infinite cost, verbose": (
+                with_log(
+                    {"user": "u", "epsilon": float("inf"), "label": ""},
+                    labels=None,
+                ),
                 "user 'u': charge inf",
             ),
+            "entry without user": (
+                with_log({"epsilon": 1.0, "label": ""}, labels=None),
+                f"log entry 0 {verbose}",
+            ),
+            "verbose entry is a list": (
+                with_log(["u", 1.0, ""], labels=None),
+                f"log entry 0 {verbose}",
+            ),
+            "spent is a list": (with_ledger(spent=[]), "spent is not an"),
+            "no lifetime_epsilon": (
+                with_ledger(lifetime_epsilon=None), "lifetime_epsilon"
+            ),
+            "log is a string": (
+                with_ledger(ledger="u"), "the charge log is not a list"
+            ),
+            "entry of 2": (with_log(["u", 1.0]), f"log entry 0 {compact}"),
+            "entry of 4": (
+                with_log(["u", 1.0, 0, 0]), f"log entry 0 {compact}"
+            ),
+            "entry is an object": (
+                with_log({"user": "u", "epsilon": 1.0, "label": "a"}),
+                f"log entry 0 {compact}",
+            ),
+            "negative label index": (
+                with_log(["u", 1.0, -1]), "label index -1 is not"
+            ),
+            "label index out of range": (
+                with_log(["u", 0.5, 0], ["u", 0.5, 1]),
+                "log entry 1: label index 1 is not",
+            ),
+            "bool label index": (
+                with_log(["u", 1.0, False]), "label index False is not"
+            ),
+            "float label index": (
+                with_log(["u", 1.0, 0.0]), "label index 0.0 is not"
+            ),
+            "campaign is a list": (
+                newest_with(campaigns={fp: []}), "has no spec"
+            ),
+            "campaign without spec": (
+                newest_with(
+                    campaigns={
+                        fp: {k: v for k, v in campaign.items() if k != "spec"}
+                    }
+                ),
+                "has no spec",
+            ),
+            "campaign seq is a string": (
+                newest_with(campaigns={fp: {**campaign, "seq": "0"}}),
+                "has seq '0', not a snapshot number",
+            ),
+            "no batches_accepted": (
+                newest_with(batches_accepted=None),
+                "missing 'batches_accepted'",
+            ),
         }
-        for name, (body, reason) in bodies.items():
+        boots = {}
+        for n, (name, (body, reason)) in enumerate(bodies.items()):
+            copy = shutil.copytree(snaps, tmp_path / f"case-{n}")
+            newest = copy / "snapshot-0000000001.json"
             newest.write_bytes(body)
-            before = _tree_bytes(snaps)
+            before = _tree_bytes(copy)
             with pytest.raises(SnapshotCorruptError) as excinfo:
-                IngestionServer(protocol, store=SnapshotStore(snaps))
+                IngestionServer(protocol, store=SnapshotStore(copy))
             message = str(excinfo.value)
             assert str(newest) in message and reason in message, name
-            assert _tree_bytes(snaps) == before, name
-            done = subprocess.run(
+            assert _tree_bytes(copy) == before, name
+            boots[name] = (copy, newest, before)
+
+        def cli(copy):
+            return subprocess.run(
                 [
                     sys.executable, "-m", "repro.service",
                     "--spec", str(spec_path),
                     "--port", "0",
-                    "--snapshot-dir", str(snaps),
+                    "--snapshot-dir", str(copy),
                 ],
                 capture_output=True,
                 env=_cli_env(),
                 text=True,
                 timeout=60,
             )
+
+        # A failed boot is mostly interpreter start-up: run a few at once.
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            runs = pool.map(cli, [copy for copy, _, _ in boots.values()])
+        for (name, (copy, newest, before)), done in zip(boots.items(), runs):
             assert done.returncode == 2, (name, done.stdout + done.stderr)
             assert done.stdout == "", name
             lines = done.stderr.splitlines()
             assert len(lines) == 1 and str(newest) in lines[0], (
                 name, done.stderr,
             )
-            assert _tree_bytes(snaps) == before, name
+            assert _tree_bytes(copy) == before, name
 
     @pytest.mark.parametrize(
         "saved, configured",

@@ -13,6 +13,11 @@ old checkout.
 Boot folds the per-shard states into one accumulator in shard-index
 order, the merge the sharded server ran for every estimate, so the
 estimates must come back bitwise-equal.
+
+The manifest there also holds the charge log as ``{user, epsilon,
+label}`` objects, the form written before ledgers had ``labels``; the
+next checkpoint rewrites it as ``[user, epsilon, label index]``
+arrays.
 """
 
 import json
@@ -22,6 +27,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.analysis.accountant import Charge
+from repro.campaigns import CrossCampaignLedger
 from repro.service import IngestionServer, ServiceClient, SnapshotStore, wire
 
 FIXTURE = Path(__file__).parent / "fixtures" / "sharded_snapshot"
@@ -102,3 +109,44 @@ def test_next_checkpoint_writes_one_accumulator(boot):
     resumed = start()
     assert resumed.healthz()["resumed_from_snapshot"] == seq
     _assert_estimates_match(resumed)
+
+
+def test_next_checkpoint_writes_the_compact_charge_log(boot):
+    """The fixture's manifest holds its 60 charges as ``{user, epsilon,
+    label}`` objects.  The first checkpoint after boot writes them as
+    ``[user, epsilon, label index]`` arrays into ``labels``, with every
+    charge, spend and per-campaign breakdown as it was; a second
+    restart writes that manifest back byte for byte."""
+    start, snapshots = boot
+    old = json.loads(
+        (FIXTURE / "snapshots" / f"snapshot-{EXPECTED['seq']:010d}.json")
+        .read_text()
+    )["ledger"]
+    assert "labels" not in old and len(old["ledger"]) == 60
+    seq = start().checkpoint()
+    path = SnapshotStore(snapshots).path(seq)
+    new = json.loads(path.read_bytes())["ledger"]
+    assert new["labels"] == list(
+        dict.fromkeys(entry["label"] for entry in old["ledger"])
+    )
+    assert len(new["ledger"]) == 60
+    assert all(
+        isinstance(entry, list) and len(entry) == 3
+        for entry in new["ledger"]
+    )
+    upgraded = CrossCampaignLedger.from_dict(new)
+    assert upgraded.accountant.ledger == tuple(
+        Charge(**entry) for entry in old["ledger"]
+    )
+    by_campaign = {}
+    for entry in old["ledger"]:
+        user, label = entry["user"], entry["label"]
+        spent = by_campaign.setdefault(user, {})
+        spent[label] = spent.get(label, 0.0) + entry["epsilon"]
+    assert new["spent"] == old["spent"]
+    for user, spent in old["spent"].items():
+        assert upgraded.spent(user) == spent, user
+        assert upgraded.spent_by_campaign(user) == by_campaign[user], user
+    written = path.read_bytes()
+    assert start().checkpoint() == seq
+    assert path.read_bytes() == written
