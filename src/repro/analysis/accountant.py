@@ -43,7 +43,7 @@ class PrivacyAccountant:
     The state is columnar.  ``_rows`` maps each user to a row in
     first-charge order; ``_spent`` holds every row's spend in one
     float64 vector whose row 0 stays 0.0 and stands for every user not
-    yet charged; the charge log keeps one ``(users, costs, label id)``
+    yet charged; the charge log keeps one ``(rows, costs, label id)``
     chunk per call, and ``_labels`` numbers the labels in first-use
     order.  A batch (:meth:`charge_batch`, :meth:`rejected_users`)
     looks each user up once and tests the cap for all of them in one
@@ -51,10 +51,10 @@ class PrivacyAccountant:
     that charging one user at a time gives.  :meth:`to_dict` writes a
     per-user ``spent`` map, the ``labels`` list and one
     ``[user, epsilon, label index]`` array per charge, which do not
-    depend on this layout; :meth:`json_parts` writes the same JSON text
-    and encodes each log chunk only once.  Users are ``str`` and every
-    spend and cost is finite (the charge paths and :meth:`from_dict`
-    both check), which that text relies on.
+    depend on this layout; :meth:`json_parts` writes the same JSON text,
+    encoding each log chunk only once and each user's name once a call.
+    Users are ``str`` and every spend and cost is finite (the charge
+    paths and :meth:`from_dict` both check), which that text relies on.
 
     Parameters
     ----------
@@ -66,7 +66,7 @@ class PrivacyAccountant:
         self.lifetime_epsilon = check_epsilon(lifetime_epsilon)
         self._rows: Dict[str, int] = {}
         self._spent = np.zeros(1)
-        self._log: List[Tuple[List[str], np.ndarray, int]] = []
+        self._log: List[Tuple[np.ndarray, np.ndarray, int]] = []
         self._labels: Dict[str, int] = {}
         # JSON text of _log[:_encoded_chunks], one immutable block per
         # json_parts call that found new chunks; every block but the
@@ -131,7 +131,7 @@ class PrivacyAccountant:
                 f"(lifetime {self.lifetime_epsilon:g})"
             )
         self._commit(users, rows, spent + costs)
-        self._append(users, costs, label)
+        self._append(rows, costs, label)
 
     def charge_group(
         self, users, epsilon: float, label: str = "", atomic: bool = False
@@ -168,7 +168,9 @@ class PrivacyAccountant:
             self._commit(
                 names, self._lookup(names), np.array(list(pending.values()))
             )
-            self._append(charged, np.full(len(charged), epsilon), label)
+            self._append(
+                self._lookup(charged), np.full(len(charged), epsilon), label
+            )
         return tuple(charged)
 
     # ------------------------------------------------------------------
@@ -216,11 +218,9 @@ class PrivacyAccountant:
                 self._spent = grown
         self._spent[rows] = balances
 
-    def _append(
-        self, users: List[str], costs: np.ndarray, label: str
-    ) -> None:
+    def _append(self, rows: np.ndarray, costs: np.ndarray, label: str) -> None:
         label_id = self._labels.setdefault(label, len(self._labels))
-        self._log.append((users, costs, label_id))
+        self._log.append((rows, costs, label_id))
 
     def _balances(self) -> np.ndarray:
         """Spend per user, in row (first-charge) order."""
@@ -229,10 +229,11 @@ class PrivacyAccountant:
     def _entries(self) -> List[List[Any]]:
         """Every charge as ``[user, epsilon, label index]``, the form
         :meth:`to_dict` writes."""
+        users = list(self._rows)
         return [
-            [user, cost, label_id]
-            for users, costs, label_id in self._log
-            for user, cost in zip(users, costs.tolist())
+            [users[row], cost, label_id]
+            for rows, costs, label_id in self._log
+            for row, cost in zip((rows - 1).tolist(), costs.tolist())
         ]
 
     # ------------------------------------------------------------------
@@ -289,14 +290,11 @@ class PrivacyAccountant:
         :meth:`from_dict` round-trips exactly (floats survive JSON
         bitwise — ``json`` serializes them via ``repr`` round-trip).
         """
-        return {**self._head(), "ledger": self._entries()}
-
-    def _head(self) -> Dict[str, Any]:
-        """Every :meth:`to_dict` key but the charge log."""
         return {
             "lifetime_epsilon": self.lifetime_epsilon,
             "spent": dict(zip(self._rows, self._balances().tolist())),
             "labels": list(self._labels),
+            "ledger": self._entries(),
         }
 
     def json_parts(self, head: Mapping[str, Any]) -> List[bytes]:
@@ -309,22 +307,33 @@ class PrivacyAccountant:
         and returns every kept block as its own piece: it costs
         O(charges since the last call + users) and never joins or
         copies the whole log.  The blocks are immutable, so pieces
-        returned earlier still spell the text of their own call.
+        returned earlier still spell the text of their own call.  Each
+        user's name is encoded once a call, for the ``spent`` map and
+        the new chunks alike, and nothing is kept per user between
+        calls.
         """
+        names = list(map(encode_basestring_ascii, self._rows))
         new = self._log[self._encoded_chunks :]
         if new:
             texts = [
-                _chunk_text(users, costs, label_id)
-                for users, costs, label_id in new
+                _chunk_text(names, rows, costs, label_id)
+                for rows, costs, label_id in new
             ]
             if self._blocks:
                 texts.insert(0, "")  # the block then starts with ", "
             self._blocks.append(", ".join(texts).encode())
             self._encoded_chunks = len(self._log)
-        # The head ends in '"ledger": []}'; the log goes between the
-        # brackets.
-        top = json.dumps({**head, **self._head(), "ledger": []})
-        return [top[:-2].encode(), *self._blocks, b"]}"]
+        # The head ends in '"lifetime_epsilon": <float>}'; the rest of
+        # the object goes in place of the brace.
+        top = json.dumps({**head, "lifetime_epsilon": self.lifetime_epsilon})
+        spent = _object_text(names, self._balances())
+        labels = json.dumps(list(self._labels))
+        return [
+            f'{top[:-1]}, "spent": {spent}, "labels": {labels}, '
+            f'"ledger": ['.encode(),
+            *self._blocks,
+            b"]}",
+        ]
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "PrivacyAccountant":
@@ -335,9 +344,10 @@ class PrivacyAccountant:
         else the ``{"user", "epsilon", "label"}`` objects written before
         it existed.  Raises ``ValueError`` when the payload does not
         have that shape, and one naming the user when a spend is
-        negative or not finite, or a logged cost is not positive and
-        finite: the first would under-charge that user, and neither can
-        be written back as the JSON :meth:`to_dict` gives.
+        negative or not finite, a logged cost is not positive and
+        finite, or a logged user has no ``spent`` entry: the first and
+        the last would under-charge that user, and the others cannot be
+        written back as the JSON :meth:`to_dict` gives.
         """
         if not isinstance(payload, dict) or "lifetime_epsilon" not in payload:
             raise ValueError("not an object with a lifetime_epsilon")
@@ -369,12 +379,18 @@ class PrivacyAccountant:
         _check_values(
             users, costs, costs > 0.0, "charge", "finite and positive"
         )
+        rows = accountant._lookup(users)
+        if not rows.all():
+            n = int(np.argmin(rows))
+            raise ValueError(
+                f"log entry {n}: user {users[n]!r} has no spent entry"
+            )
         # One log chunk per run of consecutive entries with one label.
         ids = np.array(ids, dtype=np.intp)
         starts = np.flatnonzero(np.diff(ids, prepend=-1)).tolist()
         for start, stop in zip(starts, [*starts[1:], len(ids)]):
             accountant._append(
-                users[start:stop], costs[start:stop], str(labels[ids[start]])
+                rows[start:stop], costs[start:stop], str(labels[ids[start]])
             )
         return accountant
 
@@ -464,9 +480,12 @@ def _check_values(
         )
 
 
-def _chunk_text(users: List[str], costs: np.ndarray, label_id: int) -> str:
+def _chunk_text(
+    names: List[str], rows: np.ndarray, costs: np.ndarray, label_id: int
+) -> str:
     """The charge-log entries of one chunk, as ``json.dumps`` writes
-    them inside the log's list.
+    them inside the log's list; ``names`` are the users' encoded names
+    in row order.
 
     Each entry's text is built directly instead of through a list:
     ``encode_basestring_ascii`` is ``json.dumps``' own string escaper,
@@ -475,9 +494,9 @@ def _chunk_text(users: List[str], costs: np.ndarray, label_id: int) -> str:
     0.0).
     """
     tail = f", {label_id}]"
-    text = [tail + ", [", "", ", ", ""] * len(users)
+    text = [tail + ", [", "", ", ", ""] * len(rows)
     text[0] = "["
-    text[1::4] = map(encode_basestring_ascii, users)
+    text[1::4] = map(names.__getitem__, (rows - 1).tolist())
     floats = costs.tolist()
     text[3::4] = map(
         {cost: float.__repr__(cost) for cost in set(floats)}.__getitem__,
@@ -485,3 +504,19 @@ def _chunk_text(users: List[str], costs: np.ndarray, label_id: int) -> str:
     )
     text.append(tail)
     return "".join(text)
+
+
+def _object_text(names: List[str], values: np.ndarray) -> str:
+    """``json.dumps`` of the object mapping each of the encoded
+    ``names`` to its finite float in ``values``.
+
+    Built like :func:`_chunk_text`, with ``float.__repr__`` taken once
+    per distinct bit pattern, so that ``-0.0`` keeps its own text.
+    """
+    bits, which = np.unique(values.view(np.int64), return_inverse=True)
+    reprs = list(map(float.__repr__, bits.view(np.float64).tolist()))
+    text = ["", ": ", "", ", "] * len(names)
+    text[0::4] = names
+    text[2::4] = map(reprs.__getitem__, which.tolist())
+    text[-1:] = ["}"]  # the last ", ", or the whole of an empty map
+    return "{" + "".join(text)

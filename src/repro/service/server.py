@@ -574,7 +574,12 @@ class IngestionServer:
                 )
             if saved_seq is None:  # registered but never checkpointed
                 continue
-            payload = self.store.namespace(fp).load(saved_seq)
+            try:
+                payload = self.store.namespace(fp).load(saved_seq)
+            except SnapshotCorruptError as exc:
+                # As a ValueError, the boot error names the manifest
+                # too, not only the payload file.
+                raise ValueError(f"campaign {fp[:12]!r}...: {exc}") from exc
             campaign.restore(entry, payload)
         try:
             self.ledger = CrossCampaignLedger.from_dict(snapshot["ledger"])

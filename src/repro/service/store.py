@@ -44,9 +44,9 @@ RETAIN = 3
 
 
 class SnapshotCorruptError(ValueError):
-    """A snapshot file that exists but cannot be resumed from: it is
-    not valid JSON (e.g. a manifest cut short on disk), or, as the
-    newest snapshot a server boots on, it is not a campaign manifest
+    """A snapshot that cannot be resumed from: it is missing or not
+    valid JSON (e.g. a manifest cut short on disk), or, as the newest
+    snapshot a server boots on, it is not a campaign manifest
     (pre-campaign snapshots are no longer read) or has a value of the
     wrong shape, or none, where a cut writes one."""
 
@@ -165,17 +165,19 @@ class SnapshotStore:
     def load(self, seq: int) -> Dict[str, Any]:
         """Read one snapshot by sequence number.
 
-        Raises :class:`SnapshotCorruptError` when the file is not valid
-        JSON.
+        Raises :class:`SnapshotCorruptError` when the file is missing
+        or not valid JSON.
         """
         path = self.path(seq)
-        with open(path, encoding="utf-8") as handle:
-            try:
+        try:
+            with open(path, encoding="utf-8") as handle:
                 return json.load(handle)
-            except ValueError as exc:  # also UnicodeDecodeError
-                raise SnapshotCorruptError(
-                    f"snapshot {path} is corrupt: {exc}"
-                ) from exc
+        except FileNotFoundError as exc:
+            raise SnapshotCorruptError(f"snapshot {path} is missing") from exc
+        except ValueError as exc:  # also UnicodeDecodeError
+            raise SnapshotCorruptError(
+                f"snapshot {path} is corrupt: {exc}"
+            ) from exc
 
     def load_latest(self) -> Optional[Tuple[int, Dict[str, Any]]]:
         """``(seq, payload)`` of the newest snapshot, or ``None``."""

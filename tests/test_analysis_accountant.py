@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,12 +298,22 @@ class TestSerialization:
             ({"ledger": [["u", 1.0, 1.0]]}, "label index 1.0 is not"),
             ({"ledger": [["u", 1.0, "a"]]}, "label index 'a' is not"),
             ({"ledger": [["u", [1.0], 0]]}, "float() argument"),
+            (
+                {"ledger": [["u", 1.0, 0], ["x", 1.0, 1]]},
+                "log entry 1: user 'x' has no spent entry",
+            ),
+            (
+                {"labels": None, "ledger": [{"user": "x", "epsilon": 1.0}]},
+                "log entry 0: user 'x' has no spent entry",
+            ),
         ],
     )
     def test_from_dict_rejects_a_malformed_compact_log(self, fields, message):
         """A payload with ``labels`` reads its log as ``[user, epsilon,
         label index]`` arrays, and rejects one of any other shape, or an
-        index that is not an int into ``labels``, with ``ValueError``."""
+        index that is not an int into ``labels``, with ``ValueError``.
+        In either form, a logged user without a ``spent`` entry is
+        rejected too: the rebuilt ledger would under-charge them."""
         payload = {
             "lifetime_epsilon": 2.0,
             "spent": {"u": 1.0, "w": 1.0},
@@ -354,9 +365,13 @@ class TestJsonParts:
         batches = 0
         for round_ in range(4):
             if round_ == 2:
-                ledger = CrossCampaignLedger.from_dict(
-                    json.loads(json.dumps(ledger.to_dict()))
-                )
+                # Spends of 0.0 and -0.0 are valid, and keep their text.
+                payload = json.loads(json.dumps(ledger.to_dict()))
+                payload["spent"].update({"zero": 0.0, "minus zero": -0.0})
+                ledger = CrossCampaignLedger.from_dict(payload)
+                text = json.dumps(payload).encode()
+                assert b'"minus zero": -0.0' in text
+                assert b"".join(ledger.json_parts()) == text
             for label, epsilon in campaigns:
                 for batch in np.array_split(rng.permutation(len(users)), 8):
                     counts = rng.integers(1, 4, len(batch)).tolist()
@@ -377,3 +392,28 @@ class TestJsonParts:
         # Later charges and the rebuild leave earlier parts as they were.
         for parts, text in cuts:
             assert b"".join(parts) == text
+
+
+def test_charge_log_holds_no_user_names():
+    """The log keeps each charge's row, not its user's name: a
+    returning user, whose name arrives as a fresh ``str`` in every
+    request, adds 16 B a charge, not another copy of the name.  The
+    shape is ``durable-rounds``': 10,000 users in batches of 100,
+    charged 12 times each."""
+    users, batch = 10_000, 100
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        acc = PrivacyAccountant(12.0)
+        for round_ in range(12):
+            for start in range(0, users, batch):
+                acc.charge_batch(
+                    {f"s1-p{i}": 1 for i in range(start, start + batch)},
+                    1.0,
+                    f"campaign-{round_ % 2}",
+                )
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert acc.user_count() == users and len(acc.ledger) == 12 * users
+    assert held <= 4_000_000, f"the ledger holds {held} B"

@@ -706,10 +706,11 @@ class TestCommandLine:
     def test_cli_exits_2_naming_a_corrupt_manifest(self, tmp_path):
         """A newest snapshot that is cut short, is not a campaign
         manifest, has a value of the wrong shape or none where a cut
-        writes one, or holds ledger values that would under-charge a
-        user or cannot be written back as JSON, fails boot closed: no
-        fallback to the older cut, no write, and the CLI exits 2 with
-        one line naming the file.  The charge log is checked in both
+        writes one, names a campaign payload that is not on disk, or
+        holds ledger values that would under-charge a user or cannot be
+        written back as JSON, fails boot closed: no fallback to the
+        older cut, no write, and the CLI exits 2 with one line naming
+        the file.  The charge log is checked in both
         forms: ``[user, epsilon, label index]`` arrays into ``labels``,
         and the ``{user, epsilon, label}`` objects of a manifest
         without ``labels``."""
@@ -831,6 +832,14 @@ class TestCommandLine:
             "campaign seq is a string": (
                 newest_with(campaigns={fp: {**campaign, "seq": "0"}}),
                 "has seq '0', not a snapshot number",
+            ),
+            "campaign payload missing": (
+                newest_with(campaigns={fp: {**campaign, "seq": 7}}),
+                f"{Path(fp, 'snapshot-0000000007.json')} is missing",
+            ),
+            "logged user without spend": (
+                with_log(["u", 0.5, 0], ["v", 0.5, 0]),
+                "log entry 1: user 'v' has no spent entry",
             ),
             "no batches_accepted": (
                 newest_with(batches_accepted=None),
