@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Mapping, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -78,10 +78,6 @@ class PrivacyAccountant:
     def spent(self, user: str) -> float:
         """Total eps already consumed by ``user``."""
         return self._spent.item(self._rows.get(user, 0))
-
-    def spent_many(self, users: Iterable[str]) -> List[float]:
-        """Bulk :meth:`spent`, in the order of ``users``."""
-        return self._spent[self._lookup(users)].tolist()
 
     def remaining(self, user: str) -> float:
         """Budget left before ``user`` hits the lifetime cap."""
@@ -249,6 +245,17 @@ class PrivacyAccountant:
     def total_spent(self) -> float:
         """Sum of eps across all users (a deployment-level cost figure)."""
         return float(sum(self._balances().tolist()))
+
+    def spend_buckets(
+        self, bounds: Sequence[float]
+    ) -> Tuple[List[int], float]:
+        """How many users' spend falls in each bucket, and
+        :meth:`total_spent`.  Bucket ``i`` holds
+        ``bounds[i-1] < spent <= bounds[i]`` for ascending ``bounds``,
+        and one more bucket the spend above the last bound."""
+        index = np.searchsorted(bounds, self._balances())
+        counts = np.bincount(index, minlength=len(bounds) + 1)
+        return counts.tolist(), self.total_spent()
 
     def spent_by_label(self, user: str) -> Dict[str, float]:
         """Breakdown of ``user``'s spend by charge label.

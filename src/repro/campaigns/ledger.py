@@ -20,7 +20,7 @@ rejects the whole batch (HTTP 429) without touching the ledger.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.accountant import PrivacyAccountant
 
@@ -59,8 +59,10 @@ class CrossCampaignLedger:
     def spent(self, user: str) -> float:
         return self.accountant.spent(user)
 
-    def spent_many(self, users: Iterable[str]) -> List[float]:
-        return self.accountant.spent_many(users)
+    def spend_buckets(
+        self, bounds: Sequence[float]
+    ) -> Tuple[List[int], float]:
+        return self.accountant.spend_buckets(bounds)
 
     def remaining(self, user: str) -> float:
         return self.accountant.remaining(user)

@@ -20,11 +20,12 @@ Semantics mirror the real client library where it matters:
   (``\\``, ``"`` and newline) exactly as the exposition format
   specifies.
 
-One difference, deliberate: a counter, like a gauge, can read its
-value live through ``set_function``.  A series that reports state
-(the ingest server's accepted and duplicate batch counts) reads it
-from the object that owns it: no metric holds state, so nothing ever
-restores one after a restart.
+One difference, deliberate: a counter or a histogram, like a gauge,
+can read its value live through ``set_function``.  A series that
+reports state (the ingest server's accepted and duplicate batch
+counts, the per-user spend in its ledger) reads it from the object
+that owns it: no metric holds state, so nothing ever restores one
+after a restart.
 
 Everything is thread-safe: one lock per metric family guards child
 creation, one lock per child guards its numbers.  Registration is
@@ -42,7 +43,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -312,7 +312,9 @@ class Gauge(Metric):
 
 
 class _HistogramChild:
-    __slots__ = ("_lock", "_bounds", "_counts", "_sum", "label_names")
+    __slots__ = (
+        "_lock", "_bounds", "_counts", "_sum", "_fn", "label_names"
+    )
 
     def __init__(
         self, label_names: Tuple[str, ...], bounds: Tuple[float, ...]
@@ -321,6 +323,7 @@ class _HistogramChild:
         self._bounds = bounds  # finite upper bounds, ascending
         self._counts = [0] * (len(bounds) + 1)  # +1 for +Inf
         self._sum = 0.0
+        self._fn: Optional[Callable[[], Tuple[Sequence[int], float]]] = None
         self.label_names = label_names
 
     def observe(self, value: float) -> None:
@@ -330,44 +333,31 @@ class _HistogramChild:
             self._counts[index] += 1
             self._sum += value
 
-    def observe_many(self, values: Iterable[float]) -> None:
-        """Bulk observation: one lock acquisition, O(b log n) bucketing.
-
-        Sorting once and bisecting each bucket bound over the sorted
-        values keeps a 2k-report batch's per-user spend observation in
-        the hundred-microsecond range — cheap enough for the ingest
-        hot path (the benchmark's instrumented-vs-uninstrumented row
-        guards this).
-        """
-        ordered = sorted(float(v) for v in values)
-        if not ordered:
-            return
-        total = sum(ordered)
-        cuts = [
-            bisect.bisect_right(ordered, bound) for bound in self._bounds
-        ]
+    def set_function(
+        self, fn: Callable[[], Tuple[Sequence[int], float]]
+    ) -> None:
+        """Make this histogram *live*: every read calls ``fn`` for the
+        count in each bucket (``bounds[i-1] < v <= bounds[i]``, as
+        :meth:`observe` files ``v``, then one above the last bound) and
+        the sum."""
         with self._lock:
-            previous = 0
-            for i, cut in enumerate(cuts):
-                self._counts[i] += cut - previous
-                previous = cut
-            self._counts[-1] += len(ordered) - previous
-            self._sum += total
+            self._fn = fn
+
+    def _read(self) -> Tuple[Sequence[int], float]:
+        fn = self._fn
+        if fn is not None:
+            return fn()
+        with self._lock:
+            return list(self._counts), self._sum
 
     @property
     def count(self) -> int:
-        return sum(self._counts)
-
-    @property
-    def sum(self) -> float:
-        return self._sum
+        return sum(self._read()[0])
 
     def render_samples(self, name, values):
         lines = []
         cumulative = 0
-        with self._lock:
-            counts = list(self._counts)
-            total = self._sum
+        counts, total = self._read()
         for bound, count in zip(self._bounds, counts):
             cumulative += count
             labels = _render_labels(
@@ -421,16 +411,14 @@ class Histogram(Metric):
     def observe(self, value: float) -> None:
         self._sole_child().observe(value)
 
-    def observe_many(self, values: Iterable[float]) -> None:
-        self._sole_child().observe_many(values)
+    def set_function(
+        self, fn: Callable[[], Tuple[Sequence[int], float]]
+    ) -> None:
+        self._sole_child().set_function(fn)
 
     @property
     def count(self) -> int:
         return self._sole_child().count
-
-    @property
-    def sum(self) -> float:
-        return self._sole_child().sum
 
 
 class MetricsRegistry:

@@ -193,17 +193,17 @@ class ServerMetrics:
     * **State series** (rendered whatever ``instrument`` says).  Some
       read state when a scrape renders them: batches accepted per
       campaign and duplicates (the campaigns' own counts, which the
-      snapshot sequence and ``/healthz`` also read), and the campaign,
+      snapshot sequence and ``/healthz`` also read), the per-user
+      spend distribution (the ledger's balances), and the campaign,
       ledger, uptime, drain and connection views.  The rest count the
       server's own work: batches per wire version, checkpoints and
       their cost, closed connections.
     * **Request-path observation**: per-campaign ingest throughput,
       batch-handling and request latency histograms, HTTP rejection
-      counters, per-user budget-spend distribution.  ``instrumented``
-      is its one switch: every call site checks it, and without it the
-      group is registered on a registry that is never rendered.  This
-      is the group whose cost the benchmark's
-      instrumented-vs-uninstrumented row bounds (≤ 5 %).
+      counters.  ``instrumented`` is its one switch: every call site
+      checks it, and without it the group is registered on a registry
+      that is never rendered.  Its cost on ``/report`` is bounded at
+      5% by ``tests/test_service_overhead.py``.
     """
 
     def __init__(self, instrument: bool = True) -> None:
@@ -262,6 +262,13 @@ class ServerMetrics:
             "Distinct users with nonzero spend in the cross-campaign "
             "ledger.",
         )
+        self.budget_spend = self.registry.histogram(
+            "repro_user_budget_spent_epsilon",
+            "Per-user epsilon spend in the cross-campaign ledger, read "
+            "when scraped: _count is the users charged, _sum the total "
+            "spend.",
+            buckets=_EPSILON_BUCKETS,
+        )
         self.uptime = self.registry.gauge(
             "repro_uptime_seconds",
             "Seconds since this server object was constructed.",
@@ -313,14 +320,6 @@ class ServerMetrics:
             "POST /report batches rejected, by reason.",
             labels=("reason",),
         )
-        self.budget_spend = observed.histogram(
-            "repro_user_budget_spent_epsilon",
-            "Cumulative per-user epsilon spend, observed for every "
-            "*charged* user in each accepted batch after the charge "
-            "(memoized re-reports charge nobody), by campaign.",
-            buckets=_EPSILON_BUCKETS,
-            labels=("campaign",),
-        )
         self.campaign_window_latest = self.registry.gauge(
             "repro_campaign_window_latest_round",
             "Highest streaming round absorbed per windowed campaign "
@@ -347,6 +346,9 @@ class ServerMetrics:
         self.duplicate_batches.set_function(server.registry.total_duplicates)
         # A lambda, not a bound method: resume replaces server.ledger.
         self.users_charged.set_function(lambda: server.ledger.user_count())
+        self.budget_spend.set_function(
+            lambda: server.ledger.spend_buckets(_EPSILON_BUCKETS)
+        )
         self.uptime.set_function(
             lambda: time.monotonic() - server._started_at
         )
@@ -362,10 +364,6 @@ class ServerMetrics:
         self.batches_accepted.labels(campaign=fp).set_function(
             lambda: campaign.batches_accepted
         )
-        if self.instrumented:
-            # Pre-seed so exposition shows explicit zeros
-            # (deterministically, children render sorted by label).
-            self.budget_spend.labels(campaign=fp)
         if campaign.windowed:
             self.campaign_window_latest.labels(campaign=fp).set_function(
                 campaign.window_latest_round
@@ -411,9 +409,9 @@ class IngestionServer:
     campaigns:
         Additional (non-default) campaign specs to register at boot.
     instrument:
-        ``False`` skips the request-path observation (latency and spend
-        histograms, per-campaign report counters) and leaves it off
-        ``/metrics``.  The state series stay either way.
+        ``False`` skips the request-path observation (latency
+        histograms, per-campaign report and response counters) and
+        leaves it off ``/metrics``.  The state series stay either way.
     window:
         Optional :class:`~repro.stream.windows.WindowConfig` (or its
         dict form) applied to every campaign registered at boot.  The
@@ -1197,12 +1195,6 @@ class IngestionServer:
                 campaign=campaign.fingerprint,
                 wire_version=str(wire_version),
             ).inc(n)
-            # Bulk-observe every charged user's *cumulative* spend:
-            # one lock, sort + bisect, ~100 µs for a 2k-user batch.
-            if multiplicity:
-                m.budget_spend.labels(
-                    campaign=campaign.fingerprint
-                ).observe_many(self.ledger.spent_many(multiplicity))
         if _log.isEnabledFor(10):  # DEBUG — skip extra-dict on hot path
             _log.debug(
                 "batch accepted",

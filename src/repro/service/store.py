@@ -16,7 +16,10 @@ power loss.  A reader therefore only ever observes complete snapshots.
 Only once the cut's manifest (its last file) is durable is each
 directory it wrote pruned, to its newest :data:`RETAIN` snapshots and
 no ``.tmp``, so a failed cut deletes nothing the previous manifest
-names.  Recovery resumes from the highest surviving sequence number.
+names.  A cut never prunes a file it wrote itself: payloads that
+failed cuts left above it (renamed into place, but never named by a
+manifest) cannot push out the payload its own manifest names.
+Recovery resumes from the highest surviving sequence number.
 A newest snapshot that is damaged anyway fails recovery with
 :class:`SnapshotCorruptError` rather than resuming from an older one,
 which could forget budget already charged.
@@ -152,14 +155,17 @@ class SnapshotStore:
                 os.fsync(directory)
             finally:
                 os.close(directory)
-        for directory in dict.fromkeys(path.parent for path, _ in cut.files):
-            SnapshotStore(directory)._prune()
+        written = [path for path, _ in cut.files]
+        for directory in dict.fromkeys(path.parent for path in written):
+            SnapshotStore(directory)._prune(written)
 
-    def _prune(self) -> None:
-        """Keep the newest :data:`RETAIN` snapshots and no ``.tmp``."""
+    def _prune(self, written: List[Path]) -> None:
+        """Keep the newest :data:`RETAIN` snapshots and every file in
+        ``written``, and no ``.tmp``."""
         stale = [self.path(seq) for seq in self.sequences()[:-RETAIN]]
         for path in [*stale, *self.directory.glob("snapshot-*.tmp")]:
-            path.unlink(missing_ok=True)
+            if path not in written:
+                path.unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
     def load(self, seq: int) -> Dict[str, Any]:

@@ -14,8 +14,9 @@ same operations and require every public read, and the JSON bytes of
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.validation import check_epsilon
 
@@ -54,12 +55,6 @@ class PrivacyAccountant:
     def spent(self, user: str) -> float:
         """Total eps already consumed by ``user``."""
         return self._spent.get(user, 0.0)
-
-    def spent_many(self, users: Iterable[str]) -> List[float]:
-        """Bulk :meth:`spent` — one bound ``dict.get`` per user, no
-        per-user method dispatch (metrics hot path reads whole batches)."""
-        get = self._spent.get
-        return [get(user, 0.0) for user in users]
 
     def remaining(self, user: str) -> float:
         """Budget left before ``user`` hits the lifetime cap."""
@@ -139,6 +134,14 @@ class PrivacyAccountant:
     def total_spent(self) -> float:
         """Sum of eps across all users (a deployment-level cost figure)."""
         return float(sum(self._spent.values()))
+
+    def spend_buckets(self, bounds) -> Tuple[List[int], float]:
+        """Users per spend bucket (``bounds[i-1] < spent <= bounds[i]``,
+        then one above the last bound), and :meth:`total_spent`."""
+        counts = [0] * (len(bounds) + 1)
+        for spent in self._spent.values():
+            counts[bisect.bisect_left(bounds, spent)] += 1
+        return counts, self.total_spent()
 
     def spent_by_label(self, user: str) -> Dict[str, float]:
         """Breakdown of ``user``'s spend by charge label.

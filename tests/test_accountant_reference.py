@@ -28,6 +28,8 @@ EPS = st.one_of(
     st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0]),
     st.floats(min_value=1e-3, max_value=3.0),
 )
+#: Spend-bucket bounds; a single charge of 0.1, 0.5 or 1.0 lands on one.
+BOUNDS = (0.1, 0.5, 1.0, 1.7, 2.5)
 USER = st.sampled_from(USERS)
 LABEL = st.sampled_from(LABELS)
 
@@ -82,7 +84,7 @@ def _assert_same(ledger, ref):
     assert acc.user_count() == len(ref.users())
     assert acc.exhausted_users() == ref.exhausted_users()
     assert acc.total_spent() == ref.total_spent()
-    assert acc.spent_many(USERS) == ref.spent_many(USERS)
+    assert acc.spend_buckets(BOUNDS) == ref.spend_buckets(BOUNDS)
     assert [(c.user, c.epsilon, c.label) for c in acc.ledger] == [
         (c.user, c.epsilon, c.label) for c in ref.ledger
     ]

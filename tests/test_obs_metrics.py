@@ -11,6 +11,7 @@ import threading
 
 import pytest
 
+from repro.analysis.accountant import PrivacyAccountant
 from repro.obs.metrics import (
     CONTENT_TYPE_LATEST,
     Counter,
@@ -183,20 +184,27 @@ class TestHistogramGolden:
         rendered = "\n".join(hist.render())
         assert rendered.count('le="+Inf"') == 1
 
-    def test_observe_many_matches_loop_of_observe(self):
-        values = [0.01 * i for i in range(200)] + [5.0, -1.0, 0.1]
-        bulk = Histogram("repro_bulk", "b", buckets=DEFAULT_BUCKETS)
-        loop = Histogram("repro_loop", "l", buckets=DEFAULT_BUCKETS)
-        bulk.observe_many(values)
-        for v in values:
-            loop.observe(v)
-        bulk_lines = [
-            line.split(" ")[-1] for line in bulk.render()[2:]
+    def test_set_function_matches_loop_of_observe(self):
+        """A histogram reading the accountant's spend buckets renders
+        what observing each user's spend one at a time renders; values
+        on a bound (``le`` is <=) included."""
+        values = [0.01 * i for i in range(1, 200)] + [
+            *DEFAULT_BUCKETS[:10], 5.0, 12.0, 0.1,
         ]
-        loop_lines = [
-            line.split(" ")[-1] for line in loop.render()[2:]
-        ]
-        assert bulk_lines == loop_lines
+        accountant = PrivacyAccountant(lifetime_epsilon=20.0)
+        for i, value in enumerate(values):
+            accountant.charge(f"u{i}", value)
+        live = Histogram("repro_h", "h", buckets=DEFAULT_BUCKETS)
+        live.set_function(lambda: accountant.spend_buckets(DEFAULT_BUCKETS))
+        loop = Histogram("repro_h", "h", buckets=DEFAULT_BUCKETS)
+        for value in values:
+            loop.observe(value)
+        assert live.render() == loop.render()
+        assert live.count == len(values)
+        # A live read follows the state it reads.
+        accountant.charge("u0", 12.0)
+        assert live.render() != loop.render()
+        assert live.count == len(values)
 
     def test_labelled_histogram_label_ordering(self):
         hist = Histogram(

@@ -257,3 +257,39 @@ class TestFailedCut:
         _submit(server, 6)
         server.checkpoint_now()
         assert not list(tmp_path.rglob("*.tmp"))
+
+
+class TestCrashedCuts:
+    def test_payloads_of_crashed_cuts_never_prune_a_named_one(
+        self, tmp_path, monkeypatch
+    ):
+        """Three cuts crash after the second campaign's payload is
+        renamed into place and before the manifest is, each from a
+        fresh boot on cut 2.  That leaves the campaign payloads 4, 5
+        and 6, which no manifest names.  The next good cut, 3, must not
+        prune the payload it writes and names, or no boot resumes."""
+        server = _boot(tmp_path)
+        _submit(server, 0)
+        _submit(server, 1)
+        assert server.checkpoint_now() == 2
+        payloads = server.store.namespace(list(server.registry)[1].fingerprint)
+        for seq in (4, 5, 6):
+            server = _boot(tmp_path)
+            # Odd batches go to the second campaign only.
+            for batch in range(3, 3 + 2 * (seq - 2), 2):
+                _submit(server, batch)
+            with monkeypatch.context() as patch:
+                faults = _Faults(patch, fail_at=4)  # the manifest's fsync
+                with pytest.raises(OSError, match="injected"):
+                    server.checkpoint_now()
+            assert len(faults.inside_save) == 4
+        assert payloads.sequences() == [2, 4, 5, 6]
+
+        server = _boot(tmp_path)
+        _submit(server, 3)
+        assert server.checkpoint_now() == 3
+        assert payloads.sequences() == [3, 4, 5, 6]
+        resumed = _boot(tmp_path)
+        _, health = _call(resumed, "GET", "/healthz")
+        assert health["resumed_from_snapshot"] == 3
+        assert _state(resumed) == _state(server)

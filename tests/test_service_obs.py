@@ -23,6 +23,7 @@ from repro.service import (
     SnapshotStore,
 )
 from repro.obs.lifecycle import DrainResult, DrainState
+from repro.obs.metrics import CONTENT_TYPE_LATEST
 
 SEED = 77
 N = 40
@@ -173,10 +174,45 @@ class TestMetricsEndpoint:
             f'repro_batches_accepted_total{{campaign="{fp}"}} 1' in text
         )
         assert 'repro_ingest_batches_total{wire_version="2"} 1' in text
+        assert f"repro_user_budget_spent_epsilon_count {N}" in text
         # ...but request-path observation is nulled out.
         assert "repro_request_seconds_bucket" not in text
         assert "repro_ingest_reports_total" not in text
         assert client.healthz()["batches_accepted"] == 1
+
+    def test_spend_series_reads_the_ledger(self, serve):
+        """``repro_user_budget_spent_epsilon`` is the ledger's balances
+        when scraped: one sample per user, whatever the number of
+        batches or campaigns that charged them, and no campaign label
+        (the budget is global)."""
+        other = Protocol.frequency(0.5, domain=4, oracle="grr")
+        server = serve(
+            _protocol(), campaigns=[other.spec], lifetime_epsilon=4.0
+        )
+        client = ServiceClient("127.0.0.1", server.port)
+        client.submit(np.arange(5), users=_users(5), rng=1)
+        client.submit(np.arange(5), users=_users(5), rng=2)
+        client.for_campaign(other.spec).submit(
+            np.arange(3), users=_users(3), rng=3
+        )
+        client.submit(np.arange(2), users=_users(2, "v"), rng=4)
+        text = client.server_metrics_text()
+        spend = {
+            line.split(" ")[0]: float(line.split(" ")[1])
+            for line in text.splitlines()
+            if line.startswith("repro_user_budget_spent_epsilon_")
+        }
+        assert not any("campaign" in name for name in spend)
+        name = "repro_user_budget_spent_epsilon"
+        users = server.metrics.registry.sample("repro_users_charged")
+        assert spend[f"{name}_count"] == users == 7
+        assert spend[f"{name}_sum"] == server.ledger.accountant.total_spent()
+        assert spend[f"{name}_sum"] == 3 * 2.5 + 2 * 2.0 + 2 * 1.0
+        # u0-u2 spent 2.5, u3-u4 2.0, v0-v1 1.0.
+        assert [
+            spend[f'{name}_bucket{{le="{le}"}}']
+            for le in ("0.5", "1", "1.5", "2", "3", "+Inf")
+        ] == [0, 2, 2, 4, 7, 7]
 
     @pytest.mark.parametrize("instrument", [True, False])
     def test_state_series_survive_a_restart(self, serve, tmp_path, instrument):
@@ -213,6 +249,7 @@ class TestMetricsEndpoint:
                     "repro_duplicate_batches_total ",
                     "repro_campaign_reports{",
                     "repro_users_charged ",
+                    "repro_user_budget_spent_epsilon_",
                 ))
             ]
             health = client.healthz()
@@ -226,7 +263,12 @@ class TestMetricsEndpoint:
             return lines, counts
 
         before = state(server.port)
-        assert len(before[0]) == 6
+        # Six count lines, then 12 spend buckets, _sum and _count.
+        assert len(before[0]) == 6 + 14
+        assert before[0][-2:] == [
+            f"repro_user_budget_spent_epsilon_sum {3 * N}",
+            f"repro_user_budget_spent_epsilon_count {3 * N}",
+        ]
         assert before[1][:4] == [3, 1, 3 * N, 3 * N]
         server.drain()
         server.stop()
@@ -431,11 +473,28 @@ class TestSigtermDrain:
         )
         try:
             _submit_twin_batches(port)
+            status, headers, body = _scrape_raw(port)
             proc.send_signal(signum)
             out, err = proc.communicate(timeout=15)
         except BaseException:
             proc.kill()
             raise
+        # The CLI serves /metrics: the core series, request-path ones
+        # included, and no shard series.
+        assert status == 200
+        assert headers["Content-Type"] == CONTENT_TYPE_LATEST
+        text = body.decode("utf-8")
+        for series in (
+            "repro_batches_accepted_total{campaign=",
+            'repro_ingest_batches_total{wire_version="2"} 3',
+            "repro_request_seconds_bucket",
+            "repro_uptime_seconds",
+            "repro_draining 0",
+            "repro_checkpoints_total 0",
+            "repro_user_budget_spent_epsilon_count 18",
+        ):
+            assert series in text, series
+        assert "repro_shard_" not in text
         assert proc.returncode == 0, out + err
         assert f"draining ({signum.name})" in out
         assert "final checkpoint 3" in out

@@ -25,6 +25,7 @@ from repro.data import make_br_like
 from repro.frequency import OLHReports
 from repro.protocol import Protocol
 from repro.service import (
+    CampaignClosedError,
     IngestionServer,
     OverBudgetError,
     ServiceClient,
@@ -612,6 +613,37 @@ def _cli_env():
     return env
 
 
+def _cli(*args):
+    """The CLI serving on a free port: its process, banner and port."""
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-u", "-m", "repro.service", "--port", "0",
+            *map(str, args),
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        env=_cli_env(),
+        text=True,
+    )
+    banner = proc.stdout.readline()
+    if "http://127.0.0.1:" not in banner:
+        proc.kill()
+        pytest.fail(f"no banner: {banner}{proc.communicate()[0]}")
+    return proc, banner, int(banner.split("http://127.0.0.1:")[1].split()[0])
+
+
+def _stop(proc, signum):
+    """Send ``signum`` and wait: the exit code and the output."""
+    try:
+        proc.send_signal(signum)
+        out, _ = proc.communicate(timeout=15)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    return proc.returncode, out
+
+
 def _tree_bytes(root):
     """Every path under ``root`` with its bytes (``None`` for dirs)."""
     return {
@@ -1015,6 +1047,85 @@ class TestCommandLine:
             assert campaign.reports == charged.user_count(), (seq, out)
         assert proc.returncode != 0, out
         assert "final checkpoint" not in out, out
+
+    def test_cli_serves_campaigns_without_a_default(self, tmp_path):
+        """``--campaigns`` without ``--spec``: the banner says there is
+        no default, a third campaign registers over HTTP, one population
+        reports to two campaigns under one budget, a sealed campaign
+        answers final estimates and refuses reports, and SIGINT
+        drains."""
+        freq = Protocol.frequency(1.0, domain=8)
+        mean = Protocol.numeric_mean(1.0, "hm")
+        paths = []
+        for name, protocol in [("freq", freq), ("mean", mean)]:
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(protocol.spec.to_dict()))
+        proc, banner, port = _cli(
+            "--campaigns", *paths, "--lifetime-epsilon", "2.0",
+            "--snapshot-dir", tmp_path / "snaps", "--checkpoint-every", "1",
+        )
+        try:
+            assert "2 campaigns, no default" in banner, banner
+            base = ServiceClient("127.0.0.1", port, retries=5)
+            third = Protocol.frequency(0.5, domain=4).spec
+            assert base.register_campaign(third)["created"] is True
+            assert len(base.campaigns()) == 3
+            rng = np.random.default_rng(0)
+            clients = [base.for_campaign(p.spec) for p in (freq, mean)]
+            clients[0].submit(rng.integers(0, 8, N), users=_users(N), rng=1)
+            clients[1].submit(rng.uniform(-1, 1, N), users=_users(N), rng=2)
+            health = base.healthz()
+            assert (health["reports"], health["users_charged"]) == (2 * N, N)
+            for client in clients:
+                client.seal_campaign()
+                info = client.estimate_info()
+                assert (info["final"], info["state"], info["reports"]) == (
+                    True, "estimated", N,
+                ), info
+            with pytest.raises(CampaignClosedError):
+                clients[0].submit([1] * 5, users=["late"] * 5, rng=3)
+        finally:
+            returncode, out = _stop(proc, signal.SIGINT)
+        assert returncode == 0, out
+        assert "final checkpoint" in out, out
+
+    def test_cli_serves_a_windowed_campaign(self, tmp_path):
+        """``--window 4 --pane-seconds 60``: the banner names the
+        window; a memoizing SDK's unchanged second round is absorbed
+        and charges nothing; window, duration and heavy-hitter reads
+        answer; SIGTERM drains."""
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps(Protocol.frequency(4.0, domain=8).spec.to_dict())
+        )
+        proc, banner, port = _cli(
+            "--spec", spec_path, "--window", "4", "--pane-seconds", "60",
+            "--lifetime-epsilon", "16",
+            "--snapshot-dir", tmp_path / "snaps", "--checkpoint-every", "1",
+        )
+        try:
+            assert "window: 4 panes x 60s" in banner, banner
+            client = ServiceClient("127.0.0.1", port, retries=5, memoize=True)
+            values = np.random.default_rng(0).integers(0, 8, N)
+            client.submit(values, users=_users(N), rng=1, round=0)
+            client.submit(values, users=_users(N), rng=2, round=1)
+            assert client.healthz()["reports"] == 2 * N
+            assert (
+                f"repro_user_budget_spent_epsilon_sum {4 * N}"
+                in client.server_metrics_text()
+            )
+            windowed = client.estimate_info(window=2)
+            assert windowed["reports"] == 2 * N
+            assert windowed["window"]["latest_round"] == 1
+            assert len(windowed["estimate"]) == 8
+            assert client.estimate_info(window="1m")["window"]["panes"] == 1
+            hot = client.heavy_hitters(k=3, window=2)
+            assert (hot["round"], len(hot["indices"])) == (1, 3), hot
+            assert hot["entered"] == [] and hot["exited"] == [], hot
+        finally:
+            returncode, out = _stop(proc, signal.SIGTERM)
+        assert returncode == 0, out
+        assert "draining (SIGTERM)" in out, out
 
     def test_cli_requires_spec_or_campaigns(self):
         from repro.service.__main__ import main

@@ -245,6 +245,8 @@ class TestMemoizedSubmission:
         assert response["accepted"] == 30
         for u in users:
             assert server.ledger.spent(u) == spent_after_round_1[u]
+        # The SDK's encoder perturbed each user once, then replayed.
+        assert (client.encoder.misses, client.encoder.hits) == (30, 30)
 
         # ...but the reports DID land: both panes hold the batch.
         info = client.estimate_info(window=4)
