@@ -2,23 +2,28 @@
 
 Every bench regenerates one of the paper's tables/figures at a
 laptop-sized configuration, records the rendered table under
-``benchmarks/results/`` (the inputs to EXPERIMENTS.md), asserts the
-paper's qualitative *shape* (who wins, where crossovers fall) and times
-the run via pytest-benchmark.
+``benchmarks/results/`` (ignored by git: a run's output, not a
+baseline), asserts the paper's qualitative *shape* (who wins, where
+crossovers fall) and times the run with :func:`run_once`.  They are
+plain pytest tests:
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_*.py -q
 """
 
 from __future__ import annotations
 
+import time
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from repro.experiments.results import Row, format_table, rows_to_series
 
 RESULTS_DIR = Path(__file__).parent / "results"
+T = TypeVar("T")
 
 
 def record(name: str, text: str) -> None:
-    """Persist a rendered results table for EXPERIMENTS.md."""
+    """Persist a rendered results table under ``RESULTS_DIR``."""
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
@@ -40,7 +45,10 @@ def series(rows: Sequence[Row]):
     return rows_to_series(rows)
 
 
-def run_once(benchmark, fn):
-    """Time a single execution of an experiment (they are too slow for
-    pytest-benchmark's default calibration loop)."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
+def run_once(fn: Callable[[], T]) -> T:
+    """Call ``fn`` once, print the wall time it took (``pytest -s``
+    shows it) and return its result."""
+    start = time.perf_counter()
+    result = fn()
+    print(f"{time.perf_counter() - start:.3f} s")
+    return result

@@ -30,8 +30,8 @@ def _sweep():
     return rows
 
 
-def test_ablation_alpha(benchmark):
-    rows = run_once(benchmark, _sweep)
+def test_ablation_alpha():
+    rows = run_once(_sweep)
     by_eps = {}
     for row in rows:
         by_eps.setdefault(row.series, {})[row.x] = row.value
@@ -56,7 +56,7 @@ def test_ablation_alpha(benchmark):
     )
 
 
-def test_ablation_alpha_empirical(benchmark):
+def test_ablation_alpha_empirical():
     """Empirical check at one eps: the optimal alpha's sampled variance
     at the worst-case input matches Eq. 8 and beats alpha in {0, 1}."""
     eps = 2.0
@@ -74,7 +74,7 @@ def test_ablation_alpha_empirical(benchmark):
             out[key] = float(np.mean(samples))
         return out
 
-    measured = run_once(benchmark, measure)
+    measured = run_once(measure)
     hm_opt = HybridMechanism(eps)
     assert measured["optimal"] == pytest.approx(
         hm_opt.worst_case_variance(), rel=0.1

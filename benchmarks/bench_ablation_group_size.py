@@ -37,8 +37,8 @@ def _sweep():
     return rows
 
 
-def test_ablation_group_size(benchmark):
-    rows = run_once(benchmark, _sweep)
+def test_ablation_group_size():
+    rows = run_once(_sweep)
     curve = {row.x: row.value for row in rows}
 
     best = min(curve.values())

@@ -46,8 +46,8 @@ def _sweep():
     return rows
 
 
-def test_ablation_k(benchmark):
-    rows = run_once(benchmark, _sweep)
+def test_ablation_k():
+    rows = run_once(_sweep)
     by_eps = {}
     for row in rows:
         by_eps.setdefault(row.series, {})[row.x] = row.value

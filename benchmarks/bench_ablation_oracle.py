@@ -39,8 +39,8 @@ def _sweep():
     return rows
 
 
-def test_ablation_oracle(benchmark):
-    rows = run_once(benchmark, _sweep)
+def test_ablation_oracle():
+    rows = run_once(_sweep)
     data = {}
     for row in rows:
         data.setdefault(row.series, {})[row.x] = row.value

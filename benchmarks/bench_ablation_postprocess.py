@@ -47,8 +47,8 @@ def _sweep():
     return rows
 
 
-def test_ablation_postprocess(benchmark):
-    rows = run_once(benchmark, _sweep)
+def test_ablation_postprocess():
+    rows = run_once(_sweep)
     data = {}
     for row in rows:
         data.setdefault(row.series, {})[row.x] = row.value

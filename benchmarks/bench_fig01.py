@@ -9,8 +9,8 @@ from repro.theory.constants import EPSILON_SHARP
 EPSILONS = tuple(np.round(np.linspace(0.25, 8.0, 32), 3))
 
 
-def test_fig01(benchmark):
-    rows = run_once(benchmark, lambda: fig01.run(epsilons=EPSILONS))
+def test_fig01():
+    rows = run_once(lambda: fig01.run(epsilons=EPSILONS))
     data = series(rows)
 
     for eps in EPSILONS:

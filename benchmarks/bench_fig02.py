@@ -8,9 +8,9 @@ from repro.experiments import fig02
 from repro.experiments.results import format_table
 
 
-def test_fig02(benchmark):
+def test_fig02():
     epsilon = 1.0
-    rows = run_once(benchmark, lambda: fig02.run(epsilon, grid_size=13))
+    rows = run_once(lambda: fig02.run(epsilon, grid_size=13))
     pm = PiecewiseMechanism(epsilon)
 
     # Shape assertions mirroring the paper's three panels:
@@ -33,7 +33,7 @@ def test_fig02(benchmark):
     )
 
 
-def test_fig02_sampling_histogram(benchmark):
+def test_fig02_sampling_histogram():
     """Empirical histogram of PM samples reproduces the step shape."""
     pm = PiecewiseMechanism(1.0)
     t = 0.5
@@ -41,7 +41,7 @@ def test_fig02_sampling_histogram(benchmark):
     def sample():
         return pm.privatize(np.full(200_000, t), 42)
 
-    out = run_once(benchmark, sample)
+    out = run_once(sample)
     hist, edges = np.histogram(
         out, bins=np.linspace(-pm.c, pm.c, 41), density=True
     )

@@ -9,9 +9,9 @@ DIMENSIONS = (5, 10, 20, 40)
 EPSILONS = tuple(np.round(np.linspace(0.25, 8.0, 16), 3))
 
 
-def test_fig03(benchmark):
+def test_fig03():
     rows = run_once(
-        benchmark, lambda: fig03.run(dimensions=DIMENSIONS, epsilons=EPSILONS)
+        lambda: fig03.run(dimensions=DIMENSIONS, epsilons=EPSILONS)
     )
     data = series(rows)
 

@@ -10,8 +10,8 @@ CONFIG = EstimationConfig(
 )
 
 
-def test_fig04(benchmark):
-    rows = run_once(benchmark, lambda: fig04.run(CONFIG))
+def test_fig04():
+    rows = run_once(lambda: fig04.run(CONFIG))
     data = series(rows)
 
     for ds in ("BR", "MX"):

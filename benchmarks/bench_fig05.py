@@ -10,8 +10,8 @@ CONFIG = EstimationConfig(
 )
 
 
-def test_fig05(benchmark):
-    rows = run_once(benchmark, lambda: fig05.run(CONFIG))
+def test_fig05():
+    rows = run_once(lambda: fig05.run(CONFIG))
     data = series(rows)
 
     for mu in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0):

@@ -10,8 +10,8 @@ CONFIG = EstimationConfig(
 )
 
 
-def test_fig06(benchmark):
-    rows = run_once(benchmark, lambda: fig06.run(CONFIG))
+def test_fig06():
+    rows = run_once(lambda: fig06.run(CONFIG))
     data = series(rows)
 
     for dist in ("uniform", "powerlaw"):

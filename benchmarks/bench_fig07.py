@@ -9,9 +9,8 @@ CONFIG = EstimationConfig(n=0, repeats=3, seed=2019)  # n set per point
 USER_COUNTS = (6_250, 12_500, 25_000, 50_000, 100_000)
 
 
-def test_fig07(benchmark):
+def test_fig07():
     rows = run_once(
-        benchmark,
         lambda: fig07.run(CONFIG, user_counts=USER_COUNTS, epsilon=1.0),
     )
     data = series(rows)

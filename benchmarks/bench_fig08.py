@@ -9,9 +9,9 @@ CONFIG = EstimationConfig(n=25_000, repeats=3, seed=2019)
 DIMENSIONS = (5, 10, 15, 19)
 
 
-def test_fig08(benchmark):
+def test_fig08():
     rows = run_once(
-        benchmark, lambda: fig08.run(CONFIG, dimensions=DIMENSIONS, epsilon=1.0)
+        lambda: fig08.run(CONFIG, dimensions=DIMENSIONS, epsilon=1.0)
     )
     data = series(rows)
 

@@ -10,8 +10,8 @@ CONFIG = ERMConfig(
 )
 
 
-def test_fig09(benchmark):
-    rows = run_once(benchmark, lambda: fig09.run(CONFIG))
+def test_fig09():
+    rows = run_once(lambda: fig09.run(CONFIG))
     data = series(rows)
 
     for ds in ("BR", "MX"):

@@ -10,8 +10,8 @@ CONFIG = ERMConfig(
 )
 
 
-def test_fig10(benchmark):
-    rows = run_once(benchmark, lambda: fig10.run(CONFIG))
+def test_fig10():
+    rows = run_once(lambda: fig10.run(CONFIG))
     data = series(rows)
 
     for ds in ("BR", "MX"):

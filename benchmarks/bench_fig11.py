@@ -10,8 +10,8 @@ CONFIG = ERMConfig(
 )
 
 
-def test_fig11(benchmark):
-    rows = run_once(benchmark, lambda: fig11.run(CONFIG))
+def test_fig11():
+    rows = run_once(lambda: fig11.run(CONFIG))
     data = series(rows)
 
     for ds in ("BR", "MX"):

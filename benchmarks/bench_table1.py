@@ -5,8 +5,8 @@ from _common import record, run_once
 from repro.experiments import table1
 
 
-def test_table1(benchmark):
-    checks = run_once(benchmark, table1.run)
+def test_table1():
+    checks = run_once(table1.run)
 
     # Every predicted ordering must hold, in every regime.
     assert all(check.holds for check in checks)

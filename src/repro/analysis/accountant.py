@@ -49,10 +49,10 @@ class PrivacyAccountant:
     looks each user up once and tests the cap for all of them in one
     vectorized comparison.  Every balance is the IEEE ``spent + cost``
     that charging one user at a time gives.  :meth:`to_dict` writes a
-    per-user ``spent`` map, the ``labels`` list and one
-    ``[user, epsilon, label index]`` array per charge, which do not
-    depend on this layout; :meth:`json_parts` writes the same JSON text,
-    encoding each log chunk only once and each user's name once a call.
+    per-user ``spent`` map, ``labels``, the maximal ``[count, epsilon,
+    label index]`` runs of the charges and each charge's row in
+    ``spent``, which depend on the charges alone; :meth:`json_parts`
+    writes the same JSON text, encoding each charge and closed run once.
     Users are ``str`` and every spend and cost is finite (the charge
     paths and :meth:`from_dict` both check), which that text relies on.
 
@@ -68,10 +68,12 @@ class PrivacyAccountant:
         self._spent = np.zeros(1)
         self._log: List[Tuple[np.ndarray, np.ndarray, int]] = []
         self._labels: Dict[str, int] = {}
-        # JSON text of _log[:_encoded_chunks], one immutable block per
-        # json_parts call that found new chunks; every block but the
-        # first starts with ", ".
+        # JSON text of the rows of _log[:_encoded_chunks] and of their
+        # runs but the last (_open, which can grow): one immutable block
+        # per json_parts call, every block but the first after ", ".
         self._blocks: List[bytes] = []
+        self._run_blocks: List[bytes] = []
+        self._open: List[List[Any]] = []
         self._encoded_chunks = 0
 
     # ------------------------------------------------------------------
@@ -222,29 +224,20 @@ class PrivacyAccountant:
         """Spend per user, in row (first-charge) order."""
         return self._spent[1 : len(self._rows) + 1]
 
-    def _entries(self) -> List[List[Any]]:
-        """Every charge as ``[user, epsilon, label index]``, the form
-        :meth:`to_dict` writes."""
-        users = list(self._rows)
-        return [
-            [users[row], cost, label_id]
-            for rows, costs, label_id in self._log
-            for row, cost in zip((rows - 1).tolist(), costs.tolist())
-        ]
-
     # ------------------------------------------------------------------
     @property
     def ledger(self) -> Tuple[Charge, ...]:
         """Immutable view of every recorded charge."""
-        labels = list(self._labels)
+        users, labels = list(self._rows), list(self._labels)
         return tuple(
-            Charge(user, cost, labels[label_id])
-            for user, cost, label_id in self._entries()
+            Charge(users[row], cost, labels[label_id])
+            for rows, costs, label_id in self._log
+            for row, cost in zip((rows - 1).tolist(), costs.tolist())
         )
 
     def total_spent(self) -> float:
-        """Sum of eps across all users (a deployment-level cost figure)."""
-        return float(sum(self._balances().tolist()))
+        """Sum of eps across all users, added left to right from row 0."""
+        return float(np.cumsum(self._spent[: len(self._rows) + 1])[-1])
 
     def spend_buckets(
         self, bounds: Sequence[float]
@@ -292,16 +285,19 @@ class PrivacyAccountant:
 
         Carries both the per-user spent map and the charge ledger so a
         service can persist budgets across restarts: ``labels`` lists
-        each charge label once, in first-use order, and ``ledger``
-        holds one ``[user, epsilon, label index]`` array per charge.
+        each charge label once, in first-use order, ``runs`` the
+        maximal ``[count, epsilon, label index]`` runs of charges, and
+        ``ledger`` each charge's user as their 0-based row in ``spent``.
         :meth:`from_dict` round-trips exactly (floats survive JSON
         bitwise — ``json`` serializes them via ``repr`` round-trip).
         """
+        rows, costs, ids = _flat(self._log)
         return {
             "lifetime_epsilon": self.lifetime_epsilon,
             "spent": dict(zip(self._rows, self._balances().tolist())),
             "labels": list(self._labels),
-            "ledger": self._entries(),
+            "runs": _extend_runs([], costs, ids),
+            "ledger": (rows - 1).tolist(),
         }
 
     def json_parts(self, head: Mapping[str, Any]) -> List[bytes]:
@@ -309,35 +305,36 @@ class PrivacyAccountant:
         write one after another.
 
         The charge log is append-only (:meth:`_append` is its one
-        writer), so its text is too.  A call encodes the chunks
-        recorded since the previous call into one new block, keeps it,
-        and returns every kept block as its own piece: it costs
-        O(charges since the last call + users) and never joins or
-        copies the whole log.  The blocks are immutable, so pieces
-        returned earlier still spell the text of their own call.  Each
-        user's name is encoded once a call, for the ``spent`` map and
-        the new chunks alike, and nothing is kept per user between
-        calls.
+        writer), so the text of its rows and of every run but the last
+        is too.  A call encodes the charges since the previous call into
+        a block of rows and one of the runs they close, keeps both, and
+        returns every kept block as its own piece: it costs O(charges
+        since the last call + users) and never joins or copies the
+        whole log.  The blocks are immutable, so pieces returned earlier
+        still spell their own call's text.  Nothing is kept per user.
         """
-        names = list(map(encode_basestring_ascii, self._rows))
         new = self._log[self._encoded_chunks :]
         if new:
-            texts = [
-                _chunk_text(names, rows, costs, label_id)
-                for rows, costs, label_id in new
-            ]
-            if self._blocks:
-                texts.insert(0, "")  # the block then starts with ", "
-            self._blocks.append(", ".join(texts).encode())
+            rows, costs, ids = _flat(new)
+            self._blocks.append(_block(self._blocks, str((rows - 1).tolist())))
+            runs = _extend_runs(self._open, costs, ids)
+            if len(runs) > 1:
+                text = json.dumps(runs[:-1])
+                self._run_blocks.append(_block(self._run_blocks, text))
+            self._open = runs[-1:]
             self._encoded_chunks = len(self._log)
         # The head ends in '"lifetime_epsilon": <float>}'; the rest of
         # the object goes in place of the brace.
         top = json.dumps({**head, "lifetime_epsilon": self.lifetime_epsilon})
+        names = list(map(encode_basestring_ascii, self._rows))
         spent = _object_text(names, self._balances())
         labels = json.dumps(list(self._labels))
+        last = self._open and _block(self._run_blocks, json.dumps(self._open))
         return [
             f'{top[:-1]}, "spent": {spent}, "labels": {labels}, '
-            f'"ledger": ['.encode(),
+            f'"runs": ['.encode(),
+            *self._run_blocks,
+            (last or b"") + b'], "ledger": [',
             *self._blocks,
             b"]}",
         ]
@@ -346,11 +343,12 @@ class PrivacyAccountant:
     def from_dict(cls, payload: Dict[str, Any]) -> "PrivacyAccountant":
         """Rebuild an accountant from :meth:`to_dict` output.
 
-        Reads the charge log in either form: ``[user, epsilon, label
-        index]`` arrays into ``labels`` when the payload has that key,
-        else the ``{"user", "epsilon", "label"}`` objects written before
-        it existed.  Raises ``ValueError`` when the payload does not
-        have that shape, and one naming the user when a spend is
+        Reads the charge log in any of three forms: rows with ``runs``
+        when the payload has that key, else ``[user, epsilon, label
+        index]`` arrays into ``labels`` when it has that one, else the
+        ``{"user", "epsilon", "label"}`` objects written before
+        ``labels`` existed.  Raises ``ValueError`` when the payload does
+        not have that shape, and one naming the user when a spend is
         negative or not finite, a logged cost is not positive and
         finite, or a logged user has no ``spent`` entry: the first and
         the last would under-charge that user, and the others cannot be
@@ -376,24 +374,28 @@ class PrivacyAccountant:
             spent, balances, balances >= 0.0, "spent",
             "finite and non-negative",
         )
-        labels, entries = (
-            (payload["labels"], entries)
-            if "labels" in payload
-            else _compact(entries)
-        )
-        users, costs, ids = _columns(labels, entries)
-        costs = _floats(costs)
-        _check_values(
-            users, costs, costs > 0.0, "charge", "finite and positive"
-        )
-        rows = accountant._lookup(users)
-        if not rows.all():
-            n = int(np.argmin(rows))
-            raise ValueError(
-                f"log entry {n}: user {users[n]!r} has no spent entry"
+        labels = payload.get("labels")
+        if "labels" not in payload and "runs" not in payload:
+            labels, entries = _compact(entries)
+        if not isinstance(labels, list):
+            raise ValueError("labels is not a list")
+        if "runs" in payload:
+            rows, costs, ids = _expand(
+                payload["runs"], len(labels), entries, len(spent)
             )
-        # One log chunk per run of consecutive entries with one label.
-        ids = np.array(ids, dtype=np.intp)
+        else:
+            users, costs, ids = _columns(len(labels), entries)
+            costs = _floats(costs)
+            _check_values(
+                users, costs, costs > 0.0, "charge", "finite and positive"
+            )
+            rows = accountant._lookup(users)
+            if not rows.all():
+                n = int(np.argmin(rows))
+                raise ValueError(
+                    f"log entry {n}: user {users[n]!r} has no spent entry"
+                )
+        # One log chunk per run of one label, whatever its costs.
         starts = np.flatnonzero(np.diff(ids, prepend=-1)).tolist()
         for start, stop in zip(starts, [*starts[1:], len(ids)]):
             accountant._append(
@@ -402,18 +404,82 @@ class PrivacyAccountant:
         return accountant
 
 
+def _flat(chunks: List[Any]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row, cost and label id of each charge of the log ``chunks``."""
+    return (
+        np.concatenate([np.empty(0, np.intp), *(c[0] for c in chunks)]),
+        np.concatenate([np.empty(0), *(c[1] for c in chunks)]),
+        np.repeat([c[2] for c in chunks], [len(c[0]) for c in chunks]),
+    )
+
+
+def _extend_runs(runs: list, costs: np.ndarray, ids: np.ndarray) -> list:
+    """``runs``, maximal ``[count, epsilon, label index]`` runs, extended
+    in place by those of later charges with these costs and label ids."""
+    starts = np.flatnonzero(np.logical_or(
+        np.diff(ids, prepend=-1), np.diff(costs, prepend=0.0)
+    ))
+    counts = np.diff(starts, append=len(ids)).tolist()
+    firsts = zip(counts, costs[starts].tolist(), ids[starts].tolist())
+    for run in map(list, firsts):
+        if runs and runs[-1][1:] == run[1:]:
+            run[0] += runs.pop()[0]
+        runs.append(run)
+    return runs
+
+
+def _block(blocks: List[bytes], text: str) -> bytes:
+    """The items of the JSON list ``text`` as the block after ``blocks``."""
+    return (", " * bool(blocks) + text[1:-1]).encode()
+
+
+def _expand(runs: Any, n_labels: int, entries: list, size: int) -> tuple:
+    """The row (from 1), cost and label index of each charge of a log of
+    rows in ``[0, size)`` and its ``runs`` of ``[count, epsilon, label
+    index]``; ``ValueError`` names the first malformed entry or run."""
+    if not isinstance(runs, list):
+        raise ValueError("runs is not a list")
+    if not {*map(type, entries)} <= {int} or not (
+        0 <= min(entries, default=0) and max(entries, default=-1) < size
+    ):
+        n, row = next(
+            (n, row) for n, row in enumerate(entries)
+            if type(row) is not int or not 0 <= row < size
+        )
+        raise ValueError(f"log entry {n}: {row!r} is not a row in [0, {size})")
+    for n, run in enumerate(runs):
+        if not (
+            type(run) is list and len(run) == 3
+            and type(run[0]) is int and run[0] > 0
+            and type(run[1]) is float and 0.0 < run[1] < np.inf
+            and type(run[2]) is int and 0 <= run[2] < n_labels
+        ):
+            raise ValueError(
+                f"run {n} is not [count > 0, finite epsilon > 0, label "
+                f"index in [0, {n_labels})]: {run!r}"
+            )
+    counts = [run[0] for run in runs]
+    if sum(counts) != len(entries):
+        raise ValueError(
+            f"{sum(counts)} charges in runs, {len(entries)} in the log"
+        )
+    return (
+        np.fromiter(entries, dtype=np.intp, count=len(entries)) + 1,
+        np.repeat([run[1] for run in runs], counts),
+        np.repeat([run[2] for run in runs], counts),
+    )
+
+
 def _columns(
-    labels: Any, entries: List[Any]
+    n_labels: int, entries: List[Any]
 ) -> Tuple[List[str], List[Any], List[int]]:
     """The users, costs and label indices of a log of ``[user, epsilon,
-    label index]`` arrays into ``labels``; ``ValueError`` names the
-    first malformed entry.
+    label index]`` arrays into ``n_labels`` labels; ``ValueError``
+    names the first malformed entry.
 
     The log is checked a column at a time, each check one pass in C;
     only a log that fails is walked entry by entry, to name the entry.
     """
-    if not isinstance(labels, list):
-        raise ValueError("labels is not a list")
     shaped = {*map(type, entries)} <= {list} and {*map(len, entries)} <= {3}
     users, costs, ids = (
         [list(map(itemgetter(k), entries)) for k in range(3)]
@@ -424,7 +490,7 @@ def _columns(
         and {*map(type, users)} <= {str}
         and {*map(type, ids)} <= {int}
         and 0 <= min(ids, default=0)
-        and max(ids, default=-1) < len(labels)
+        and max(ids, default=-1) < n_labels
     ):
         for n, entry in enumerate(entries):
             if type(entry) is not list or len(entry) != 3 or (
@@ -433,10 +499,10 @@ def _columns(
                 raise ValueError(
                     f"log entry {n} is not [user, epsilon, label index]"
                 )
-            if type(entry[2]) is not int or not 0 <= entry[2] < len(labels):
+            if type(entry[2]) is not int or not 0 <= entry[2] < n_labels:
                 raise ValueError(
                     f"log entry {n}: label index {entry[2]!r} is not an "
-                    f"int in [0, {len(labels)})"
+                    f"int in [0, {n_labels})"
                 )
     return users, costs, ids
 
@@ -487,38 +553,12 @@ def _check_values(
         )
 
 
-def _chunk_text(
-    names: List[str], rows: np.ndarray, costs: np.ndarray, label_id: int
-) -> str:
-    """The charge-log entries of one chunk, as ``json.dumps`` writes
-    them inside the log's list; ``names`` are the users' encoded names
-    in row order.
-
-    Each entry's text is built directly instead of through a list:
-    ``encode_basestring_ascii`` is ``json.dumps``' own string escaper,
-    and ``float.__repr__`` is what it writes for a finite float (taken
-    once per distinct cost; costs are positive, so -0.0 never meets
-    0.0).
-    """
-    tail = f", {label_id}]"
-    text = [tail + ", [", "", ", ", ""] * len(rows)
-    text[0] = "["
-    text[1::4] = map(names.__getitem__, (rows - 1).tolist())
-    floats = costs.tolist()
-    text[3::4] = map(
-        {cost: float.__repr__(cost) for cost in set(floats)}.__getitem__,
-        floats,
-    )
-    text.append(tail)
-    return "".join(text)
-
-
 def _object_text(names: List[str], values: np.ndarray) -> str:
     """``json.dumps`` of the object mapping each of the encoded
     ``names`` to its finite float in ``values``.
 
-    Built like :func:`_chunk_text`, with ``float.__repr__`` taken once
-    per distinct bit pattern, so that ``-0.0`` keeps its own text.
+    Built directly, with ``float.__repr__`` (``json.dumps``' text for a
+    finite float) taken once per bit pattern, so ``-0.0`` keeps its own.
     """
     bits, which = np.unique(values.view(np.int64), return_inverse=True)
     reprs = list(map(float.__repr__, bits.view(np.float64).tolist()))

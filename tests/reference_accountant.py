@@ -2,12 +2,15 @@
 
 This is the dict-and-dataclass ``PrivacyAccountant`` that
 ``repro.analysis.accountant`` replaced with an array-backed one, kept
-verbatim but for one fix: an atomic ``charge_group`` that fails
+verbatim but for two fixes: an atomic ``charge_group`` that fails
 restores every user's pre-group spend exactly (the original recomputed
-``(s + e) - e`` and dropped users whose result rounded to <= 0).  Its
+``(s + e) - e`` and dropped users whose result rounded to <= 0), and
+``total_spent`` adds left to right in an explicit loop, because
+``sum()`` compensates float rounding from Python 3.12 on.  Its
 ``to_dict``/``from_dict`` follow the serialized form: a ``labels``
-list in first-use order and one ``[user, epsilon, label index]`` array
-per charge.  The property tests drive both implementations with the
+list in first-use order, the maximal ``[count, epsilon, label index]``
+runs of the charges, and each charge's user as their 0-based position
+in ``spent``.  The property tests drive both implementations with the
 same operations and require every public read, and the JSON bytes of
 ``to_dict()``, to agree.
 """
@@ -132,8 +135,12 @@ class PrivacyAccountant:
         return tuple(self._ledger)
 
     def total_spent(self) -> float:
-        """Sum of eps across all users (a deployment-level cost figure)."""
-        return float(sum(self._spent.values()))
+        """Sum of eps across all users (a deployment-level cost figure),
+        added left to right."""
+        total = 0.0
+        for spent in self._spent.values():
+            total += spent
+        return total
 
     def spend_buckets(self, bounds) -> Tuple[List[int], float]:
         """Users per spend bucket (``bounds[i-1] < spent <= bounds[i]``,
@@ -179,13 +186,19 @@ class PrivacyAccountant:
         """
         labels = list(dict.fromkeys(c.label for c in self._ledger))
         index = {label: i for i, label in enumerate(labels)}
+        rows = {user: row for row, user in enumerate(self._spent)}
+        runs: List[List[Any]] = []
+        for c in self._ledger:
+            if runs and runs[-1][1:] == [c.epsilon, index[c.label]]:
+                runs[-1][0] += 1
+            else:
+                runs.append([1, c.epsilon, index[c.label]])
         return {
             "lifetime_epsilon": self.lifetime_epsilon,
             "spent": dict(self._spent),
             "labels": labels,
-            "ledger": [
-                [c.user, c.epsilon, index[c.label]] for c in self._ledger
-            ],
+            "runs": runs,
+            "ledger": [rows[c.user] for c in self._ledger],
         }
 
     @classmethod
@@ -196,9 +209,14 @@ class PrivacyAccountant:
             str(user): float(eps)
             for user, eps in payload.get("spent", {}).items()
         }
-        labels = payload.get("labels", [])
+        users, labels = list(accountant._spent), payload["labels"]
+        costs = [
+            (float(eps), labels[i])
+            for count, eps, i in payload["runs"]
+            for _ in range(count)
+        ]
         accountant._ledger = [
-            Charge(user=str(user), epsilon=float(eps), label=labels[i])
-            for user, eps, i in payload.get("ledger", [])
+            Charge(user=users[row], epsilon=eps, label=label)
+            for row, (eps, label) in zip(payload["ledger"], costs)
         ]
         return accountant

@@ -11,6 +11,7 @@ cold (after a round trip through ``from_dict``).
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -160,3 +161,17 @@ def test_failed_atomic_group_restores_exact_balances(module):
         acc.charge_group(["u", "new", "broke"], 0.7, atomic=True)
     assert acc.spent("u") == 0.1
     assert acc.users() == ("u", "broke")
+
+
+@pytest.mark.parametrize("module", [new_mod, ref_mod])
+def test_total_spent_adds_left_to_right(module):
+    """Both implementations add the balances left to right, in
+    first-charge order, on every Python: 1e16 + 1.0 rounds back to 1e16
+    (a tie, to even), so the sum is 1e16, where a compensated sum
+    (``math.fsum``, and ``sum()`` from Python 3.12 on) gives 1e16 + 2."""
+    acc = module.PrivacyAccountant(2e16)
+    for user, epsilon in (("a", 1e16), ("b", 1.0), ("c", 1.0)):
+        acc.charge(user, epsilon)
+    assert math.fsum([1e16, 1.0, 1.0]) == 1.0000000000000002e16
+    assert acc.total_spent() == 1e16
+    assert acc.spend_buckets((1.0,)) == ([2, 1], 1e16)

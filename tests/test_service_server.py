@@ -742,10 +742,11 @@ class TestCommandLine:
         holds ledger values that would under-charge a user or cannot be
         written back as JSON, fails boot closed: no fallback to the
         older cut, no write, and the CLI exits 2 with one line naming
-        the file.  The charge log is checked in both
-        forms: ``[user, epsilon, label index]`` arrays into ``labels``,
-        and the ``{user, epsilon, label}`` objects of a manifest
-        without ``labels``."""
+        the file.  The charge log is checked in all three forms, each
+        case against a manifest in its form: rows of ``spent`` with
+        ``runs``, ``[user, epsilon, label index]`` arrays into
+        ``labels`` without ``runs``, and the ``{user, epsilon, label}``
+        objects of a manifest with neither."""
         protocol = Protocol.frequency(1.0, domain=6)
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(protocol.spec.to_dict()))
@@ -783,14 +784,27 @@ class TestCommandLine:
             )
 
         def with_log(*entries, labels=("a",)):
+            """An array log (``labels=None``: an object log)."""
             return with_ledger(
                 spent={"u": 1.0},
                 labels=None if labels is None else list(labels),
+                runs=None,
                 ledger=list(entries),
+            )
+
+        def with_rows(*rows, runs=((1, 1.0, 0),), labels=("a",)):
+            """A log of ``rows`` of a two-user ``spent`` map with
+            ``runs`` (tuples are written as JSON lists)."""
+            return with_ledger(
+                spent={"u": 1.0, "v": 1.0},
+                labels=labels,
+                runs=runs,
+                ledger=list(rows),
             )
 
         verbose = "is not a {user, epsilon, label} object"
         compact = "is not [user, epsilon, label index]"
+        bad_run = "run 0 is not [count > 0, finite epsilon > 0, label index"
         bodies = {
             "truncated": (older.read_bytes()[:-1], "is corrupt"),
             "pre-campaign": (
@@ -877,7 +891,60 @@ class TestCommandLine:
                 newest_with(batches_accepted=None),
                 "missing 'batches_accepted'",
             ),
+            "row is a string": (with_rows("0"), "log entry 0: '0' is not"),
+            "row is a float": (with_rows(0.0), "log entry 0: 0.0 is not"),
+            "row is a bool": (with_rows(True), "log entry 0: True is not"),
+            "negative row": (with_rows(-1), "log entry 0: -1 is not a row"),
+            "row past spent": (
+                with_rows(2), "log entry 0: 2 is not a row in [0, 2)"
+            ),
+            "row past intp": (
+                with_rows(2**64), f"log entry 0: {2**64} is not a row"
+            ),
+            "runs is an object": (
+                with_rows(0, runs={"1": [1.0, 0]}), "runs is not a list"
+            ),
+            "runs without labels": (
+                with_rows(0, labels=None), "labels is not a list"
+            ),
+            "run of 2": (with_rows(0, runs=([1, 1.0],)), bad_run),
+            "run of 4": (with_rows(0, runs=([1, 1.0, 0, 0],)), bad_run),
+            "zero count": (
+                with_rows(0, runs=([0, 1.0, 0], [1, 1.0, 0])), bad_run
+            ),
+            "negative count": (
+                with_rows(0, runs=([-1, 1.0, 0], [2, 1.0, 0])), bad_run
+            ),
+            "bool count": (with_rows(0, runs=([True, 1.0, 0],)), bad_run),
+            "counts one over": (
+                with_rows(0, runs=([2, 1.0, 0],)),
+                "2 charges in runs, 1 in the log",
+            ),
+            "counts one under": (
+                with_rows(0, 1, runs=([1, 1.0, 0],)),
+                "1 charges in runs, 2 in the log",
+            ),
+            "zero epsilon": (with_rows(0, runs=([1, 0.0, 0],)), bad_run),
+            "negative epsilon": (with_rows(0, runs=([1, -1.0, 0],)), bad_run),
+            "infinite epsilon": (
+                with_rows(0, runs=([1, float("inf"), 0],)), bad_run
+            ),
+            "string epsilon": (with_rows(0, runs=([1, "1.0", 0],)), bad_run),
+            "negative run label index": (
+                with_rows(0, runs=([1, 1.0, -1],)), "[0, 1)]: [1, 1.0, -1]"
+            ),
+            "run label index past labels": (
+                with_rows(0, runs=([1, 1.0, 1],)), "[0, 1)]: [1, 1.0, 1]"
+            ),
         }
+        # The row-form cases each break one field of a manifest that
+        # boots.
+        valid = shutil.copytree(snaps, tmp_path / "valid-rows")
+        (valid / "snapshot-0000000001.json").write_bytes(
+            with_rows(0, 1, runs=([2, 1.0, 0],))
+        )
+        resumed = IngestionServer(protocol, store=SnapshotStore(valid))
+        assert [c.user for c in resumed.ledger.accountant.ledger] == ["u", "v"]
         boots = {}
         for n, (name, (body, reason)) in enumerate(bodies.items()):
             copy = shutil.copytree(snaps, tmp_path / f"case-{n}")

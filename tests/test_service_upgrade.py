@@ -15,9 +15,12 @@ order, the merge the sharded server ran for every estimate, so the
 estimates must come back bitwise-equal.
 
 The manifest there also holds the charge log as ``{user, epsilon,
-label}`` objects, the form written before ledgers had ``labels``; the
-next checkpoint rewrites it as ``[user, epsilon, label index]``
-arrays.
+label}`` objects, the form written before ledgers had ``labels``.
+``fixtures/array_log_snapshot/snapshots`` holds it as ``[user,
+epsilon, label index]`` arrays into ``labels``, the form written after
+that (two campaigns, one user charged at multiplicity 2; its
+``make_fixture.py`` needs a checkout that still writes that form).  The
+next checkpoint rewrites either as rows of ``spent`` with ``runs``.
 """
 
 import json
@@ -33,29 +36,43 @@ from repro.service import IngestionServer, ServiceClient, SnapshotStore, wire
 
 FIXTURE = Path(__file__).parent / "fixtures" / "sharded_snapshot"
 EXPECTED = json.loads((FIXTURE / "expected.json").read_text())
+ARRAY_FIXTURE = Path(__file__).parent / "fixtures" / "array_log_snapshot"
 
 
 def _hex(estimate):
     return np.asarray(estimate, dtype="<f8").tobytes().hex()
 
 
-@pytest.fixture
-def boot(tmp_path):
+def _booter(tmp_path, fixture, lifetime_epsilon, running):
+    """A function that boots a server on one copy of ``fixture``'s
+    snapshots, and that copy."""
     snapshots = tmp_path / "snapshots"
-    shutil.copytree(FIXTURE / "snapshots", snapshots)
-    running = []
+    shutil.copytree(fixture / "snapshots", snapshots)
 
     def _boot():
         server = IngestionServer(
             store=SnapshotStore(snapshots),
-            lifetime_epsilon=EXPECTED["healthz"]["lifetime_epsilon"],
+            lifetime_epsilon=lifetime_epsilon,
         ).run_in_thread()
         running.append(server)
         return ServiceClient("127.0.0.1", server.port)
 
-    yield _boot, snapshots
-    for server in running:
+    return _boot, snapshots
+
+
+@pytest.fixture
+def running():
+    servers = []
+    yield servers
+    for server in servers:
         server.stop()
+
+
+@pytest.fixture
+def boot(tmp_path, running):
+    return _booter(
+        tmp_path, FIXTURE, EXPECTED["healthz"]["lifetime_epsilon"], running
+    )
 
 
 def _assert_estimates_match(client):
@@ -111,42 +128,78 @@ def test_next_checkpoint_writes_one_accumulator(boot):
     _assert_estimates_match(resumed)
 
 
-def test_next_checkpoint_writes_the_compact_charge_log(boot):
-    """The fixture's manifest holds its 60 charges as ``{user, epsilon,
-    label}`` objects.  The first checkpoint after boot writes them as
-    ``[user, epsilon, label index]`` arrays into ``labels``, with every
-    charge, spend and per-campaign breakdown as it was; a second
-    restart writes that manifest back byte for byte."""
-    start, snapshots = boot
-    old = json.loads(
-        (FIXTURE / "snapshots" / f"snapshot-{EXPECTED['seq']:010d}.json")
-        .read_text()
-    )["ledger"]
-    assert "labels" not in old and len(old["ledger"]) == 60
+def _old_manifest(fixture):
+    """The ledger of the one manifest in ``fixture``'s snapshots."""
+    (path,) = (fixture / "snapshots").glob("snapshot-*.json")
+    return json.loads(path.read_text())["ledger"]
+
+
+def _assert_upgrades(start, snapshots, spent, charges):
+    """The first checkpoint after boot writes the ledger's log as rows
+    of ``spent`` with ``runs``, holding every ``(user, epsilon,
+    label)`` of ``charges`` and every balance of ``spent`` as it was,
+    and a second restart writes that manifest back byte for byte.
+    Returns the new ledger."""
     seq = start().checkpoint()
     path = SnapshotStore(snapshots).path(seq)
     new = json.loads(path.read_bytes())["ledger"]
-    assert new["labels"] == list(
-        dict.fromkeys(entry["label"] for entry in old["ledger"])
-    )
-    assert len(new["ledger"]) == 60
-    assert all(
-        isinstance(entry, list) and len(entry) == 3
-        for entry in new["ledger"]
-    )
+    assert list(new) == [
+        "type", "lifetime_epsilon", "spent", "labels", "runs", "ledger",
+    ]
+    assert new["spent"] == spent
+    assert new["labels"] == list(dict.fromkeys(c[2] for c in charges))
+    users = list(spent)
+    assert all(type(row) is int for row in new["ledger"])
+    assert new["ledger"] == [users.index(user) for user, _, _ in charges]
+    assert [
+        (epsilon, new["labels"][i])
+        for count, epsilon, i in new["runs"]
+        for _ in range(count)
+    ] == [(epsilon, label) for _, epsilon, label in charges]
     upgraded = CrossCampaignLedger.from_dict(new)
     assert upgraded.accountant.ledger == tuple(
-        Charge(**entry) for entry in old["ledger"]
+        Charge(*charge) for charge in charges
     )
     by_campaign = {}
-    for entry in old["ledger"]:
-        user, label = entry["user"], entry["label"]
-        spent = by_campaign.setdefault(user, {})
-        spent[label] = spent.get(label, 0.0) + entry["epsilon"]
-    assert new["spent"] == old["spent"]
-    for user, spent in old["spent"].items():
-        assert upgraded.spent(user) == spent, user
+    for user, epsilon, label in charges:
+        spent_by = by_campaign.setdefault(user, {})
+        spent_by[label] = spent_by.get(label, 0.0) + epsilon
+    for user, balance in spent.items():
+        assert upgraded.spent(user) == balance, user
         assert upgraded.spent_by_campaign(user) == by_campaign[user], user
     written = path.read_bytes()
     assert start().checkpoint() == seq
     assert path.read_bytes() == written
+    return new
+
+
+def test_next_checkpoint_writes_the_row_charge_log(boot):
+    """The sharded fixture's manifest holds its 60 charges as ``{user,
+    epsilon, label}`` objects."""
+    old = _old_manifest(FIXTURE)
+    assert "labels" not in old and len(old["ledger"]) == 60
+    new = _assert_upgrades(
+        *boot,
+        old["spent"],
+        [(e["user"], e["epsilon"], e["label"]) for e in old["ledger"]],
+    )
+    assert len(new["ledger"]) == 60
+
+
+def test_array_log_manifest_upgrades_to_rows(tmp_path, running):
+    """The array fixture's manifest holds its 24 charges as ``[user,
+    epsilon, label index]`` arrays.  Its runs are maximal: ``u1``'s
+    charge of 2.0 at multiplicity 2 splits the frequency campaign's
+    second batch in three."""
+    old = _old_manifest(ARRAY_FIXTURE)
+    assert "runs" not in old and len(old["ledger"]) == 24
+    new = _assert_upgrades(
+        *_booter(tmp_path, ARRAY_FIXTURE, old["lifetime_epsilon"], running),
+        old["spent"],
+        [(user, cost, old["labels"][i]) for user, cost, i in old["ledger"]],
+    )
+    assert new["runs"] == [
+        [4, 1.0, 0], [4, 0.5, 1],
+        [1, 1.0, 0], [1, 2.0, 0], [2, 1.0, 0], [4, 0.5, 1],
+        [4, 1.0, 0], [4, 0.5, 1],
+    ]
