@@ -239,7 +239,7 @@ class MultidimMeanAccumulator(ServerAccumulator):
         self._expect(block, "sampled-numeric")
         try:
             d, k = int(block.meta["d"]), int(block.meta["k"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValueError(
                 f"sampled-numeric block needs integer d/k metadata: {exc}"
             ) from None

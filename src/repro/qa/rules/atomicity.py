@@ -1,9 +1,9 @@
 """QA301 — no ``await`` between a budget charge and its paired absorb.
 
-The ingestion server's whole-batch 429 guarantee (PR 3/4) — either
-every user in a batch is charged and the batch absorbed, or nothing
-happens — relies on the check / absorb / charge sequence executing as
-one uninterrupted critical section on the event loop.  Handlers are
+The ingestion server's whole-batch 429 guarantee — either every user
+in a batch is charged and the batch absorbed, or nothing happens —
+relies on the check / absorb / charge sequence executing as one
+uninterrupted critical section on the event loop.  Handlers are
 deliberately synchronous today; the easiest way to break them is to
 make one ``async`` and slip an ``await`` (a checkpoint write, a log
 flush) between the accumulator ``absorb`` and the ledger charge.  At
@@ -13,9 +13,10 @@ recorded this batch's spend — double-charging past
 ``lifetime_epsilon`` without any error surfacing.
 
 This rule flags every ``await`` expression positioned between an
-absorb call (``absorb``, or the handler's ``absorb_shard``) and a
-ledger charge call (``charge``, ``charge_batch``, ``charge_group``)
-inside the same function of a service handler module.
+absorb call (``absorb``, or the campaign's ``absorb_shard``) or the
+ingest path's ``admit`` step, and a ledger charge call (``charge``,
+``charge_batch``, ``charge_group``) or the ``commit`` step, inside the
+same function of a service handler module.
 """
 
 from __future__ import annotations
@@ -26,13 +27,20 @@ from typing import Iterator, List, Tuple
 from repro.qa.core import Module, Project, Rule, Violation
 
 #: Modules whose handlers own the charge/absorb critical section.
-HANDLER_MODULES: Tuple[str, ...] = ("repro.service.server",)
+HANDLER_MODULES: Tuple[str, ...] = (
+    "repro.service.server",
+    "repro.service.ingest",
+)
 
 #: Method names that fold reports into an accumulator.
 ABSORB_METHODS = frozenset({"absorb", "absorb_shard"})
 
 #: Method names that charge a PrivacyAccountant / CrossCampaignLedger.
 CHARGE_METHODS = frozenset({"charge", "charge_batch", "charge_group"})
+
+#: The ingest steps (``repro.service.ingest``) that open and close the
+#: same section: the budget test, and the absorb and charge it licenses.
+ADMIT, COMMIT = "admit", "commit"
 
 
 def _call_name(node: ast.Call) -> str:
@@ -48,10 +56,10 @@ class ChargeAbsorbAtomicityRule(Rule):
     id = "QA301"
     name = "charge-absorb-atomicity"
     description = (
-        "no await between an accumulator absorb and its paired "
-        "ledger charge in service handlers — a suspension point there "
-        "lets a concurrent batch double-spend past the atomic 429 "
-        "pre-check"
+        "no await between an accumulator absorb (or the ingest admit) "
+        "and its paired ledger charge (or the ingest commit) in service "
+        "handlers — a suspension point there lets a concurrent batch "
+        "double-spend past the atomic 429 pre-check"
     )
 
     def check(self, project: Project) -> Iterator[Violation]:
@@ -74,9 +82,9 @@ class ChargeAbsorbAtomicityRule(Rule):
         for node in ast.walk(func):
             if isinstance(node, ast.Call):
                 name = _call_name(node)
-                if name in ABSORB_METHODS:
+                if name in ABSORB_METHODS or name == ADMIT:
                     absorbs.append(node.lineno)
-                elif name in CHARGE_METHODS:
+                elif name in CHARGE_METHODS or name == COMMIT:
                     charges.append(node.lineno)
             elif isinstance(node, ast.Await):
                 awaits.append(node)
@@ -89,9 +97,8 @@ class ChargeAbsorbAtomicityRule(Rule):
                 yield self.violation(
                     module,
                     node,
-                    "await between an accumulator absorb (line "
-                    f"{min(absorbs)}) and a ledger charge (line "
-                    f"{max(charges)}): the charge/absorb pair must be "
-                    "one uninterrupted critical section so batch 429 "
-                    "rollback can never interleave",
+                    "await between an accumulator absorb or admit (line "
+                    f"{min(absorbs)}) and a ledger charge or commit (line "
+                    f"{max(charges)}): the section must run uninterrupted "
+                    "so batch 429 rollback can never interleave",
                 )

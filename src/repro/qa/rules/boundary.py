@@ -6,11 +6,11 @@ reports, and accumulators hold sufficient statistics.  The code keeps
 that boundary by construction — server-tier modules simply have no
 path to the client-side raw-value machinery.  This rule pins the
 construction down: the modules that run on the aggregator
-(``repro.service.server``, the ``repro.campaigns`` package,
-``repro.protocol.accumulators``) may not import — at any nesting
-depth, including function-local imports — the modules that encode or
-hold raw user values (client encoders, numeric mechanisms, raw
-datasets).
+(``repro.service.server`` and its ingest path ``repro.service.ingest``,
+the ``repro.campaigns`` package, ``repro.protocol.accumulators``) may
+not import — at any nesting depth, including function-local imports —
+the modules that encode or hold raw user values (client encoders,
+numeric mechanisms, raw datasets).
 
 An import here is almost always the first step of "just decode the
 report server-side for a quick check" — exactly the edit that
@@ -31,6 +31,7 @@ from repro.qa.core import Project, Rule, Violation
 #: encoders and runs on the user's device.
 SERVER_TIER: Tuple[str, ...] = (
     "repro.service.server",
+    "repro.service.ingest",
     "repro.campaigns",
     "repro.protocol.accumulators",
     "repro.stream.windows",
@@ -57,10 +58,10 @@ class PrivacyBoundaryRule(Rule):
     id = "QA201"
     name = "privacy-boundary"
     description = (
-        "server-tier modules (service.server, campaigns, "
-        "protocol.accumulators) must not import client-side raw-value "
-        "encoding internals; accumulators hold sufficient statistics "
-        "only"
+        "server-tier modules (service.server, service.ingest, "
+        "campaigns, protocol.accumulators) must not import client-side "
+        "raw-value encoding internals; accumulators hold sufficient "
+        "statistics only"
     )
 
     def check(self, project: Project) -> Iterator[Violation]:

@@ -11,6 +11,8 @@ and checkpoints durable state so a crash never loses the aggregate.
   address a campaign.
 * :mod:`repro.service.store` — atomic snapshot files with namespaces
   and resume-from-latest recovery.
+* :mod:`repro.service.ingest` — the three steps a report batch takes:
+  check, admit against the ledger, commit.
 * :mod:`repro.service.server` — stdlib asyncio HTTP ingestion server
   (``POST /report``, ``POST /campaigns``, ``GET /estimate``,
   ``GET /spec``, ``GET /campaigns``, ``GET /healthz``), routing

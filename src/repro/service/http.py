@@ -60,6 +60,7 @@ from typing import (
 
 from repro.obs.logging import get_logger
 from repro.obs.metrics import CONTENT_TYPE_LATEST
+from repro.service.ingest import Refusal
 
 _log = get_logger("repro.service.http")
 
@@ -123,20 +124,6 @@ class Request(NamedTuple):
 #: Answers a fully read request: ``(status, payload)``, where a ``str``
 #: payload is Prometheus text and anything else is sent as JSON.
 Handler = Callable[[Request], Tuple[int, Any]]
-
-
-class Refusal(Exception):
-    """Answer a request with ``status`` and ``{"error": error, **fields}``.
-
-    Raised here for a request refused before it was read in full (its
-    connection then closes), and by the handlers of
-    :mod:`repro.service.server`.
-    """
-
-    def __init__(self, status: int, error: str, **fields: Any) -> None:
-        super().__init__(error)
-        self.status = status
-        self.payload = {"error": error, **fields}
 
 
 def _response(status: int, payload: Any, keep_alive: bool) -> bytes:

@@ -1,55 +1,26 @@
 """Stdlib-only asyncio HTTP ingestion server (multi-tenant).
 
 The aggregator half of the paper's deployment, as an actual network
-service.  One :class:`IngestionServer` owns
-
-* a :class:`~repro.campaigns.registry.CampaignRegistry` of concurrent
-  collection campaigns — each campaign is a
-  :class:`~repro.protocol.facade.Protocol` with its own
-  :class:`~repro.protocol.accumulators.ServerAccumulator`,
-  idempotency-key set, and lifecycle state
-  (``open -> sealed -> estimated``),
-* a :class:`~repro.campaigns.ledger.CrossCampaignLedger` charging every
-  accepted report against the submitting user's single *global* budget
-  (no matter how many campaigns they report into) — over-budget users
-  get the whole batch rejected with HTTP 429 and nothing is charged or
-  absorbed,
-* an optional :class:`~repro.service.store.SnapshotStore` for periodic
-  durable checkpoints and resume-on-restart: the root store holds a
-  manifest (specs, lifecycle states, counters, the ledger), one child
-  namespace per campaign holds its accumulator payload.
+service.  One :class:`IngestionServer` owns a
+:class:`~repro.campaigns.registry.CampaignRegistry` of concurrent
+collection campaigns (a protocol, its accumulator, idempotency keys and
+lifecycle state each), the one
+:class:`~repro.campaigns.ledger.CrossCampaignLedger` that charges every
+accepted report against its user's single *global* budget, and an
+optional :class:`~repro.service.store.SnapshotStore` for checkpoints:
+a manifest (specs, states, counters, the ledger) plus one accumulator
+payload per campaign, resumed on restart.
 
 Endpoints are listed once, with what each answers, in :data:`_ROUTES`
-(JSON, except the Prometheus text of ``/metrics``).
-
-Streaming: a campaign constructed (or registered) with a
-:class:`~repro.stream.windows.WindowConfig` buckets reports by the
-``round`` their envelope carries into ring-buffer panes (see
-:mod:`repro.stream.windows`), enabling sliding-window and
-exponentially-decayed estimates without giving up the exact all-time
-answer.  Envelopes may also carry a per-user ``fresh`` vector from the
-client-side :class:`~repro.stream.memo.MemoizedEncoder`: users replaying
-a memoized report are charged **zero** additional epsilon in the
-cross-campaign ledger.  Both keys are optional on both wire versions —
-round-less, window-unaware v1 clients keep working unchanged.
-
-Campaign routing: a report envelope may carry a ``campaign``
-fingerprint; without one it routes to the *default* campaign (the one
-the server was constructed with), which is how pre-campaign v1 clients
-keep working unchanged.  The envelope fingerprint is always checked
-against the **addressed** campaign's spec — a mismatch is HTTP 409,
-never a silent mis-aggregation.
-
-Report batches arrive in either wire format: v1 JSON envelopes
-(``application/json``) or v2 columnar frames
-(``application/x-repro-columnar``, see :func:`repro.service.wire.
-pack_columns`); both are checked by the same envelope machinery and
-counted per wire version in ``/healthz``.
+(JSON, except the Prometheus text of ``/metrics``).  A windowed
+campaign (:class:`~repro.stream.windows.WindowConfig`) also answers
+sliding-window and decayed estimates.
 
 Ingestion is strictly ordered: request handlers run on the event loop
-and each batch is validated, admitted against the ledger, absorbed and
-charged synchronously, so accumulators see batches in arrival order and
-a checkpoint always captures a quiescent state.
+and each report batch, a v1 JSON envelope or a v2 columnar frame, goes
+through :mod:`repro.service.ingest`'s three steps (check, admit
+against the ledger, commit) synchronously, so accumulators see batches
+in arrival order and a checkpoint always captures a quiescent state.
 
 The HTTP layer is a deliberately minimal HTTP/1.1 implementation over
 ``asyncio.start_server`` with no third-party dependency, in
@@ -59,35 +30,30 @@ the client closes it, asks to, or idles past a timeout, and the SDK in
 module answers each fully read request from one table: :data:`_ROUTES`
 maps path -> method -> handler, answers 404 and 405, and names the
 ``endpoint`` label of the request metrics.  A handler that refuses a
-request raises :class:`~repro.service.http.Refusal` (status, ``error``
-and fields) at any depth; :meth:`IngestionServer._handle_request` is
-the one place that turns it into the response.
+request raises :class:`~repro.service.ingest.Refusal` (status,
+``error`` and fields) at any depth;
+:meth:`IngestionServer._handle_request` is the one place that turns it
+into the response.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
-import json
 import threading
 import time
 from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 from repro.campaigns.ledger import CrossCampaignLedger, batch_multiplicity
 from repro.campaigns.lifecycle import InvalidTransitionError
-from repro.campaigns.registry import (
-    Campaign,
-    CampaignRegistry,
-    UnknownCampaignError,
-)
+from repro.campaigns.registry import Campaign, CampaignRegistry
 from repro.obs.lifecycle import DrainResult, DrainState, advance
-from repro.obs.logging import bind_campaign, bound_context, get_logger
+from repro.obs.logging import bound_context, get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.protocol.facade import Protocol
-from repro.protocol.reports import to_block
 from repro.protocol.spec import ProtocolSpec
-from repro.service import http, wire
-from repro.service.http import Refusal
+from repro.service import http, ingest, wire
+from repro.service.ingest import Refusal
 from repro.service.store import (
     Cut,
     RawJSON,
@@ -160,22 +126,6 @@ def _match(path: str, query: Query) -> Tuple[str, Query]:
     if len(parts) == 3 and parts[0] == "campaigns" and parts[2] == "seal":
         return "/campaigns/seal", {**query, "campaign": parts[1]}
     return "other", query
-
-
-def _decode(request: http.Request) -> Any:
-    """A request's body: ``None`` when empty, a v2 frame's envelope
-    under the columnar content type, else JSON."""
-    if not request.body:
-        return None
-    if request.content_type.startswith(wire.COLUMNAR_CONTENT_TYPE):
-        try:
-            return wire.unpack_columns(request.body)
-        except wire.WireFormatError as exc:
-            raise Refusal(400, "bad_envelope", detail=str(exc)) from None
-    try:
-        return json.loads(request.body)
-    except json.JSONDecodeError as exc:
-        raise Refusal(400, "bad_json", detail=str(exc)) from None
 
 
 #: Budget-spend buckets: epsilon is O(1), not O(milliseconds), so the
@@ -355,6 +305,19 @@ class ServerMetrics:
         self.draining.set_function(
             lambda: 0.0 if server.drain_state is DrainState.SERVING else 1.0
         )
+
+    def accepted(self, batch: ingest.Batch) -> None:
+        """Count one committed batch by wire version, and (instrumented)
+        its reports by campaign; log it at DEBUG."""
+        n, version = batch.block.n, batch.wire_version
+        self.wire_batches.labels(wire_version=str(version)).inc()
+        if self.instrumented:
+            self.ingest_reports.labels(
+                campaign=batch.campaign.fingerprint, wire_version=str(version)
+            ).inc(n)
+        if _log.isEnabledFor(10):  # DEBUG: no extra dict per batch
+            extra = {"reports": n, "wire_version": version}
+            _log.debug("batch accepted", extra=extra)
 
     def track_campaign(self, campaign: Campaign) -> None:
         fp = campaign.fingerprint
@@ -662,13 +625,13 @@ class IngestionServer:
     def _handle_request(self, request: http.Request) -> Reply:
         """Answer one fully read request: decode its body, route it
         through :data:`_ROUTES`, run its handler, and turn a
-        :class:`~repro.service.http.Refusal` raised anywhere on the way
-        into its response.  Times and counts every answer by route."""
+        :class:`~repro.service.ingest.Refusal` raised anywhere on the
+        way into its response.  Times and counts every answer by route."""
         endpoint, query = _match(request.path, request.query)
         started = time.perf_counter()
         with bound_context(request_id=f"r-{next(self._request_seq)}"):
             try:
-                body = _decode(request)
+                body = ingest.decode(request.content_type, request.body)
                 if endpoint == "other":
                     raise Refusal(404, "not_found", path=request.path)
                 handler = _ROUTES[endpoint].get(request.method)
@@ -685,18 +648,6 @@ class IngestionServer:
                 endpoint=endpoint, status=str(status)
             ).inc()
         return status, payload
-
-    def _resolve(self, campaign_id: Optional[str]) -> Campaign:
-        """The addressed campaign (the default one for ``None``)."""
-        try:
-            return self.registry.resolve(campaign_id)
-        except UnknownCampaignError as exc:
-            raise Refusal(
-                404,
-                "unknown_campaign",
-                campaign=campaign_id,
-                detail=str(exc.args[0]) if exc.args else str(exc),
-            ) from None
 
     @staticmethod
     def _window_panes(campaign: Campaign, query: Query, detail: str) -> int:
@@ -769,7 +720,7 @@ class IngestionServer:
         return 200, self.metrics.registry.render()
 
     def _handle_spec(self, query: Query, body: Any) -> Reply:
-        campaign = self._resolve(query.get("campaign"))
+        campaign = ingest.resolve(self.registry, query.get("campaign"))
         return 200, {
             # ``wire_version`` stays 1 — old clients equality-check it;
             # version-2-capable clients negotiate on ``wire_versions``.
@@ -791,7 +742,7 @@ class IngestionServer:
         }
 
     def _handle_estimate(self, query: Query, body: Any) -> Reply:
-        campaign = self._resolve(query.get("campaign"))
+        campaign = ingest.resolve(self.registry, query.get("campaign"))
         if query.get("window") is not None or query.get("decay") is not None:
             return self._handle_window_estimate(campaign, query)
         if campaign.reports == 0:
@@ -885,7 +836,7 @@ class IngestionServer:
         the current window (the live view heavy hitters are *for*);
         plain campaigns rank over the all-time estimate.
         """
-        campaign = self._resolve(query.get("campaign"))
+        campaign = ingest.resolve(self.registry, query.get("campaign"))
         if campaign.spec.kind not in ("frequency", "histogram"):
             raise Refusal(
                 409,
@@ -989,7 +940,7 @@ class IngestionServer:
         }
 
     def _handle_campaign_seal(self, query: Query, body: Any) -> Reply:
-        campaign = self._resolve(query["campaign"])
+        campaign = ingest.resolve(self.registry, query["campaign"])
         was = campaign.state
         state = campaign.seal()
         if state is not was:
@@ -1008,16 +959,11 @@ class IngestionServer:
         }
 
     def _handle_report(self, query: Query, body: Any) -> Reply:
-        """Drain gate + instrumentation around the batch handler."""
-        if not isinstance(body, dict):
-            raise Refusal(
-                400,
-                "bad_request",
-                detail="POST /report requires a JSON object body",
-            )
-        if self._drain_state is not DrainState.SERVING:
-            if self.metrics.instrumented:
-                self.metrics.rejected_batches.labels(reason="draining").inc()
+        """:mod:`~repro.service.ingest`'s steps, timed and counted."""
+        envelope, m = ingest.as_envelope(body), self.metrics
+        if self.draining:
+            if m.instrumented:
+                m.rejected_batches.labels(reason="draining").inc()
             raise Refusal(
                 503,
                 "draining",
@@ -1026,194 +972,32 @@ class IngestionServer:
             )
         started = time.perf_counter()
         try:
-            payload = self._handle_report_inner(body)
+            batch = ingest.check(self.registry, envelope)
+            if batch.duplicate:
+                batch.campaign.duplicates += 1
+            else:
+                multiplicity = batch_multiplicity(batch.charged)
+                ingest.admit(self.ledger, batch, multiplicity)
+                ingest.commit(self.ledger, batch, multiplicity)
+                m.accepted(batch)
+                seq = self.registry.total_batches_accepted()
+                if self.checkpoint_every and seq % self.checkpoint_every == 0:
+                    self.checkpoint_now()
+            status, answer = 200, ingest.answer(batch)
         except Refusal as refusal:
-            self._observe_batch(started, refusal.status, refusal.payload)
-            raise
-        self._observe_batch(started, 200, payload)
-        return 200, payload
-
-    def _observe_batch(
-        self, started: float, status: int, payload: Dict[str, Any]
-    ) -> None:
-        m = self.metrics
-        if not m.instrumented:
-            return
-        m.batch_seconds.labels(
-            campaign=str(payload.get("campaign") or "")
-        ).observe(time.perf_counter() - started)
-        if status != 200:
-            reason = str(payload["error"])
-            m.rejected_batches.labels(reason=reason).inc()
-            _log.info(
-                "batch rejected", extra={"status": status, "reason": reason}
-            )
-
-    def _handle_report_inner(self, body: Dict[str, Any]) -> Dict[str, Any]:
-        """Check, admit, absorb and charge one batch; returns the 200
-        answer (``accepted`` or ``duplicate``) or raises a refusal."""
-        try:
-            campaign_id = wire.envelope_campaign(body)
-        except wire.WireFormatError as exc:
-            raise Refusal(400, "bad_envelope", detail=str(exc)) from None
-        campaign = self._resolve(campaign_id)
-        bind_campaign(campaign.fingerprint)
-        try:
-            payload = wire.unpack(body, campaign.fingerprint)
-        except wire.SpecMismatchError as exc:
-            raise Refusal(409, "spec_mismatch", detail=str(exc)) from None
-        except wire.WireFormatError as exc:
-            raise Refusal(400, "bad_envelope", detail=str(exc)) from None
-
-        if not campaign.accepts_reports:
-            raise Refusal(
-                409,
-                "campaign_sealed",
-                campaign=campaign.fingerprint,
-                state=campaign.state.value,
-                detail="campaign no longer accepts reports",
-            )
-
-        key = payload.get("idempotency_key")
-        if key is not None and not isinstance(key, str):
-            # Keys are stored and checkpointed sorted next to the SDK's
-            # string keys; any other type would break every later cut.
-            raise Refusal(
-                400,
-                "bad_request",
-                detail=f"'idempotency_key' must be a string, got "
-                f"{type(key).__name__}",
-            )
-        if key is not None and key in campaign.seen_keys:
-            campaign.duplicates += 1
-            return {
-                "status": "duplicate",
-                "accepted": 0,
-                "campaign": campaign.fingerprint,
-                "total_reports": campaign.reports,
-            }
-
-        users = payload.get("users")
-        if not isinstance(users, list) or not users:
-            raise Refusal(
-                400,
-                "bad_request",
-                detail="payload must carry a non-empty 'users' list",
-            )
-
-        # Streaming extensions (both optional, both wire versions):
-        # 'round' buckets the batch into a window pane, 'fresh' marks
-        # which users' reports were newly perturbed this round — only
-        # those are charged (memoized replays are privacy-free, see
-        # DESIGN.md "Streaming analytics").
-        round_ = payload.get("round")
-        if round_ is not None:
-            if not isinstance(round_, int) or isinstance(round_, bool) \
-                    or round_ < 0:
-                raise Refusal(
-                    400,
-                    "bad_request",
-                    detail=f"'round' must be a non-negative integer, "
-                    f"got {round_!r}",
-                )
-        fresh = payload.get("fresh")
-        if fresh is not None:
-            if (
-                not isinstance(fresh, list)
-                or len(fresh) != len(users)
-                or not all(isinstance(f, bool) for f in fresh)
-            ):
-                raise Refusal(
-                    400,
-                    "bad_request",
-                    detail="'fresh' must be a list of booleans, one "
-                    "per user",
-                )
-        # Both wire versions arrive as one ColumnBlock: v2 frames carry
-        # it, v1 JSON decodes to a container and converts.
-        block = payload.get("columns")
-        if block is not None:
-            wire_version = wire.WIRE_VERSION_COLUMNAR
-        else:
-            wire_version = wire.WIRE_VERSION
-            try:
-                block = to_block(wire.decode_reports(payload["reports"]))
-            except (KeyError, wire.WireFormatError, ValueError) as exc:
-                raise Refusal(400, "bad_reports", detail=str(exc)) from None
-        n = block.n
-        if n != len(users):
-            raise Refusal(
-                400,
-                "bad_request",
-                detail=f"batch carries {n} reports for {len(users)} "
-                f"users",
-            )
-
-        # Validate before charging: a kind, shape, value or row-count
-        # violation the codec could not catch must not consume anyone's
-        # budget.
-        try:
-            campaign.validate_batch(block)
-        except ValueError as exc:
-            raise Refusal(400, "bad_reports", detail=str(exc)) from None
-
-        # Budget enforcement is atomic per batch *against the global
-        # cross-campaign ledger*: either every user has room for all
-        # their reports in the batch (at multiplicity) on top of what
-        # they already spent in ANY campaign, or nothing happens.
-        # Memoized replays ('fresh' flag False) cost zero epsilon —
-        # they are byte-identical to a report already paid for.
-        epsilon = campaign.spec.epsilon
-        charged_users = (
-            [u for u, f in zip(users, fresh) if f]
-            if fresh is not None else users
-        )
-        multiplicity = batch_multiplicity(charged_users)
-        rejected = self.ledger.rejected_users(multiplicity, epsilon)
-        if rejected:
-            raise Refusal(
-                429,
-                "budget_exceeded",
-                campaign=campaign.fingerprint,
-                rejected_users=rejected,
-                lifetime_epsilon=self.ledger.lifetime_epsilon,
-            )
-
-        try:
-            campaign.absorb_shard(block, round_)
-        except ValueError as exc:  # pragma: no cover - validated
-            raise Refusal(400, "bad_reports", detail=str(exc)) from None
-        self.ledger.charge_batch(
-            multiplicity, epsilon, campaign=campaign.fingerprint
-        )
-        m = self.metrics
-        m.wire_batches.labels(wire_version=str(wire_version)).inc()
-        campaign.batches_accepted += 1
-        campaign.dirty = True
+            status, answer = refusal.status, refusal.payload
         if m.instrumented:
-            m.ingest_reports.labels(
-                campaign=campaign.fingerprint,
-                wire_version=str(wire_version),
-            ).inc(n)
-        if _log.isEnabledFor(10):  # DEBUG — skip extra-dict on hot path
-            _log.debug(
-                "batch accepted",
-                extra={"reports": n, "wire_version": wire_version},
-            )
-        if key is not None:
-            campaign.seen_keys.add(key)
-        if (
-            self.checkpoint_every is not None
-            and self.registry.total_batches_accepted()
-            % self.checkpoint_every == 0
-        ):
-            self.checkpoint_now()
-        return {
-            "status": "accepted",
-            "accepted": n,
-            "campaign": campaign.fingerprint,
-            "total_reports": campaign.reports,
-        }
+            m.batch_seconds.labels(
+                campaign=str(answer.get("campaign") or "")
+            ).observe(time.perf_counter() - started)
+            if status != 200:
+                reason = str(answer["error"])
+                m.rejected_batches.labels(reason=reason).inc()
+                _log.info(
+                    "batch rejected",
+                    extra={"status": status, "reason": reason},
+                )
+        return status, answer
 
     def _handle_checkpoint(self, query: Query, body: Any) -> Reply:
         if self.store is None:

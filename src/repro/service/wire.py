@@ -28,8 +28,10 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
+import operator
 import struct
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -94,18 +96,31 @@ def decode_array(obj: Dict[str, Any]) -> np.ndarray:
     """Inverse of :func:`encode_array`."""
     try:
         dtype = np.dtype(obj["dtype"])
-        shape = tuple(obj["shape"])
+        shape = tuple(operator.index(s) for s in obj["shape"])
         raw = base64.b64decode(obj["data"])
     except (KeyError, TypeError, ValueError) as exc:
         raise WireFormatError(f"malformed array payload: {exc}") from exc
-    arr = np.frombuffer(raw, dtype=dtype)
-    if arr.size != int(np.prod(shape, dtype=np.int64)):
+    return _from_buffer(raw, dtype, shape, "array payload")
+
+
+def _from_buffer(
+    raw: bytes, dtype: np.dtype, shape: Tuple[int, ...], what: str
+) -> np.ndarray:
+    """``raw`` as a writable array of ``dtype`` and ``shape``; raises
+    :class:`WireFormatError` unless it holds exactly that array."""
+    # numpy's limits, which also keep the product small.
+    if len(shape) > 64 or not all(0 <= s < 2**63 for s in shape):
+        raise WireFormatError(f"{what} cannot have shape {shape}")
+    try:
+        arr = np.frombuffer(raw, dtype=dtype)
+    except ValueError as exc:  # an empty or object dtype, a partial item
+        raise WireFormatError(f"{what} is no {dtype} buffer: {exc}") from exc
+    if arr.size != math.prod(shape):
         raise WireFormatError(
-            f"array payload carries {arr.size} elements, shape {shape} "
-            f"needs {int(np.prod(shape, dtype=np.int64))}"
+            f"{what} carries {arr.size} elements, shape {shape} needs "
+            f"{math.prod(shape)}"
         )
-    # frombuffer views are read-only; copy so callers can absorb freely.
-    return arr.reshape(shape).copy()
+    return arr.reshape(shape).copy()  # frombuffer's views are read-only
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +204,9 @@ def decode_reports(obj: Dict[str, Any]):
             )
     except WireFormatError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (
+        AttributeError, KeyError, OverflowError, TypeError, ValueError
+    ) as exc:
         raise WireFormatError(
             f"malformed {kind!r} report payload: {exc!r}"
         ) from exc
@@ -319,7 +336,7 @@ def unpack_columns(data: bytes) -> Dict[str, Any]:
             shape = tuple(int(s) for s in entry["shape"])
             start = int(entry["offset"])
             nbytes = int(entry["nbytes"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise WireFormatError(
                 f"malformed column table entry: {exc}"
             ) from exc
@@ -328,14 +345,9 @@ def unpack_columns(data: bytes) -> Dict[str, Any]:
                 f"column {name!r} spans [{start}, {start + nbytes}) but "
                 f"payload holds {len(body)} bytes"
             )
-        arr = np.frombuffer(body[start:start + nbytes], dtype=dtype)
-        if arr.size != int(np.prod(shape, dtype=np.int64)):
-            raise WireFormatError(
-                f"column {name!r} carries {arr.size} elements, shape "
-                f"{shape} needs {int(np.prod(shape, dtype=np.int64))}"
-            )
-        # frombuffer views are read-only; copy so absorb can run freely.
-        columns[name] = arr.reshape(shape).copy()
+        columns[name] = _from_buffer(
+            body[start:start + nbytes], dtype, shape, f"column {name!r}"
+        )
     meta = header.get("meta")
     if meta is None:
         meta = {}
@@ -348,7 +360,7 @@ def unpack_columns(data: bytes) -> Dict[str, Any]:
             meta=meta,
             columns=columns,
         )
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise WireFormatError(f"malformed columnar block: {exc}") from exc
     envelope: Dict[str, Any] = {
         "wire_version": header.get("wire_version"),

@@ -1,4 +1,4 @@
-"""An await suspends the handler between charge and absorb."""
+"""An await suspends the handler inside a critical section."""
 
 
 class Handler:
@@ -12,6 +12,12 @@ class Handler:
         campaign.absorb_shard(batch.reports, batch.round)
         await self.audit_log(batch)
         ledger.charge_batch(batch.multiplicity, batch.epsilon)
+        return True
+
+    async def handle_steps(self, ingest, ledger, batch, multiplicity):
+        ingest.admit(ledger, batch, multiplicity)
+        await self.audit_log(batch)
+        ingest.commit(ledger, batch, multiplicity)
         return True
 
     async def audit_log(self, batch):

@@ -12,6 +12,15 @@ class Handler:
         await self.checkpoint()
         return True
 
+    async def handle_steps(self, ingest, ledger, registry, envelope):
+        batch = ingest.check(registry, envelope)
+        await self.authenticate(batch)
+        multiplicity = batch.multiplicity
+        ingest.admit(ledger, batch, multiplicity)
+        ingest.commit(ledger, batch, multiplicity)
+        await self.checkpoint()
+        return True
+
     async def authenticate(self, batch):
         return batch
 

@@ -89,12 +89,34 @@ class TestPrivacyBoundary:
         assert "repro.core" in messages
 
 
+    def test_ingest_module_is_server_tier(self, tmp_path):
+        module = tmp_path / "src" / "repro" / "service" / "ingest.py"
+        module.parent.mkdir(parents=True)
+        module.write_text("from repro.protocol.encoders import Encoder\n")
+        assert [v.line for v in findings(tmp_path, ["QA201"])] == [1]
+
+
 class TestChargeAbsorbAtomicity:
     def test_await_inside_critical_section(self):
         found = findings(FIXTURES / "QA301" / "bad", ["QA301"])
-        # The awaits between charge and absorb, and between the
-        # server's own absorb_shard and charge_batch.
-        assert sorted(v.line for v in found) == [7, 13]
+        # The awaits between charge and absorb, between the server's
+        # own absorb_shard and charge_batch, and between the ingest
+        # admit and commit steps.
+        assert sorted(v.line for v in found) == [7, 13, 19]
+
+    def test_await_between_admit_and_commit(self):
+        found = findings(FIXTURES / "QA301" / "bad", ["QA301"])
+        [step] = [v for v in found if v.line == 19]
+        assert "admit (line 18)" in step.message
+        assert "commit (line 20)" in step.message
+
+    def test_ingest_module_is_a_handler_module(self, tmp_path):
+        bad = FIXTURES / "QA301" / "bad" / "src" / "repro" / "service"
+        module = tmp_path / "src" / "repro" / "service" / "ingest.py"
+        module.parent.mkdir(parents=True)
+        module.write_text((bad / "server.py").read_text())
+        found = findings(tmp_path, ["QA301"])
+        assert sorted(v.line for v in found) == [7, 13, 19]
 
     def test_awaits_outside_critical_section_pass(self):
         assert findings(FIXTURES / "QA301" / "good", ["QA301"]) == []
