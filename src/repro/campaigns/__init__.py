@@ -10,15 +10,18 @@ over one user population.  This package is that layer:
   accumulator, idempotency keys, lifecycle state) and
   :class:`CampaignRegistry`, keyed by the SHA-256 spec fingerprint the
   wire envelope already carries.
-* :mod:`repro.campaigns.ledger` — :class:`CrossCampaignLedger`, the
-  single per-user budget shared by every campaign: no matter how many
-  campaigns a user reports into, their total epsilon spend is capped.
+* :mod:`repro.campaigns.ledger` — :func:`batch_multiplicity`, the
+  report count per user that a batch is charged at.  Budget belongs to
+  the user, not the campaign: every campaign on a server charges one
+  :class:`~repro.analysis.accountant.PrivacyAccountant`, so however
+  many campaigns a user reports into, their total epsilon is capped.
 
 :class:`~repro.service.server.IngestionServer` routes every request
-through a registry + ledger pair; see DESIGN.md ("The campaign layer").
+through a registry + accountant pair; see DESIGN.md ("The campaign
+layer").
 """
 
-from repro.campaigns.ledger import CrossCampaignLedger, batch_multiplicity
+from repro.campaigns.ledger import batch_multiplicity
 from repro.campaigns.lifecycle import (
     TRANSITIONS,
     CampaignState,
@@ -36,7 +39,6 @@ __all__ = [
     "Campaign",
     "CampaignRegistry",
     "CampaignState",
-    "CrossCampaignLedger",
     "InvalidTransitionError",
     "UnknownCampaignError",
     "batch_multiplicity",

@@ -12,7 +12,7 @@ impossible to do silently.
 
 What campaigns deliberately do **not** own is a privacy accountant —
 budget is a property of the *user*, not the collection, and lives in
-the one :class:`~repro.campaigns.ledger.CrossCampaignLedger` shared by
+the one :class:`~repro.analysis.accountant.PrivacyAccountant` shared by
 every campaign on the server.
 
 The service's wire codec is imported lazily inside methods: ``campaigns``
@@ -111,33 +111,26 @@ class Campaign:
         """Reports absorbed so far."""
         return int(self.accumulator.count)
 
-    def validate_batch(self, batch: Any) -> None:
-        """Raise ``ValueError`` iff absorbing ``batch`` would.
+    def validate_batch(self, batch: Any) -> Any:
+        """The batch's parse, for :meth:`absorb_shard`; raises
+        ``ValueError`` iff absorbing ``batch`` would.
 
         Runs on the request path *before* budget is charged; never
         mutates state.
         """
-        self.accumulator.validate(batch)
+        return self.accumulator.validate(batch)
 
-    def absorb_shard(self, batch: Any, round_: Optional[int] = None) -> int:
-        """Fold one validated batch into :attr:`accumulator`; returns the
-        number of reports absorbed.
+    def absorb_shard(self, parsed: Any, round_: Optional[int] = None) -> None:
+        """Fold one :meth:`validate_batch` result into :attr:`accumulator`.
 
         It keeps its shard-era name because ``perfbench/launcher.py``
         times the absorb layer by wrapping this method by name.
 
-        ``round_`` routes the batch into that round's pane on windowed
-        campaigns (round-less batches land in the current pane); plain
-        campaigns ignore it — the round is a windowing concern, not an
-        accumulation one.
+        ``round_`` names the pane on windowed campaigns (round-less
+        batches land in the current pane); plain campaigns ignore it —
+        the round is a windowing concern, not an accumulation one.
         """
-        acc = self.accumulator
-        before = acc.count
-        if isinstance(acc, WindowedAccumulator) and round_ is not None:
-            acc.absorb_round(round_, batch)
-        else:
-            acc.absorb(batch)
-        return int(acc.count - before)
+        self.accumulator.fold(parsed, round_)
 
     def merged_window(self) -> WindowedAccumulator:
         """:attr:`accumulator`, typed as the windowed accumulator it is
@@ -180,27 +173,19 @@ class Campaign:
     def seal(self) -> CampaignState:
         """``open -> sealed`` (idempotent on sealed/estimated)."""
         if self.state is not CampaignState.ESTIMATED:
-            was = self.state
-            self.state = check_transition(self.state, CampaignState.SEALED)
-            self.dirty = True
-            if self.state is not was:
-                _log.info(
-                    "campaign state transition",
-                    extra={
-                        "campaign": self.fingerprint,
-                        "from": was.value,
-                        "to": self.state.value,
-                        "reports": self.reports,
-                    },
-                )
+            self._transition(CampaignState.SEALED)
         return self.state
 
     def mark_estimated(self) -> CampaignState:
         """``sealed -> estimated`` — called when a final estimate is
         served; estimating an *open* campaign is allowed but non-final
         and does not transition."""
-        was = self.state
-        self.state = check_transition(self.state, CampaignState.ESTIMATED)
+        return self._transition(CampaignState.ESTIMATED)
+
+    def _transition(self, target: CampaignState) -> CampaignState:
+        """Check and take ``state -> target`` and mark the campaign
+        dirty; log the move when it changes the state."""
+        was, self.state = self.state, check_transition(self.state, target)
         self.dirty = True
         if self.state is not was:
             _log.info(

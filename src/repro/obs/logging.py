@@ -81,13 +81,14 @@ def bound_context(
 
     Values propagate through every log record emitted inside the block
     (and through ``await``/task boundaries, courtesy of contextvars);
-    ``None`` leaves the enclosing binding untouched.
+    ``None`` keeps the enclosing binding.  Either way the block's end
+    restores both ids, so a :func:`bind_campaign` inside it ends there.
     """
-    tokens = []
-    if request_id is not None:
-        tokens.append((request_id_var, request_id_var.set(request_id)))
-    if campaign is not None:
-        tokens.append((campaign_var, campaign_var.set(campaign)))
+    tokens = [
+        (var, var.set(var.get() if value is None else value))
+        for var, value in ((request_id_var, request_id),
+                           (campaign_var, campaign))
+    ]
     try:
         yield
     finally:

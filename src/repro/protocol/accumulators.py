@@ -22,7 +22,7 @@ shards is exact for counts and agrees to ~1e-15 relative for sums.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple, TypeVar
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -55,16 +55,17 @@ class ServerAccumulator(abc.ABC):
     :class:`~repro.protocol.reports.ColumnBlock` off the v2 wire) into a
     block; the subclass's :meth:`_parse` coerces and checks the block
     without touching state, and :meth:`_fold` adds the parsed batch.
-    :meth:`validate` stops after the parse, so it raises exactly when
-    :meth:`absorb` would, and a batch that fails leaves the state
-    unchanged.  The ingestion server validates *before* admitting a
-    batch against the privacy ledger, so a malformed batch never
-    consumes anyone's budget.
+    :meth:`absorb` is :meth:`validate`, which stops after the parse and
+    returns it, then :meth:`fold`, so a batch that fails leaves the
+    state unchanged.  The ingestion server validates *before* admitting
+    a batch against the privacy ledger, so a malformed batch never
+    consumes anyone's budget, and folds the parse it validated.
     """
 
-    def validate(self, batch: Any) -> None:
-        """Raise ``ValueError`` iff :meth:`absorb` would; no mutation."""
-        self._parse(to_block(batch))
+    def validate(self, batch: Any) -> Any:
+        """The batch's parse, for :meth:`fold`; raises ``ValueError``
+        iff :meth:`absorb` would.  No mutation."""
+        return self._parse(to_block(batch))
 
     def absorb(self: _Acc, batch: Any) -> _Acc:
         """Fold in one batch of reports; retains no report.
@@ -75,7 +76,12 @@ class ServerAccumulator(abc.ABC):
         :meth:`estimate` still raises ``ValueError`` while the total
         count is zero.
         """
-        self._fold(self._parse(to_block(batch)))
+        return self.fold(self.validate(batch))
+
+    def fold(self: _Acc, parsed: Any, round_: Optional[int] = None) -> _Acc:
+        """Add one :meth:`validate` result to the state.  ``round_``
+        names a windowed accumulator's pane; the others ignore it."""
+        self._fold(parsed)
         return self
 
     @abc.abstractmethod

@@ -31,7 +31,6 @@ from repro.campaigns import (
     Campaign,
     CampaignRegistry,
     CampaignState,
-    CrossCampaignLedger,
     UnknownCampaignError,
 )
 from repro.service.client import (
@@ -69,7 +68,6 @@ __all__ = [
     "CampaignClosedError",
     "CampaignRegistry",
     "CampaignState",
-    "CrossCampaignLedger",
     "IngestionServer",
     "OverBudgetError",
     "ServiceClient",

@@ -8,10 +8,12 @@ no server (DESIGN.md "Budget enforcement" tabulates them):
   envelopes and v2 columnar frames reach the campaign as one
   :class:`~repro.protocol.reports.ColumnBlock`; a key the campaign has
   already folded in ends the check at once, as a duplicate.
-* :func:`admit` is the budget test against the cross-campaign ledger;
-  it changes no state.
-* :func:`commit` absorbs, charges, counts and records the key: the
-  only step that changes state, and it cannot fail after the other two.
+* :func:`admit` is the budget test against the server's one
+  :class:`~repro.analysis.accountant.PrivacyAccountant`, which every
+  campaign charges; it changes no state.
+* :func:`commit` folds in the parse :func:`check` validated, charges,
+  counts and records the key: the only step that changes state, and
+  it cannot fail after the other two.
 
 Each raises :class:`Refusal`, as every handler and the HTTP framing
 layer do.  The server runs the steps in order and owns what surrounds
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, NamedTuple, Optional, Sequence
 
-from repro.campaigns.ledger import CrossCampaignLedger
+from repro.analysis.accountant import PrivacyAccountant
 from repro.campaigns.registry import (
     Campaign,
     CampaignRegistry,
@@ -51,6 +53,8 @@ class Batch(NamedTuple):
     key: Optional[str]
     duplicate: bool = False
     block: Optional[ColumnBlock] = None
+    #: ``campaign.validate_batch(block)``, which commit folds in.
+    parsed: Any = None
     #: The users charged, with repeats: those whose report is fresh.
     charged: Sequence[Any] = ()
     round_: Optional[int] = None
@@ -154,16 +158,18 @@ def check(registry: CampaignRegistry, envelope: Any) -> Batch:
         )
     # Validate before charging: a bad batch must not consume budget.
     try:
-        campaign.validate_batch(block)
+        parsed = campaign.validate_batch(block)
     except ValueError as exc:
         raise Refusal(400, "bad_reports", detail=str(exc)) from None
     if fresh is not None:
         users = [u for u, f in zip(users, fresh) if f]
-    return Batch(campaign, key, False, block, users, round_, wire_version)
+    return Batch(
+        campaign, key, False, block, parsed, users, round_, wire_version
+    )
 
 
 def admit(
-    ledger: CrossCampaignLedger, batch: Batch, multiplicity: Dict[str, int]
+    ledger: PrivacyAccountant, batch: Batch, multiplicity: Dict[str, int]
 ) -> None:
     """429 unless every charged user can afford their ``multiplicity``
     reports on top of their spend in every campaign; changes no state."""
@@ -180,14 +186,15 @@ def admit(
 
 
 def commit(
-    ledger: CrossCampaignLedger, batch: Batch, multiplicity: Dict[str, int]
+    ledger: PrivacyAccountant, batch: Batch, multiplicity: Dict[str, int]
 ) -> None:
-    """Absorb an admitted batch, charge it, count it, record its key.
-    Neither call fails after :func:`check` and :func:`admit`."""
+    """Fold in an admitted batch's parse, charge it under its campaign's
+    fingerprint, count it, record its key.  Neither call fails after
+    :func:`check` and :func:`admit`."""
     campaign = batch.campaign
-    campaign.absorb_shard(batch.block, batch.round_)
+    campaign.absorb_shard(batch.parsed, batch.round_)
     ledger.charge_batch(
-        multiplicity, campaign.spec.epsilon, campaign=campaign.fingerprint
+        multiplicity, campaign.spec.epsilon, label=campaign.fingerprint
     )
     campaign.batches_accepted += 1
     campaign.dirty = True

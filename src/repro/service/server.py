@@ -5,8 +5,8 @@ service.  One :class:`IngestionServer` owns a
 :class:`~repro.campaigns.registry.CampaignRegistry` of concurrent
 collection campaigns (a protocol, its accumulator, idempotency keys and
 lifecycle state each), the one
-:class:`~repro.campaigns.ledger.CrossCampaignLedger` that charges every
-accepted report against its user's single *global* budget, and an
+:class:`~repro.analysis.accountant.PrivacyAccountant` that charges
+every accepted report against its user's single *global* budget, and an
 optional :class:`~repro.service.store.SnapshotStore` for checkpoints:
 a manifest (specs, states, counters, the ledger) plus one accumulator
 payload per campaign, resumed on restart.
@@ -44,7 +44,8 @@ import threading
 import time
 from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
-from repro.campaigns.ledger import CrossCampaignLedger, batch_multiplicity
+from repro.analysis.accountant import PrivacyAccountant
+from repro.campaigns.ledger import batch_multiplicity
 from repro.campaigns.lifecycle import InvalidTransitionError
 from repro.campaigns.registry import Campaign, CampaignRegistry
 from repro.obs.lifecycle import DrainResult, DrainState, advance
@@ -75,6 +76,10 @@ SpecLike = Union[Protocol, ProtocolSpec, Dict[str, Any]]
 _MALFORMED = (
     AttributeError, KeyError, TypeError, ValueError, InvalidTransitionError,
 )
+
+#: The keys a manifest's ledger object starts with, before the
+#: accountant's own.
+_LEDGER_HEAD = {"type": "cross-campaign-ledger"}
 
 #: A route handler's query (path parameter included) and its answer:
 #: the status and a JSON payload (Prometheus text for ``/metrics``).
@@ -427,7 +432,7 @@ class IngestionServer:
                 if default is not None
                 else max(c.spec.epsilon for c in self.registry)
             )
-        self.ledger = CrossCampaignLedger(lifetime_epsilon)
+        self.ledger = PrivacyAccountant(lifetime_epsilon)
         self.store = store
         self.checkpoint_every = checkpoint_every
         self.host = host
@@ -543,7 +548,7 @@ class IngestionServer:
                 raise ValueError(f"campaign {fp[:12]!r}...: {exc}") from exc
             campaign.restore(entry, payload)
         try:
-            self.ledger = CrossCampaignLedger.from_dict(snapshot["ledger"])
+            self.ledger = PrivacyAccountant.from_dict(snapshot["ledger"])
         except ValueError as exc:
             # A value that could under-charge a user must not resume.
             raise SnapshotCorruptError(
@@ -581,7 +586,7 @@ class IngestionServer:
             "type": "campaign-manifest",
             "default": default.fingerprint if default else None,
             "campaigns": entries,
-            "ledger": RawJSON(self.ledger.json_parts()),
+            "ledger": RawJSON(self.ledger.json_parts(_LEDGER_HEAD)),
             "batches_accepted": seq,
             "duplicates": self.registry.total_duplicates(),
         }

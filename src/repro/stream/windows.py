@@ -41,7 +41,7 @@ from typing import Any, Callable, Dict, List, Optional
 import numpy as np
 
 from repro.protocol.accumulators import ServerAccumulator
-from repro.protocol.reports import ColumnBlock, to_block
+from repro.protocol.reports import ColumnBlock
 
 #: Duration suffixes accepted by :func:`parse_duration`, in seconds.
 _DURATION_UNITS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
@@ -242,13 +242,6 @@ class WindowedAccumulator(ServerAccumulator):
             self._ring[round_] = pane
         return pane
 
-    @staticmethod
-    def _check_round(round_: Any) -> int:
-        r = int(round_)
-        if r < 0:
-            raise ValueError(f"round must be >= 0, got {round_}")
-        return r
-
     def _is_expired(self, round_: int) -> bool:
         return (
             self._latest is not None and round_ <= self._latest - self.panes
@@ -262,26 +255,28 @@ class WindowedAccumulator(ServerAccumulator):
 
     def _fold(self, parsed: Any) -> None:
         """Round-less absorb (v1 clients): lands in the current round."""
-        self._fold_round(self.current_round, parsed)
+        self.fold(parsed)
 
-    def absorb_round(self, round_: Any, batch: Any) -> "WindowedAccumulator":
-        """Fold one batch into the pane for ``round_``.
+    def fold(
+        self, parsed: Any, round_: Optional[int] = None
+    ) -> "WindowedAccumulator":
+        """Fold one parse into the pane for ``round_`` (the current
+        round's when ``None``).
 
         A round older than the ring floor is a *late arrival*: it folds
         into the expired tail (so the all-time estimate stays exact)
         and never appears in a window — the same answer recomputing the
         window from only in-window reports would give.
         """
-        r = self._check_round(round_)
-        self._fold_round(r, self._parse(to_block(batch)))
-        return self
-
-    def _fold_round(self, r: int, parsed: Any) -> None:
+        r = self.current_round if round_ is None else int(round_)
+        if r < 0:
+            raise ValueError(f"round must be >= 0, got {round_}")
         if self._is_expired(r):
             self._expired_tail()._fold(parsed)
-            return
-        self._pane(r)._fold(parsed)
-        self._advance(r)
+        else:
+            self._pane(r)._fold(parsed)
+            self._advance(r)
+        return self
 
     # ------------------------------------------------------------------
     # Merge (shard fan-in) and estimates

@@ -11,7 +11,6 @@ from repro.analysis.accountant import (
     BudgetExceededError,
     PrivacyAccountant,
 )
-from repro.campaigns.ledger import CrossCampaignLedger
 
 
 class TestCharging:
@@ -428,7 +427,7 @@ class TestJsonParts:
         users += ['q"\\', "\u00fc", "tab\there"]
         # 0.1 and 0.3 are inexact in binary: 3 * 0.1 and 2 * 0.3 round.
         campaigns = [("campaign-a", 0.1), ('b"\u00e9', 0.3)]
-        ledger = CrossCampaignLedger(lifetime_epsilon=10.0)
+        ledger = PrivacyAccountant(lifetime_epsilon=10.0)
         cuts = []
         batches = 0
         for round_ in range(4):
@@ -436,10 +435,10 @@ class TestJsonParts:
                 # Spends of 0.0 and -0.0 are valid, and keep their text.
                 payload = json.loads(json.dumps(ledger.to_dict()))
                 payload["spent"].update({"zero": 0.0, "minus zero": -0.0})
-                ledger = CrossCampaignLedger.from_dict(payload)
+                ledger = PrivacyAccountant.from_dict(payload)
                 text = json.dumps(payload).encode()
                 assert b'"minus zero": -0.0' in text
-                assert b"".join(ledger.json_parts()) == text
+                assert b"".join(ledger.json_parts({})) == text
             for label, epsilon in campaigns:
                 for batch in np.array_split(rng.permutation(len(users)), 8):
                     counts = rng.integers(1, 4, len(batch)).tolist()
@@ -450,13 +449,13 @@ class TestJsonParts:
                     )
                     batches += 1
                     if batches % 3 == 0:
-                        parts = ledger.json_parts()
+                        parts = ledger.json_parts({})
                         text = json.dumps(ledger.to_dict()).encode()
                         assert b"".join(parts) == text
                         cuts.append((parts, text))
         text = json.dumps(ledger.to_dict()).encode()
-        assert b"".join(ledger.json_parts()) == text
-        assert b"".join(ledger.json_parts()) == text  # nothing new
+        assert b"".join(ledger.json_parts({})) == text
+        assert b"".join(ledger.json_parts({})) == text  # nothing new
         # Later charges and the rebuild leave earlier parts as they were.
         for parts, text in cuts:
             assert b"".join(parts) == text

@@ -1,21 +1,21 @@
 """Unit tests for the campaign subsystem (no network).
 
-Lifecycle state machine, fingerprint-keyed registry, and the
-cross-campaign ledger's atomic batch semantics — everything the
-multi-tenant server composes, exercised directly.
+Lifecycle state machine, fingerprint-keyed registry, and the atomic
+batch semantics of the one accountant every campaign charges —
+everything the multi-tenant server composes, exercised directly.
 """
 
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from repro.analysis.accountant import BudgetExceededError
+from repro.analysis.accountant import BudgetExceededError, PrivacyAccountant
 from repro.campaigns import (
     Campaign,
     CampaignRegistry,
     CampaignState,
-    CrossCampaignLedger,
     InvalidTransitionError,
     UnknownCampaignError,
     batch_multiplicity,
@@ -81,6 +81,44 @@ class TestLifecycle:
         campaign = Campaign(_mean_spec())
         with pytest.raises(InvalidTransitionError):
             campaign.mark_estimated()
+
+    def test_each_transition_logs_once_and_marks_dirty(self, caplog):
+        """A move that changes the state logs one record with ``from``,
+        ``to`` and ``reports``; a repeated one logs nothing.  Both mark
+        the campaign dirty, except sealing an estimated campaign, which
+        does nothing, and an illegal jump, which raises first."""
+        campaign = Campaign(_mean_spec())
+        campaign.accumulator.absorb(np.array([0.5, -0.5, 0.25]))
+        caplog.set_level(logging.INFO, logger="repro.campaigns.registry")
+
+        def move(method):
+            campaign.dirty = False
+            caplog.clear()
+            try:
+                method()
+            except InvalidTransitionError:
+                pass
+            return campaign.dirty, [
+                (r.getMessage(), r.campaign, getattr(r, "from"), r.to,
+                 r.reports)
+                for r in caplog.records
+            ]
+
+        def logged(was, to):
+            return [
+                ("campaign state transition", campaign.fingerprint, was, to,
+                 3)
+            ]
+
+        assert move(campaign.mark_estimated) == (False, [])
+        assert move(campaign.seal) == (True, logged("open", "sealed"))
+        assert move(campaign.seal) == (True, [])
+        assert move(campaign.mark_estimated) == (
+            True, logged("sealed", "estimated")
+        )
+        assert move(campaign.mark_estimated) == (True, [])
+        assert move(campaign.seal) == (False, [])
+        assert campaign.state is CampaignState.ESTIMATED
 
 
 class TestRegistry:
@@ -185,46 +223,44 @@ class TestCrossCampaignLedger:
         assert batch_multiplicity(["a", "b", "a"]) == {"a": 2, "b": 1}
 
     def test_spend_accumulates_across_campaigns(self):
-        ledger = CrossCampaignLedger(2.0)
-        ledger.charge_batch({"u": 1}, 1.0, campaign="A" * 64)
-        ledger.charge_batch({"u": 1}, 1.0, campaign="B" * 64)
+        ledger = PrivacyAccountant(2.0)
+        ledger.charge_batch({"u": 1}, 1.0, label="A" * 64)
+        ledger.charge_batch({"u": 1}, 1.0, label="B" * 64)
         assert ledger.spent("u") == pytest.approx(2.0)
         # A third campaign finds the user's GLOBAL budget exhausted.
         assert ledger.rejected_users({"u": 1}, 0.5) == ["u"]
 
     def test_rejection_respects_multiplicity(self):
-        ledger = CrossCampaignLedger(1.0)
+        ledger = PrivacyAccountant(1.0)
         assert ledger.rejected_users({"u": 2}, 0.7) == ["u"]
         assert ledger.rejected_users({"u": 1}, 0.7) == []
 
     def test_spent_by_campaign_breakdown(self):
-        ledger = CrossCampaignLedger(3.0)
-        ledger.charge_batch({"u": 2}, 0.5, campaign="A" * 64)
-        ledger.charge_batch({"u": 1}, 1.5, campaign="B" * 64)
-        breakdown = ledger.spent_by_campaign("u")
+        ledger = PrivacyAccountant(3.0)
+        ledger.charge_batch({"u": 2}, 0.5, label="A" * 64)
+        ledger.charge_batch({"u": 1}, 1.5, label="B" * 64)
+        breakdown = ledger.spent_by_label("u")
         assert breakdown == {
             "A" * 64: pytest.approx(1.0),
             "B" * 64: pytest.approx(1.5),
         }
 
     def test_missed_precheck_cannot_corrupt(self):
-        ledger = CrossCampaignLedger(1.0)
-        ledger.charge_batch({"u": 1}, 1.0, campaign="A" * 64)
+        ledger = PrivacyAccountant(1.0)
+        ledger.charge_batch({"u": 1}, 1.0, label="A" * 64)
         with pytest.raises(BudgetExceededError):
-            ledger.charge_batch({"u": 1}, 1.0, campaign="B" * 64)
+            ledger.charge_batch({"u": 1}, 1.0, label="B" * 64)
         assert ledger.spent("u") == pytest.approx(1.0)
 
     def test_round_trip_survives_json_bitwise(self):
-        ledger = CrossCampaignLedger(2.0)
+        ledger = PrivacyAccountant(2.0)
         # 0.1 is not exactly representable: a lossy float path would
         # show up here.
-        ledger.charge_batch({"u1": 1, "u2": 3}, 0.1, campaign="A" * 64)
-        ledger.charge_batch({"u1": 1}, 0.3, campaign="B" * 64)
-        rebuilt = CrossCampaignLedger.from_dict(
+        ledger.charge_batch({"u1": 1, "u2": 3}, 0.1, label="A" * 64)
+        ledger.charge_batch({"u1": 1}, 0.3, label="B" * 64)
+        rebuilt = PrivacyAccountant.from_dict(
             json.loads(json.dumps(ledger.to_dict()))
         )
         assert rebuilt.to_dict() == ledger.to_dict()
         assert rebuilt.spent("u1") == ledger.spent("u1")
-        assert rebuilt.spent_by_campaign("u2") == (
-            ledger.spent_by_campaign("u2")
-        )
+        assert rebuilt.spent_by_label("u2") == ledger.spent_by_label("u2")

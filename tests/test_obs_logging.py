@@ -102,9 +102,11 @@ class TestContextPropagation:
         assert context_fields() == {}
 
     def test_bind_campaign_sticks_within_request_scope(self):
+        before = context_fields()
         with bound_context(request_id="r-1"):
             bind_campaign("abc")
             assert context_fields()["campaign"] == "abc"
+        assert context_fields() == before
 
     def test_context_survives_await_boundaries(self):
         async def handler(request_id):

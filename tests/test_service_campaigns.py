@@ -282,7 +282,7 @@ class TestCrossCampaignBudget:
         )
         # Per-campaign breakdown on the server ledger: labels are
         # campaign fingerprints.
-        breakdown = server.ledger.spent_by_campaign("fresh-a")
+        breakdown = server.ledger.spent_by_label("fresh-a")
         assert breakdown == {
             wire.spec_fingerprint(freq.spec): pytest.approx(1.0)
         }
@@ -400,7 +400,9 @@ def _check_manifests(directory, server):
         raw = path.read_bytes()
         assert json.dumps(json.loads(raw)).encode() == raw
     newest = json.loads(manifests[-1].read_bytes())
-    assert newest["ledger"] == server.ledger.to_dict()
+    assert newest["ledger"] == {
+        "type": "cross-campaign-ledger", **server.ledger.to_dict()
+    }
 
 
 class TestKillAndResume:

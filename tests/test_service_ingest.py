@@ -327,6 +327,35 @@ def test_commit_folds_in_charges_and_keys_the_batch(owner, version):
     assert _cut(owner) != before
 
 
+@pytest.mark.parametrize(
+    "window", [None, WindowConfig(panes=2)], ids=["plain", "windowed"]
+)
+def test_each_accepted_batch_is_parsed_once(monkeypatch, window):
+    """``commit`` folds the parse ``check`` validated: the campaign's
+    accumulator runs one ``_parse`` per accepted batch, v1 or v2, and a
+    windowed one folds it into the pane the batch's round names."""
+    server = IngestionServer(OUE, lifetime_epsilon=2.0, window=window)
+    kind = type(OUE.server())
+    parse, parsed = kind._parse, []
+
+    def counted(self, block):
+        parsed.append(block.n)
+        return parse(self, block)
+
+    monkeypatch.setattr(kind, "_parse", counted)
+    for content_type, body in (_v1(), _v2(idempotency_key="v2")):
+        parsed.clear()
+        status, answer = server._handle_request(
+            http.Request("POST", "/report", {}, content_type, body)
+        )
+        assert (status, answer["status"]) == (200, "accepted")
+        assert parsed == [N], content_type
+    campaign = server.registry.default
+    assert campaign.reports == 2 * N
+    if window is not None:
+        assert campaign.accumulator.pane_counts() == {1: 2 * N}
+
+
 def test_json_columns_are_not_a_block(owner):
     """Only a v2 frame carries a block; a v1 payload's ``columns`` is an
     unknown field, ignored (it once escaped as a 500)."""

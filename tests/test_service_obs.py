@@ -3,8 +3,10 @@ healthz-as-registry-view consistency, drain semantics, and the
 SIGTERM/SIGINT graceful-drain e2e with its bitwise-equal checkpoint
 guarantee."""
 
+import contextvars
 import http.client
 import json
+import logging
 import os
 import signal
 import subprocess
@@ -21,8 +23,11 @@ from repro.service import (
     ServiceClient,
     ServiceError,
     SnapshotStore,
+    wire,
 )
+from repro.service.http import Request
 from repro.obs.lifecycle import DrainResult, DrainState
+from repro.obs.logging import JsonFormatter
 from repro.obs.metrics import CONTENT_TYPE_LATEST
 
 SEED = 77
@@ -206,7 +211,7 @@ class TestMetricsEndpoint:
         name = "repro_user_budget_spent_epsilon"
         users = server.metrics.registry.sample("repro_users_charged")
         assert spend[f"{name}_count"] == users == 7
-        assert spend[f"{name}_sum"] == server.ledger.accountant.total_spent()
+        assert spend[f"{name}_sum"] == server.ledger.total_spent()
         assert spend[f"{name}_sum"] == 3 * 2.5 + 2 * 2.0 + 2 * 1.0
         # u0-u2 spent 2.5, u3-u4 2.0, v0-v1 1.0.
         assert [
@@ -349,6 +354,61 @@ class TestClientMetrics:
             'repro_client_retries_total{reason="connection_error"} 2'
             in client.metrics_text()
         )
+
+
+class TestRequestLogs:
+    def test_refusal_logs_name_only_their_own_campaign(self, caplog):
+        """A request's campaign binding ends with the request: a batch
+        for an unknown campaign, refused before it is routed, logs no
+        campaign, where it once logged the one an earlier request on
+        the same keep-alive connection had bound.  The requests run in
+        one context of their own, as a connection's task does."""
+        protocol = _protocol()
+        fp = wire.spec_fingerprint(protocol.spec)
+        server = IngestionServer(protocol)
+        reports = wire.encode_reports(protocol.client().encode_batch(
+            np.arange(4), np.random.default_rng(SEED)
+        ))
+        rejected = []
+        connection = contextvars.Context()
+
+        class Rejections(logging.Handler):
+            def emit(self, record):
+                entry = json.loads(JsonFormatter().format(record))
+                if entry["event"] == "batch rejected":
+                    rejected.append(entry)
+
+        def post(key, campaign=None):
+            envelope = wire.pack(
+                {"users": _users(4), "idempotency_key": key,
+                 "reports": reports},
+                fp,
+                campaign=campaign,
+            )
+            rejected.clear()
+            status, _ = connection.run(server._handle_request, Request(
+                "POST", "/report", {}, "application/json",
+                json.dumps(envelope).encode(),
+            ))
+            return status, [
+                (entry["status"], entry["reason"], entry.get("campaign"))
+                for entry in rejected
+            ]
+
+        logger = logging.getLogger("repro.service.server")
+        caplog.set_level(logging.INFO, logger=logger.name)
+        handler = Rejections()
+        logger.addHandler(handler)
+        try:
+            assert post("first") == (200, [])
+            assert post("again") == (
+                429, [(429, "budget_exceeded", fp)]
+            )
+            assert post("elsewhere", campaign="0" * 64) == (
+                404, [(404, "unknown_campaign", None)]
+            )
+        finally:
+            logger.removeHandler(handler)
 
 
 class TestDrainSemantics:

@@ -34,7 +34,8 @@ from repro.service import (
     SnapshotStore,
     wire,
 )
-from repro.campaigns import Campaign, CrossCampaignLedger
+from repro.analysis.accountant import PrivacyAccountant
+from repro.campaigns import Campaign
 from repro.stream import WindowConfig
 
 SEED = 77
@@ -944,7 +945,7 @@ class TestCommandLine:
             with_rows(0, 1, runs=([2, 1.0, 0],))
         )
         resumed = IngestionServer(protocol, store=SnapshotStore(valid))
-        assert [c.user for c in resumed.ledger.accountant.ledger] == ["u", "v"]
+        assert [c.user for c in resumed.ledger.ledger] == ["u", "v"]
         boots = {}
         for n, (name, (body, reason)) in enumerate(bodies.items()):
             copy = shutil.copytree(snaps, tmp_path / f"case-{n}")
@@ -1061,15 +1062,15 @@ class TestCommandLine:
         # Charge the first batch, raise inside the second one's charge.
         launcher = (
             "import runpy\n"
-            "from repro.campaigns.ledger import CrossCampaignLedger\n"
-            "charge = CrossCampaignLedger.charge_batch\n"
+            "from repro.analysis.accountant import PrivacyAccountant\n"
+            "charge = PrivacyAccountant.charge_batch\n"
             "calls = []\n"
             "def interrupted(self, *args, **kwargs):\n"
             "    calls.append(1)\n"
             "    if len(calls) == 2:\n"
             "        raise KeyboardInterrupt\n"
             "    return charge(self, *args, **kwargs)\n"
-            "CrossCampaignLedger.charge_batch = interrupted\n"
+            "PrivacyAccountant.charge_batch = interrupted\n"
             "runpy.run_module('repro.service', run_name='__main__', "
             "alter_sys=True)\n"
         )
@@ -1104,7 +1105,7 @@ class TestCommandLine:
         assert store.sequences(), out
         for seq in store.sequences():
             manifest = store.load(seq)
-            charged = CrossCampaignLedger.from_dict(manifest["ledger"])
+            charged = PrivacyAccountant.from_dict(manifest["ledger"])
             ((fp, entry),) = manifest["campaigns"].items()
             campaign = Campaign(protocol).restore(
                 entry, store.namespace(fp).load(entry["seq"])

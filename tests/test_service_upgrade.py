@@ -30,8 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis.accountant import Charge
-from repro.campaigns import CrossCampaignLedger
+from repro.analysis.accountant import Charge, PrivacyAccountant
 from repro.service import IngestionServer, ServiceClient, SnapshotStore, wire
 
 FIXTURE = Path(__file__).parent / "fixtures" / "sharded_snapshot"
@@ -156,8 +155,8 @@ def _assert_upgrades(start, snapshots, spent, charges):
         for count, epsilon, i in new["runs"]
         for _ in range(count)
     ] == [(epsilon, label) for _, epsilon, label in charges]
-    upgraded = CrossCampaignLedger.from_dict(new)
-    assert upgraded.accountant.ledger == tuple(
+    upgraded = PrivacyAccountant.from_dict(new)
+    assert upgraded.ledger == tuple(
         Charge(*charge) for charge in charges
     )
     by_campaign = {}
@@ -166,7 +165,7 @@ def _assert_upgrades(start, snapshots, spent, charges):
         spent_by[label] = spent_by.get(label, 0.0) + epsilon
     for user, balance in spent.items():
         assert upgraded.spent(user) == balance, user
-        assert upgraded.spent_by_campaign(user) == by_campaign[user], user
+        assert upgraded.spent_by_label(user) == by_campaign[user], user
     written = path.read_bytes()
     assert start().checkpoint() == seq
     assert path.read_bytes() == written

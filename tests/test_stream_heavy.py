@@ -100,15 +100,15 @@ class TestTrackerOverWindowedOracle:
         skew_b = np.concatenate([np.full(400, 4), np.full(400, 5),
                                  rng.integers(0, 6, 100)])
 
-        acc.absorb_round(0, proto.client().encode_batch(
+        acc.fold(acc.validate(proto.client().encode_batch(
             skew_a, np.random.default_rng(1)
-        ))
+        )), 0)
         h0 = tracker.update(acc.window_estimate(), round_=0)
         assert set(h0.indices) == {0, 1}
 
-        acc.absorb_round(1, proto.client().encode_batch(
+        acc.fold(acc.validate(proto.client().encode_batch(
             skew_b, np.random.default_rng(2)
-        ))
+        )), 1)
         h1 = tracker.update(acc.window_estimate(1), round_=1)
         assert set(h1.indices) == {4, 5}
         assert h1.entered == [4, 5] and h1.exited == [0, 1]

@@ -94,7 +94,7 @@ class TestWindowedAccumulator:
         batches = round_batches(proto, rounds=4)
         acc = WindowConfig(panes=4).build(proto.server)
         for r, batch in enumerate(batches):
-            acc.absorb_round(r, batch)
+            acc.fold(acc.validate(batch), r)
 
         for n in (1, 2, 4):
             fresh = proto.server()
@@ -109,7 +109,7 @@ class TestWindowedAccumulator:
         acc = WindowConfig(panes=2).build(proto.server)
         fresh = proto.server()
         for r, batch in enumerate(batches):
-            acc.absorb_round(r, batch)
+            acc.fold(acc.validate(batch), r)
             fresh.absorb(batch)
         # four panes evicted into the expired tail; all-time unchanged
         assert acc.live_rounds() == [4, 5]
@@ -122,7 +122,7 @@ class TestWindowedAccumulator:
         acc = WindowConfig(panes=3).build(proto.server)
         acc.absorb(b0)  # no data yet -> round 0
         assert acc.live_rounds() == [0]
-        acc.absorb_round(2, b1)
+        acc.fold(acc.validate(b1), 2)
         acc.absorb(b0)  # lands in round 2, the latest
         assert acc.pane_counts()[2] == 2 * len(np.asarray(b1))
 
@@ -131,9 +131,9 @@ class TestWindowedAccumulator:
         batches = round_batches(proto, rounds=5)
         acc = WindowConfig(panes=2).build(proto.server)
         for r in (3, 4):
-            acc.absorb_round(r, batches[r])
+            acc.fold(acc.validate(batches[r]), r)
         windowed_before = acc.window_estimate()
-        acc.absorb_round(0, batches[0])  # older than the ring floor
+        acc.fold(acc.validate(batches[0]), 0)  # older than the ring floor
         # the window is unchanged, the all-time estimate includes it
         assert np.array_equal(acc.window_estimate(), windowed_before)
         fresh = proto.server()
@@ -147,15 +147,15 @@ class TestWindowedAccumulator:
         left = WindowConfig(panes=4).build(proto.server)
         right = WindowConfig(panes=4).build(proto.server)
         for r in (0, 2):
-            left.absorb_round(r, batches[r])
+            left.fold(left.validate(batches[r]), r)
         for r in (1, 2, 3):
-            right.absorb_round(r, batches[r])
+            right.fold(right.validate(batches[r]), r)
         left.merge(right)
         single = WindowConfig(panes=4).build(proto.server)
         for r in (0, 1, 3):
-            single.absorb_round(r, batches[r])
-        single.absorb_round(2, batches[2])
-        single.absorb_round(2, batches[2])
+            single.fold(single.validate(batches[r]), r)
+        single.fold(single.validate(batches[2]), 2)
+        single.fold(single.validate(batches[2]), 2)
         assert left.pane_counts() == single.pane_counts()
         assert np.array_equal(left.window_estimate(2), single.window_estimate(2))
 
@@ -173,7 +173,7 @@ class TestWindowedAccumulator:
         batches = round_batches(proto, rounds=5)
         acc = WindowConfig(panes=3).build(proto.server)
         for r, batch in enumerate(batches):
-            acc.absorb_round(r, batch)
+            acc.fold(acc.validate(batch), r)
         state = acc.state_dict()
         clone = WindowConfig(panes=3).build(proto.server).load_state(state)
         assert wire.encode_accumulator_state(
@@ -184,8 +184,8 @@ class TestWindowedAccumulator:
         assert np.array_equal(clone.window_estimate(2), acc.window_estimate(2))
         # resumed accumulator keeps absorbing identically
         extra = round_batches(proto, rounds=1, seed=77)[0]
-        acc.absorb_round(5, extra)
-        clone.absorb_round(5, extra)
+        acc.fold(acc.validate(extra), 5)
+        clone.fold(clone.validate(extra), 5)
         assert wire.encode_accumulator_state(
             clone
         ) == wire.encode_accumulator_state(acc)
@@ -208,7 +208,7 @@ class TestWindowedAccumulator:
         b1 = proto.client().encode_batch(
             rng.uniform(-1, 1, 30), np.random.default_rng(11)
         )
-        acc.absorb_round(0, b0).absorb_round(1, b1)
+        acc.fold(acc.validate(b0), 0).fold(acc.validate(b1), 1)
         fresh = proto.server().absorb(b1)
         assert acc.window_estimate(1) == fresh.estimate()
 
@@ -222,7 +222,7 @@ class TestWindowedAccumulator:
         proto = frequency_protocol()
         acc = WindowConfig(panes=2).build(proto.server)
         with pytest.raises(ValueError):
-            acc.absorb_round(-1, np.array([0, 1]))
+            acc.fold(acc.validate(np.array([0, 1])), -1)
 
     @pytest.mark.parametrize("oracle", ["oue", "olh"])
     def test_mixed_protocol_windows(self, oracle):
@@ -236,10 +236,10 @@ class TestWindowedAccumulator:
         ]
         acc = WindowConfig(panes=2).build(proto.server)
         for r, batch in enumerate(batches[1:], start=1):
-            acc.absorb_round(r, batch)
-        acc.absorb_round(0, batches[0])  # late: into the expired tail
+            acc.fold(acc.validate(batch), r)
+        acc.fold(acc.validate(batches[0]), 0)  # late: into the expired tail
         # the v2 wire route lands in the same pane as the container
-        acc.absorb_round(3, wire.reports_to_columns(batches[3]))
+        acc.fold(acc.validate(wire.reports_to_columns(batches[3])), 3)
 
         def same(got, want):
             assert got.means == want.means
@@ -275,9 +275,9 @@ class TestDecayedWindowedAccumulator:
         rng = np.random.default_rng(5)
         acc = WindowConfig(panes=3, decay=1.0).build(proto.server)
         for r in range(3):
-            acc.absorb_round(r, proto.client().encode_batch(
+            acc.fold(acc.validate(proto.client().encode_batch(
                 rng.uniform(-1, 1, 25), np.random.default_rng(20 + r)
-            ))
+            )), r)
         # decay 1.0 weights panes by count only == plain window merge
         assert acc.estimate() == pytest.approx(acc.window_estimate(), abs=1e-12)
 
@@ -291,7 +291,7 @@ class TestDecayedWindowedAccumulator:
         high = proto.client().encode_batch(
             np.full(400, 0.8), np.random.default_rng(31)
         )
-        acc.absorb_round(0, low).absorb_round(1, high)
+        acc.fold(acc.validate(low), 0).fold(acc.validate(high), 1)
         # near-total decay: the estimate ~ the latest pane alone
         latest = proto.server().absorb(high).estimate()
         assert acc.estimate() == pytest.approx(latest, abs=0.05)
@@ -303,7 +303,8 @@ class TestDecayedWindowedAccumulator:
         proto = frequency_protocol()
         batches = round_batches(proto, rounds=2)
         acc = WindowConfig(panes=2, decay=0.5).build(proto.server)
-        acc.absorb_round(0, batches[0]).absorb_round(1, batches[1])
+        acc.fold(acc.validate(batches[0]), 0)
+        acc.fold(acc.validate(batches[1]), 1)
         e0 = proto.server().absorb(batches[0]).estimate()
         e1 = proto.server().absorb(batches[1]).estimate()
         n = len(np.asarray(batches[0]))
@@ -315,9 +316,9 @@ class TestDecayedWindowedAccumulator:
         proto = Protocol.histogram(epsilon=1.0, bins=4, oracle="grr")
         acc = WindowConfig(panes=2, decay=0.9).build(proto.server)
         rng = np.random.default_rng(8)
-        acc.absorb_round(0, proto.client().encode_batch(
+        acc.fold(acc.validate(proto.client().encode_batch(
             rng.uniform(-1, 1, 20), np.random.default_rng(40)
-        ))
+        )), 0)
         with pytest.raises(TypeError):
             acc.estimate()
         # the undecayed paths still work
@@ -329,7 +330,7 @@ class TestDecayedWindowedAccumulator:
         batches = round_batches(proto, rounds=3)
         decayed = WindowConfig(panes=3, decay=0.7).build(proto.server)
         for r, batch in enumerate(batches):
-            decayed.absorb_round(r, batch)
+            decayed.fold(decayed.validate(batch), r)
         plain = WindowConfig(panes=3).build(proto.server)
         plain.load_state(decayed.state_dict())
         assert wire.encode_accumulator_state(
