@@ -10,8 +10,10 @@ baseline, and — the runtime's core guarantee — that the threaded run
 reproduces the serial run's estimates (bitwise for the count-based
 frequency protocol; float sums are also bitwise because merge order is
 fixed by shard index).  A second section times the OLH support-count
-hot path (vectorized in this change set) against the per-value loop it
-replaced.
+hot path against a per-value loop of the verbatim ``%`` hash, and
+checks the counts bitwise equal, at two shapes: one domain value per
+block (n = 300,000 x k = 64; 30,000 x 64 under ``--smoke``) and the
+served batch (n = 2,000 x k = 1,024, as on perfbench's ``olh-wide``).
 
 Results land in a JSON whose committed baseline is
 ``benchmarks/results/sharded_throughput_baseline.json``, with the
@@ -51,6 +53,12 @@ NUM_SHARDS = 8
 WORKERS = 4
 SEED = 2019
 TARGET_SPEEDUP = 2.0
+
+#: SplitMix64 constants of the OLH hash, written out here so the
+#: reference shares no code with the kernel it checks.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def _workloads(n: int):
@@ -120,8 +128,22 @@ def bench_workloads(n: int, batch_size: int, repeats: int) -> dict:
     return {"plan": plan.to_dict(), "workloads": out}
 
 
+def _modulo_hash(g: int, seeds, values):
+    """The ``%``-based (seed, value) -> bucket hash, verbatim."""
+    with np.errstate(over="ignore"):
+        x = seeds.astype(np.uint64) + (
+            values.astype(np.uint64) + np.uint64(1)
+        ) * _GOLDEN
+        x ^= x >> np.uint64(30)
+        x *= _MIX1
+        x ^= x >> np.uint64(27)
+        x *= _MIX2
+        x ^= x >> np.uint64(31)
+    return (x % np.uint64(g)).astype(np.int64)
+
+
 def bench_olh_hot_path(n: int, k: int, repeats: int) -> dict:
-    """Vectorized support counting vs the per-value loop it replaced."""
+    """Vectorized support counting vs a per-value ``%`` loop."""
     oracle = OptimizedLocalHashing(1.0, k=k)
     rng = np.random.default_rng(1)
     reports = oracle.privatize(rng.integers(0, k, n), rng)
@@ -129,8 +151,8 @@ def bench_olh_hot_path(n: int, k: int, repeats: int) -> dict:
     def loop_counts():
         counts = np.empty(oracle.k)
         for v in range(oracle.k):
-            hashed_v = oracle._hash(
-                reports.seeds, np.full(len(reports), v, dtype=np.int64)
+            hashed_v = _modulo_hash(
+                oracle.g, reports.seeds, np.full(n, v, dtype=np.int64)
             )
             counts[v] = float(np.count_nonzero(hashed_v == reports.buckets))
         return counts
@@ -146,10 +168,13 @@ def bench_olh_hot_path(n: int, k: int, repeats: int) -> dict:
     loop_s, loop_counts_out = best_of(loop_counts)
     vec_s, vec_counts_out = best_of(lambda: oracle.support_counts(reports))
     if not np.array_equal(loop_counts_out, vec_counts_out):
-        raise AssertionError("vectorized OLH support counts diverged")
+        raise AssertionError(
+            f"vectorized OLH support counts diverged at n={n}, k={k}"
+        )
     return {
         "n_reports": n,
         "domain": k,
+        "g": oracle.g,
         "loop_seconds": loop_s,
         "vectorized_seconds": vec_s,
         "speedup": loop_s / vec_s,
@@ -198,9 +223,11 @@ def main(argv=None) -> int:
         "cpu_count": cpus,
         "git_sha": _git_sha(),
         **bench_workloads(n, args.batch_size, repeats),
-        "olh_support_hot_path": bench_olh_hot_path(
-            30_000 if args.smoke else 300_000, 64, repeats
-        ),
+        "olh_support_hot_path": [
+            bench_olh_hot_path(30_000 if args.smoke else 300_000, 64,
+                               repeats),
+            bench_olh_hot_path(2_000, 1_024, repeats),
+        ],
     }
 
     speedups = {

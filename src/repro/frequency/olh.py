@@ -22,6 +22,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
+_ONE = np.uint64(1)
 
 #: Working-set bound for vectorized support counting: domain values are
 #: processed in blocks of ~this many (user, value) hash evaluations.
@@ -38,10 +39,11 @@ def _splitmix64_mod(
 
     Every step is an ``out=`` ufunc on the caller's buffers, so a hot
     loop allocates nothing.  ``out`` may be ``x``; ``tmp`` is a third
-    buffer of the same shape.  ``x mod g`` is computed as
-    ``x - (x // g) * g``: equal to ``%`` on unsigned integers, and numpy
-    divides by a scalar through libdivide, several times faster than
-    its ``remainder``.
+    buffer of the same shape.  ``x mod g`` is the mask ``x & (g - 1)``
+    for a power-of-two g (4 at eps=1, 8 at eps=2), one pass, and
+    ``x - (x // g) * g`` otherwise, three passes that numpy runs
+    through libdivide, several times faster than its ``remainder``.
+    Both equal ``%`` on unsigned integers.
     """
     s30, s27, s31 = _SHIFTS
     np.right_shift(x, s30, out=tmp)
@@ -52,15 +54,20 @@ def _splitmix64_mod(
     np.multiply(out, _MIX2, out=out)
     np.right_shift(out, s31, out=tmp)
     np.bitwise_xor(out, tmp, out=out)
-    np.floor_divide(out, g, out=tmp)
-    np.multiply(tmp, g, out=tmp)
-    np.subtract(out, tmp, out=out)
+    if g & (g - _ONE) == 0:
+        np.bitwise_and(out, g - _ONE, out=out)
+    else:
+        np.floor_divide(out, g, out=tmp)
+        np.multiply(tmp, g, out=tmp)
+        np.subtract(out, tmp, out=out)
     return out
 
 
 def _bucket_targets(buckets: np.ndarray, g: int) -> np.ndarray:
     """Buckets as uint64 compare targets; values that are not an
-    integer in [0, g) become ``g``, which no hash mod g equals."""
+    integer in [0, g) become ``g``, which no hash mod g equals.  The
+    targets are never reduced mod g: an integer >= g (or a negative
+    one, which wraps) stays as it is and matches nothing."""
     buckets = np.asarray(buckets)
     if buckets.dtype.kind in "biu":
         # Negative signed values wrap to >= 2**63, above any g.

@@ -1,13 +1,15 @@
-"""The ingest path of ``POST /report``: check, admit, commit.
+"""The ingest path of ``POST /report``: route, check, admit, commit.
 
-Three plain functions of the state they read, so tests drive them with
-no server (DESIGN.md "Budget enforcement" tabulates them):
+Plain functions of the state they read, so tests drive them with no
+server (DESIGN.md "Budget enforcement" tabulates them):
 
-* :func:`check` routes the envelope (to the default campaign when it
-  names none) and checks its batch; it changes no state.  v1 JSON
-  envelopes and v2 columnar frames reach the campaign as one
-  :class:`~repro.protocol.reports.ColumnBlock`; a key the campaign has
-  already folded in ends the check at once, as a duplicate.
+* :func:`route` names the envelope's campaign (the default one when it
+  names none), which the server binds to the request's log lines.
+* :func:`check` checks the batch against that campaign; it changes no
+  state.  v1 JSON envelopes and v2 columnar frames reach the campaign
+  as one :class:`~repro.protocol.reports.ColumnBlock`; a key the
+  campaign has already folded in ends the check at once, as a
+  duplicate.
 * :func:`admit` is the budget test against the server's one
   :class:`~repro.analysis.accountant.PrivacyAccountant`, which every
   campaign charges; it changes no state.
@@ -17,7 +19,8 @@ no server (DESIGN.md "Budget enforcement" tabulates them):
 
 Each raises :class:`Refusal`, as every handler and the HTTP framing
 layer do.  The server runs the steps in order and owns what surrounds
-them: the drain gate, the duplicate count, metrics, logs and cuts.
+them: the drain gate, the duplicate count, metrics, logs (and their
+campaign binding) and cuts.
 This module imports no HTTP, asyncio or metrics code.
 """
 
@@ -32,7 +35,6 @@ from repro.campaigns.registry import (
     CampaignRegistry,
     UnknownCampaignError,
 )
-from repro.obs.logging import bind_campaign
 from repro.protocol.reports import ColumnBlock, to_block
 from repro.service import wire
 
@@ -98,14 +100,18 @@ def resolve(registry: CampaignRegistry, fp: Optional[str]) -> Campaign:
         ) from None
 
 
-def check(registry: CampaignRegistry, envelope: Any) -> Batch:
-    """Route ``envelope`` and check its batch; changes no state."""
-    envelope = as_envelope(envelope)
+def route(registry: CampaignRegistry, envelope: Any) -> Campaign:
+    """The campaign ``envelope`` names (the default one for none)."""
     try:
-        campaign = resolve(registry, wire.envelope_campaign(envelope))
+        fp = wire.envelope_campaign(as_envelope(envelope))
     except wire.WireFormatError as exc:
         raise Refusal(400, "bad_envelope", detail=str(exc)) from None
-    bind_campaign(campaign.fingerprint)
+    return resolve(registry, fp)
+
+
+def check(campaign: Campaign, envelope: Dict[str, Any]) -> Batch:
+    """Check the batch of an ``envelope`` routed to ``campaign``;
+    changes no state."""
     try:
         payload = wire.unpack(envelope, campaign.fingerprint)
     except wire.SpecMismatchError as exc:

@@ -49,7 +49,7 @@ from repro.campaigns.ledger import batch_multiplicity
 from repro.campaigns.lifecycle import InvalidTransitionError
 from repro.campaigns.registry import Campaign, CampaignRegistry
 from repro.obs.lifecycle import DrainResult, DrainState, advance
-from repro.obs.logging import bound_context, get_logger
+from repro.obs.logging import bind_campaign, bound_context, get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.protocol.facade import Protocol
 from repro.protocol.spec import ProtocolSpec
@@ -977,7 +977,9 @@ class IngestionServer:
             )
         started = time.perf_counter()
         try:
-            batch = ingest.check(self.registry, envelope)
+            campaign = ingest.route(self.registry, envelope)
+            bind_campaign(campaign.fingerprint)
+            batch = ingest.check(campaign, envelope)
             if batch.duplicate:
                 batch.campaign.duplicates += 1
             else:

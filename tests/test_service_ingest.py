@@ -1,15 +1,15 @@
 """The ingest steps of ``POST /report``, driven with no server.
 
 :mod:`repro.service.ingest` turns a request body into a checked batch
-(``decode``, ``check``), tests it against the budget (``admit``) and
-folds it in (``commit``).  Here the steps run on their own against the
-registry and ledger of an :class:`IngestionServer` that only holds the
-state and takes cuts; no request goes through it.
+(``decode``, ``route``, ``check``), tests it against the budget
+(``admit``) and folds it in (``commit``).  Here the steps run on their
+own against the registry and ledger of an :class:`IngestionServer`
+that only holds the state and takes cuts; no request goes through it.
 
-* Every refusal ``decode``, ``check`` and ``admit`` raise has a row in
-  :data:`REFUSALS`: a valid v1 envelope or v2 frame with one field
-  broken.  Each row asserts the status and ``error``, and that the next
-  cut is byte for byte the cut taken before.
+* Every refusal ``decode``, ``route``, ``check`` and ``admit`` raise
+  has a row in :data:`REFUSALS`: a valid v1 envelope or v2 frame with
+  one field broken.  Each row asserts the status and ``error``, and
+  that the next cut is byte for byte the cut taken before.
 * A v1 envelope and a v2 frame of the same reports check to bitwise
   equal blocks, for every protocol kind.
 * Hypothesis feeds the steps truncated and bit-flipped v2 frames, v2
@@ -19,6 +19,7 @@ state and takes cuts; no request goes through it.
 """
 
 import ast
+import contextvars
 import inspect
 import json
 import struct
@@ -30,6 +31,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.campaigns.ledger import batch_multiplicity
+from repro.obs.logging import campaign_var
 from repro.protocol import Protocol
 from repro.service import IngestionServer, SnapshotStore, http, ingest, wire
 from repro.stream import WindowConfig
@@ -119,6 +121,11 @@ def _v2(protocol=OUE, column=None, **fields):
     return COLUMNAR, _reframe(header, body)
 
 
+def _check(registry, envelope):
+    """``route`` then ``check``, as the server runs them."""
+    return ingest.check(ingest.route(registry, envelope), envelope)
+
+
 def _owner(directory):
     """A server holding four campaigns (the default OUE one, a
     windowed HM one, a sealed GRR one, a multidimensional one) and two
@@ -132,7 +139,7 @@ def _owner(directory):
     server.registry.register(MD.spec)
     for protocol in (OUE, HM):
         envelope = _envelope(protocol, SPENT, f"spent-{protocol.spec.kind}")
-        batch = ingest.check(server.registry, envelope)
+        batch = _check(server.registry, envelope)
         multiplicity = batch_multiplicity(batch.charged)
         ingest.admit(server.ledger, batch, multiplicity)
         ingest.commit(server.ledger, batch, multiplicity)
@@ -158,8 +165,9 @@ def _cut(server):
 
 
 def _until_admit(server, content_type, body):
-    """``decode``, ``check`` and (unless a duplicate) ``admit``."""
-    batch = ingest.check(server.registry, ingest.decode(content_type, body))
+    """``decode``, ``route``, ``check`` and (unless a duplicate)
+    ``admit``."""
+    batch = _check(server.registry, ingest.decode(content_type, body))
     if not batch.duplicate:
         ingest.admit(server.ledger, batch, batch_multiplicity(batch.charged))
     return batch
@@ -183,12 +191,13 @@ REFUSALS = [
      400, "bad_envelope"),
     ("v2-truncated", lambda: (COLUMNAR, _frame()[:-3]), 400, "bad_envelope"),
     ("v1-not-json", lambda: (JSON, _v1()[1][:-1]), 400, "bad_json"),
-    # check
+    # route
     ("v1-not-an-object", lambda: (JSON, b"[]"), 400, "bad_request"),
     ("v1-campaign-not-a-string", lambda: _v1(_set(campaign=7)),
      400, "bad_envelope"),
     ("v2-campaign-unknown", lambda: _v2(campaign="0" * 64),
      404, "unknown_campaign"),
+    # check
     ("v2-fingerprint-of-another-spec", lambda: _v2(fingerprint=FP[HM]),
      409, "spec_mismatch"),
     ("v1-wire-version-unknown", lambda: _v1(_set(wire_version=3)),
@@ -295,7 +304,7 @@ def test_duplicate_is_answered_before_the_rest_is_read(owner):
     before = _cut(owner)
     envelope = _envelope(HM, SPENT, key=f"spent-{HM.spec.kind}")
     envelope["payload"].update(users=[], reports=None)
-    batch = ingest.check(owner.registry, envelope)
+    batch = _check(owner.registry, envelope)
     assert batch.duplicate
     assert ingest.answer(batch) == {
         "status": "duplicate",
@@ -404,6 +413,32 @@ def _kinds():
     }
 
 
+@pytest.mark.parametrize(
+    "body,outcome",
+    [
+        (lambda: _v1(key="fresh"), "accepted"),
+        (lambda: _v1(protocol=HM, users=SPENT, key=f"spent-{HM.spec.kind}"),
+         "duplicate"),
+        (lambda: _v2(fingerprint=FP[HM]), 409),
+    ],
+    ids=["accepted", "duplicate", "spec-mismatch"],
+)
+def test_steps_leave_the_log_campaign_as_they_found_it(shared, body, outcome):
+    """The server binds the routed campaign to its request's log
+    lines; a direct ``route`` and ``check`` bind nothing."""
+
+    def steps():
+        campaign_var.set("caller's")
+        try:
+            batch = _until_admit(shared, *body())
+            seen = "duplicate" if batch.duplicate else "accepted"
+        except ingest.Refusal as refusal:
+            seen = refusal.status
+        return seen, campaign_var.get()
+
+    assert contextvars.Context().run(steps) == (outcome, "caller's")
+
+
 @pytest.mark.parametrize("name", sorted(_kinds()))
 def test_v1_and_v2_check_to_bitwise_equal_blocks(name, tmp_path):
     protocol, values = _kinds()[name]
@@ -416,10 +451,10 @@ def test_v1_and_v2_check_to_bitwise_equal_blocks(name, tmp_path):
     frame = wire.pack_columns(
         wire.reports_to_columns(reports), fingerprint, users=NEW
     )
-    v1 = ingest.check(
+    v1 = _check(
         server.registry, ingest.decode(JSON, json.dumps(envelope).encode())
     ).block
-    v2 = ingest.check(server.registry, ingest.decode(COLUMNAR, frame)).block
+    v2 = _check(server.registry, ingest.decode(COLUMNAR, frame)).block
     assert (v1.kind, v1.n, v1.meta) == (v2.kind, v2.n, v2.meta)
     assert sorted(v1.columns) == sorted(v2.columns)
     for column, array in v1.columns.items():

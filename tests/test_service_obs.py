@@ -27,7 +27,7 @@ from repro.service import (
 )
 from repro.service.http import Request
 from repro.obs.lifecycle import DrainResult, DrainState
-from repro.obs.logging import JsonFormatter
+from repro.obs.logging import JsonFormatter, campaign_var
 from repro.obs.metrics import CONTENT_TYPE_LATEST
 
 SEED = 77
@@ -409,6 +409,50 @@ class TestRequestLogs:
             )
         finally:
             logger.removeHandler(handler)
+
+    def test_routed_refusal_logs_its_campaign_for_its_request_only(
+        self, caplog
+    ):
+        """A batch refused after it is routed (409 ``spec_mismatch``,
+        400 ``bad_request``) logs the campaign it was routed to, and
+        the binding ends with its request."""
+        protocol = _protocol()
+        fp = wire.spec_fingerprint(protocol.spec)
+        server = IngestionServer(protocol)
+        connection = contextvars.Context()
+        rejected = []
+
+        class Rejections(logging.Handler):
+            def emit(self, record):
+                entry = json.loads(JsonFormatter().format(record))
+                if entry["event"] == "batch rejected":
+                    rejected.append(entry)
+
+        def post(fingerprint, users):
+            envelope = wire.pack(
+                {"users": users, "reports": {"type": "grr", "values": []}},
+                fingerprint,
+            )
+            status, _ = connection.run(server._handle_request, Request(
+                "POST", "/report", {}, "application/json",
+                json.dumps(envelope).encode(),
+            ))
+            return status
+
+        logger = logging.getLogger("repro.service.server")
+        caplog.set_level(logging.INFO, logger=logger.name)
+        handler = Rejections()
+        logger.addHandler(handler)
+        try:
+            assert post("f" * 64, _users(4)) == 409
+            assert post(fp, []) == 400
+        finally:
+            logger.removeHandler(handler)
+        assert [
+            (entry["status"], entry["reason"], entry.get("campaign"))
+            for entry in rejected
+        ] == [(409, "spec_mismatch", fp), (400, "bad_request", fp)]
+        assert connection.run(campaign_var.get) is None
 
 
 class TestDrainSemantics:

@@ -84,6 +84,18 @@ class TestOLHSupportCounts:
             (1_000, 100, None),
             # n above the block budget: one domain value per block.
             (olh_module._SUPPORT_BLOCK_ELEMENTS + 5, 3, 3),
+            (olh_module._SUPPORT_BLOCK_ELEMENTS + 5, 3, 8),
+            # A power-of-two g reduces by a mask, its odd neighbour by
+            # division; each over several blocks and a partial last one
+            # (32 rows at n=1000, 16 at n=2000, 46 at n=700, 10 at
+            # n=3000).
+            (1_000, 100, 2),
+            (1_000, 100, 3),
+            (2_000, 40, 8),
+            (2_000, 40, 9),
+            (700, 75, 16),
+            (700, 75, 17),
+            (3_000, 31, 1024),
         ],
     )
     def test_bitwise_equal_to_loop_for_g_and_block_shapes(self, n, k, g):
@@ -108,12 +120,15 @@ class TestOLHSupportCounts:
         ],
         ids=["int32", "uint64", "float", "half", "negative", "ge-g", "mixed"],
     )
-    def test_bucket_dtypes_and_out_of_range_match_loop(self, convert):
+    # g = 8 reduces hashes by a mask, g = 6 by division; neither may
+    # reduce the targets (bucket 9 would then match hash 1 at g = 8).
+    @pytest.mark.parametrize("g", [6, 8])
+    def test_bucket_dtypes_and_out_of_range_match_loop(self, convert, g):
         """Library callers may pass any bucket array: values that are
         not an integer in [0, g) support nothing, as in the loop."""
         from repro.frequency.olh import OLHReports
 
-        oracle = OptimizedLocalHashing(1.0, k=40, g=6)
+        oracle = OptimizedLocalHashing(1.0, k=40, g=g)
         rng = np.random.default_rng(8)
         honest = oracle.privatize(rng.integers(0, 40, 700), rng)
         reports = OLHReports(
@@ -140,7 +155,7 @@ class TestOLHSupportCounts:
             counts, _loop_support_counts(oracle, OLHReports(seeds, buckets))
         )
 
-    @pytest.mark.parametrize("g", [2, 4, 5, 56])
+    @pytest.mark.parametrize("g", [2, 4, 5, 8, 16, 56, 2**20])
     def test_client_hash_equal_to_modulo_hash(self, g):
         oracle = OptimizedLocalHashing(1.0, k=1000, g=g)
         rng = np.random.default_rng(g)
