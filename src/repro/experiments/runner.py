@@ -14,7 +14,6 @@ averages 100 runs; the default here is laptop-sized and configurable).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -25,7 +24,7 @@ from repro.core.mechanism import get_mechanism
 from repro.data.schema import Dataset
 from repro.multidim.splitting import SplitCompositionBaseline
 from repro.protocol import Protocol
-from repro.runtime import run_auto
+from repro.runtime import run_inline
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 from repro.utils.stats import empirical_mse
 
@@ -45,52 +44,15 @@ class EstimationConfig:
     seed: int = 2019
 
 
-def _collect(protocol: Protocol, values, gen, num_shards: int,
-             executor: str, max_workers):
-    """Run one collection through the runtime layer.
-
-    One shard (the default) is the inline path on either executor —
-    bitwise-identical to the pre-runtime ``Protocol.run`` (same rng
-    stream consumption).  More shards plan a sharded run whose seed is
-    drawn from ``gen``, keeping the sweep reproducible end to end.
-    """
-    return run_auto(
-        protocol,
-        values,
-        gen,
-        num_shards=num_shards,
-        executor=executor,
-        max_workers=max_workers,
-    ).estimate()
-
-
-def _warn_unshardable(method: str, num_shards: int, executor: str) -> None:
-    """The baseline methods run outside the protocol/runtime layer, so
-    sharding knobs cannot be honored for them — say so instead of
-    silently running serially."""
-    if num_shards != 1 or executor != "serial":
-        warnings.warn(
-            f"num_shards/executor are ignored for method {method!r}: only "
-            "the pm/hm protocol paths run through the sharded runtime",
-            UserWarning,
-            stacklevel=3,
-        )
-
-
 def numeric_matrix_mse(
     matrix: np.ndarray,
     epsilon: float,
     method: str,
     rng: RngLike = None,
-    num_shards: int = 1,
-    executor: str = "serial",
-    max_workers=None,
 ) -> float:
     """One run: MSE of estimated vs true attribute means, numeric data.
 
-    * "pm"/"hm": Algorithm 4 at full budget, through the sharded
-      runtime (``num_shards``/``executor`` select the parallel plan;
-      one shard runs inline on either executor);
+    * "pm"/"hm": Algorithm 4 at full budget, through the protocol layer;
     * "duchi":   Algorithm 3 at full budget;
     * "laplace"/"scdf"/"staircase": per-attribute 1-D mechanism at eps/d
       (the composition baseline).
@@ -100,16 +62,13 @@ def numeric_matrix_mse(
     d = matrix.shape[1]
     truth = matrix.mean(axis=0)
     if method in ("pm", "hm"):
-        estimates = _collect(
-            Protocol.multidim(epsilon, d=d, mechanism=method),
-            matrix, gen, num_shards, executor, max_workers,
-        )
+        estimates = run_inline(
+            Protocol.multidim(epsilon, d=d, mechanism=method), matrix, gen
+        ).estimate()
     elif method == "duchi":
-        _warn_unshardable(method, num_shards, executor)
         mech = DuchiMultidimMechanism(epsilon, d)
         estimates = mech.privatize(matrix, gen).mean(axis=0)
     elif method in ("laplace", "scdf", "staircase"):
-        _warn_unshardable(method, num_shards, executor)
         one_d = get_mechanism(method, epsilon / d)
         # One vectorized privatize over the transposed matrix replaces
         # the former per-column loop; row j of matrix.T is column j of
@@ -149,14 +108,11 @@ def mixed_dataset_mse(
     rng: RngLike = None,
     truth_means: Optional[Dict[str, float]] = None,
     truth_freqs: Optional[Dict[str, np.ndarray]] = None,
-    num_shards: int = 1,
-    executor: str = "serial",
-    max_workers=None,
 ) -> Tuple[float, float]:
     """One run: (numeric-mean MSE, frequency MSE) on a mixed dataset.
 
     "pm"/"hm" run the proposed Section IV-C collector (OUE inside)
-    through the sharded runtime; the baselines run the Section VI-A
+    through the protocol layer; the baselines run the Section VI-A
     composition combination with the given numeric method and
     per-attribute OUE.
     """
@@ -166,13 +122,12 @@ def mixed_dataset_mse(
     if truth_freqs is None:
         truth_freqs = dataset.true_categorical_frequencies()
     if method in ("pm", "hm"):
-        estimates = _collect(
+        estimates = run_inline(
             Protocol.multidim(epsilon, schema=dataset.schema,
                               mechanism=method),
-            dataset, gen, num_shards, executor, max_workers,
-        )
+            dataset, gen,
+        ).estimate()
     elif method in ("laplace", "scdf", "staircase", "duchi"):
-        _warn_unshardable(method, num_shards, executor)
         baseline = SplitCompositionBaseline(
             dataset.schema, epsilon, numeric_method=method
         )

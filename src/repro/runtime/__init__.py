@@ -24,7 +24,6 @@ from repro.runtime.plan import Shard, ShardPlan
 from repro.runtime.runner import (
     EXECUTORS,
     ParallelRunner,
-    run_auto,
     run_inline,
     run_sharded,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "ParallelRunner",
     "Shard",
     "ShardPlan",
-    "run_auto",
     "run_inline",
     "run_sharded",
 ]

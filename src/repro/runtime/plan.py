@@ -28,12 +28,6 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.utils.rng import RngLike, ensure_rng
-
-#: Largest seed drawn by :meth:`ShardPlan.from_rng` (inclusive upper
-#: bound is 2**63 - 2 because numpy's integers() is exclusive).
-_MAX_SEED = 2**63 - 1
-
 
 @dataclass(frozen=True)
 class Shard:
@@ -105,19 +99,6 @@ class ShardPlan:
             raise ValueError(
                 f"batch_size must be >= 1 or None, got {self.batch_size}"
             )
-
-    @classmethod
-    def from_rng(
-        cls,
-        n: int,
-        num_shards: int,
-        rng: RngLike = None,
-        batch_size: Optional[int] = None,
-    ) -> "ShardPlan":
-        """Draw the plan seed from an ``rng`` in the package's idiom."""
-        seed = int(ensure_rng(rng).integers(0, _MAX_SEED))
-        return cls(n=n, num_shards=num_shards, seed=seed,
-                   batch_size=batch_size)
 
     # ------------------------------------------------------------------
     def shards(self) -> Tuple[Shard, ...]:

@@ -64,13 +64,6 @@ def _slice_workload(values: Any, start: int, stop: int) -> Any:
     return values[start:stop]
 
 
-def _check_executor(executor: str) -> None:
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"executor must be one of {EXECUTORS}, got {executor!r}"
-        )
-
-
 class ParallelRunner:
     """Executes a :class:`ShardPlan` and merges the shard accumulators.
 
@@ -88,7 +81,10 @@ class ParallelRunner:
 
     def __init__(self, executor: str = "serial",
                  max_workers: Optional[int] = None) -> None:
-        _check_executor(executor)
+        if executor not in EXECUTORS:
+            raise ValueError(
+                f"executor must be one of {EXECUTORS}, got {executor!r}"
+            )
         if max_workers is not None and max_workers < 1:
             raise ValueError(
                 f"max_workers must be >= 1, got {max_workers}"
@@ -214,39 +210,6 @@ def run_inline(
     return acc
 
 
-def run_auto(
-    protocol_or_encoder: Any,
-    values: Any,
-    rng: RngLike = None,
-    *,
-    num_shards: int = 1,
-    executor: str = "serial",
-    max_workers: Optional[int] = None,
-    batch_size: Optional[int] = None,
-) -> ServerAccumulator:
-    """Dispatch between the inline and sharded paths.
-
-    One shard (the default) runs :func:`run_inline` on either executor,
-    consuming ``rng`` directly — bitwise-compatible with
-    ``Protocol.run``.  More shards plan a sharded run seeded from
-    ``rng``, which both executors then run to the same bits.  This is
-    the single dispatch rule the experiment harnesses and the LDP-SGD
-    trainer share.
-    """
-    _check_executor(executor)
-    if num_shards == 1:
-        return run_inline(protocol_or_encoder, values, rng, batch_size)
-    return run_sharded(
-        protocol_or_encoder,
-        values,
-        num_shards=num_shards,
-        rng=rng,
-        executor=executor,
-        max_workers=max_workers,
-        batch_size=batch_size,
-    )
-
-
 def run_sharded(
     protocol_or_encoder: Any,
     values: Any,
@@ -254,7 +217,6 @@ def run_sharded(
     plan: Optional[ShardPlan] = None,
     num_shards: Optional[int] = None,
     seed: Optional[int] = None,
-    rng: RngLike = None,
     batch_size: Optional[int] = None,
     executor: str = "serial",
     max_workers: Optional[int] = None,
@@ -262,19 +224,14 @@ def run_sharded(
     """Plan (if needed) and execute a sharded run; returns the merged
     accumulator.
 
-    Pass an explicit ``plan`` for exact reproducibility, or
-    ``num_shards`` plus either a ``seed`` or an ``rng`` to draw one.
+    Pass an explicit ``plan``, or ``num_shards`` and ``seed`` to make
+    one: a sharded run is always reproducible from its arguments.
     """
     if plan is None:
-        if num_shards is None:
-            raise ValueError("pass either plan= or num_shards=")
-        n = len(values)
-        if seed is not None:
-            plan = ShardPlan(n=n, num_shards=num_shards, seed=int(seed),
-                             batch_size=batch_size)
-        else:
-            plan = ShardPlan.from_rng(n, num_shards, rng,
-                                      batch_size=batch_size)
+        if num_shards is None or seed is None:
+            raise ValueError("pass either plan= or num_shards= and seed=")
+        plan = ShardPlan(n=len(values), num_shards=num_shards,
+                         seed=int(seed), batch_size=batch_size)
     else:
         if num_shards is not None and num_shards != plan.num_shards:
             raise ValueError(
@@ -286,10 +243,10 @@ def run_sharded(
                 f"plan has batch_size={plan.batch_size} but batch_size="
                 f"{batch_size} was also given"
             )
-        if seed is not None or rng is not None:
+        if seed is not None:
             raise ValueError(
                 "an explicit plan fixes all randomness; do not also "
-                "pass seed= or rng="
+                "pass seed="
             )
     runner = ParallelRunner(executor=executor, max_workers=max_workers)
     return runner.run(protocol_or_encoder, values, plan)

@@ -75,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="per-user GLOBAL budget cap shared across all campaigns "
         "(default: the default campaign's epsilon, else the max over "
-        "--campaigns)",
+        "--campaigns; on resume, the snapshot's). A resume whose "
+        "snapshot has another budget exits 2",
     )
     parser.add_argument(
         "--snapshot-dir",

@@ -61,7 +61,7 @@ from repro.service.store import (
     SnapshotCorruptError,
     SnapshotStore,
 )
-from repro.stream.windows import WindowConfig
+from repro.stream.windows import WindowConfig, check_decay
 
 _log = get_logger("repro.service.server")
 
@@ -359,7 +359,10 @@ class IngestionServer:
         (cross-campaign sequential composition).  Defaults to the
         default campaign's epsilon (each user reports once, the
         paper's m = 1 policy), else the registered campaigns' max;
-        required when the server starts with no campaigns at all.
+        required when the server starts with no campaigns at all.  On
+        resume ``None`` keeps the manifest's budget, and any other
+        value must equal it
+        (:class:`~repro.service.wire.SpecMismatchError` otherwise).
     store:
         Snapshot store for durable checkpoints; when it already holds
         a manifest the server resumes *all* campaigns plus the ledger
@@ -420,19 +423,20 @@ class IngestionServer:
             )
         for spec in campaigns or ():
             self.registry.register(spec, window=window)
-        if lifetime_epsilon is None:
+        budget = lifetime_epsilon
+        if budget is None:
             if len(self.registry) == 0:
                 raise ValueError(
                     "a server starting with no campaigns needs an "
                     "explicit lifetime_epsilon"
                 )
             default = self.registry.default
-            lifetime_epsilon = (
+            budget = (
                 default.spec.epsilon
                 if default is not None
                 else max(c.spec.epsilon for c in self.registry)
             )
-        self.ledger = PrivacyAccountant(lifetime_epsilon)
+        self.ledger = PrivacyAccountant(budget)
         self.store = store
         self.checkpoint_every = checkpoint_every
         self.host = host
@@ -445,7 +449,7 @@ class IngestionServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         if self.store is not None:
-            self._maybe_resume()
+            self._maybe_resume(lifetime_epsilon)
         self.metrics.track_server(self)
         for campaign in self.registry:
             self.metrics.track_campaign(campaign)
@@ -458,13 +462,13 @@ class IngestionServer:
     # ------------------------------------------------------------------
     # Durability
     # ------------------------------------------------------------------
-    def _maybe_resume(self) -> None:
+    def _maybe_resume(self, lifetime_epsilon: Optional[float]) -> None:
         loaded = self.store.load_latest()
         if loaded is None:
             return
         seq, snapshot = loaded
         try:
-            self._resume_manifest(seq, snapshot)
+            self._resume_manifest(seq, snapshot, lifetime_epsilon)
         except (SnapshotCorruptError, wire.SpecMismatchError):
             raise
         except _MALFORMED as exc:
@@ -476,11 +480,17 @@ class IngestionServer:
             ) from exc
         self._resumed_from = seq
 
-    def _resume_manifest(self, seq: int, snapshot: Dict[str, Any]) -> None:
+    def _resume_manifest(
+        self,
+        seq: int,
+        snapshot: Dict[str, Any],
+        lifetime_epsilon: Optional[float],
+    ) -> None:
         """Restore every campaign + the ledger from a campaign manifest.
 
-        Raises one of :data:`_MALFORMED` when a value has the wrong
-        shape or is missing."""
+        A configured ``lifetime_epsilon`` must equal the manifest's;
+        ``None`` keeps the manifest's.  Raises one of :data:`_MALFORMED`
+        when a value has the wrong shape or is missing."""
         if not isinstance(snapshot, dict) or not isinstance(
             snapshot.get("campaigns"), dict
         ):
@@ -548,12 +558,23 @@ class IngestionServer:
                 raise ValueError(f"campaign {fp[:12]!r}...: {exc}") from exc
             campaign.restore(entry, payload)
         try:
-            self.ledger = PrivacyAccountant.from_dict(snapshot["ledger"])
+            ledger = PrivacyAccountant.from_dict(snapshot["ledger"])
         except ValueError as exc:
             # A value that could under-charge a user must not resume.
             raise SnapshotCorruptError(
                 f"snapshot {self.store.path(seq)} is corrupt: ledger: {exc}"
             ) from exc
+        saved = ledger.lifetime_epsilon
+        configured = self.ledger.lifetime_epsilon
+        if lifetime_epsilon is not None and saved != configured:
+            # Renewing budgets is not a restart option: every balance
+            # in the manifest was capped at its own lifetime budget.
+            raise wire.SpecMismatchError(
+                f"snapshot {seq} in {self.store.directory} has lifetime "
+                f"epsilon {saved!r}, this server was configured with "
+                f"{configured!r}"
+            )
+        self.ledger = ledger
         _log.info(
             "resumed from snapshot",
             extra={
@@ -752,13 +773,6 @@ class IngestionServer:
             return self._handle_window_estimate(campaign, query)
         if campaign.reports == 0:
             raise Refusal(409, "no_reports", campaign=campaign.fingerprint)
-        # Serving an estimate from a *sealed* campaign finalizes it;
-        # an open campaign may be estimated at any time, but the result
-        # is explicitly non-final (more reports can still arrive).
-        final = not campaign.accepts_reports
-        if final and campaign.state.value == "sealed":
-            campaign.mark_estimated()
-            self._checkpoint_if_durable()
         try:
             estimate = campaign.accumulator.estimate()
         except TypeError as exc:
@@ -770,6 +784,14 @@ class IngestionServer:
                 campaign=campaign.fingerprint,
                 detail=str(exc),
             ) from None
+        # Serving an estimate from a *sealed* campaign finalizes it;
+        # an open campaign may be estimated at any time, but the result
+        # is explicitly non-final (more reports can still arrive).  A
+        # refused estimate above serves nothing, so it finalizes nothing.
+        final = not campaign.accepts_reports
+        if final and campaign.state.value == "sealed":
+            campaign.mark_estimated()
+            self._checkpoint_if_durable()
         return 200, wire.pack(
             {
                 "estimate": wire.encode_estimate(estimate),
@@ -797,7 +819,8 @@ class IngestionServer:
         )
         try:
             decay = (
-                float(query["decay"]) if query.get("decay") is not None
+                check_decay(float(query["decay"]))
+                if query.get("decay") is not None
                 else None
             )
         except ValueError as exc:

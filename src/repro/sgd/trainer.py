@@ -30,7 +30,7 @@ from repro.core.mechanism import get_mechanism
 from repro.core.validation import check_epsilon
 from repro.multidim.collector import MultidimNumericCollector
 from repro.protocol.encoders import MultidimNumericEncoder
-from repro.runtime import EXECUTORS, run_auto
+from repro.runtime import run_inline
 from repro.sgd.losses import Loss, get_loss
 from repro.sgd.schedules import Schedule, inverse_sqrt
 from repro.utils.rng import RngLike, ensure_rng
@@ -189,13 +189,6 @@ class LDPSGDTrainer(BaseSGDTrainer):
         Users per iteration; defaults to the Section V guidance.
     clip_bound:
         Entry-wise gradient clipping bound (the paper clips to [-1, 1]).
-    num_shards, executor, max_workers:
-        How each iteration's gradient reports are collected through
-        :mod:`repro.runtime`.  One shard (the default) runs inline on
-        either executor and is bitwise-identical to the pre-runtime
-        trainer; ``num_shards > 1`` plans a sharded collection per
-        iteration (seeded from the fit rng, so training stays
-        reproducible, and equal across executors).
     """
 
     def __init__(
@@ -208,9 +201,6 @@ class LDPSGDTrainer(BaseSGDTrainer):
         schedule: Optional[Schedule] = None,
         clip_bound: float = 1.0,
         record_history: bool = False,
-        num_shards: int = 1,
-        executor: str = "serial",
-        max_workers: Optional[int] = None,
     ):
         super().__init__(loss, regularization, schedule, record_history)
         self.epsilon = check_epsilon(epsilon)
@@ -223,15 +213,6 @@ class LDPSGDTrainer(BaseSGDTrainer):
         if clip_bound <= 0:
             raise ValueError(f"clip_bound must be positive, got {clip_bound}")
         self.clip_bound = float(clip_bound)
-        if num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {executor!r}"
-            )
-        self.num_shards = int(num_shards)
-        self.executor = executor
-        self.max_workers = max_workers
         self._collector = None  # built lazily once p is known
 
     def _group_size(self, n: int, p: int) -> int:
@@ -266,17 +247,8 @@ class LDPSGDTrainer(BaseSGDTrainer):
         if self._collector is None:
             self._collector = self._build_perturber(p)
         if self.method in ("pm", "hm"):
-            # The per-iteration collection is itself a protocol run;
-            # route it through the runtime so group gradients can be
-            # encoded on shards like any other workload.
-            acc = run_auto(
-                self._collector,
-                clipped,
-                gen,
-                num_shards=self.num_shards,
-                executor=self.executor,
-                max_workers=self.max_workers,
-            )
+            # The per-iteration collection is itself a protocol run.
+            acc = run_inline(self._collector, clipped, gen)
             return self.clip_bound * acc.estimate()
         if self.method == "duchi":
             noisy = self._collector.privatize(clipped, gen)

@@ -62,6 +62,14 @@ def parse_duration(text: str) -> float:
     return value * _DURATION_UNITS[unit]
 
 
+def check_decay(decay: float) -> float:
+    """``decay`` as a float once it lies in (0, 1]; ``ValueError``
+    otherwise, NaN included."""
+    if not 0.0 < decay <= 1.0:
+        raise ValueError(f"decay must lie in (0, 1], got {decay}")
+    return float(decay)
+
+
 @dataclass(frozen=True)
 class WindowConfig:
     """Per-campaign window configuration.
@@ -93,10 +101,8 @@ class WindowConfig:
             raise ValueError(
                 f"pane_seconds must be > 0, got {self.pane_seconds}"
             )
-        if self.decay is not None and not 0.0 < self.decay <= 1.0:
-            raise ValueError(
-                f"decay must lie in (0, 1], got {self.decay}"
-            )
+        if self.decay is not None:
+            check_decay(self.decay)
 
     # ------------------------------------------------------------------
     def build(
@@ -376,8 +382,7 @@ class WindowedAccumulator(ServerAccumulator):
         Non-linear estimates (histogram projection, mixed tuples) are
         rejected with ``TypeError``.
         """
-        if not 0.0 < float(decay) <= 1.0:
-            raise ValueError(f"decay must lie in (0, 1], got {decay}")
+        decay = check_decay(decay)
         rounds = [
             r for r in self._window_rounds(
                 self.panes if n_panes is None else n_panes
@@ -398,7 +403,7 @@ class WindowedAccumulator(ServerAccumulator):
                     f"{type(value).__name__} — supported kinds: mean, "
                     f"multidim-numeric, frequency"
                 )
-            weight = float(decay) ** (self._latest - r) * float(pane.count)
+            weight = decay ** (self._latest - r) * float(pane.count)
             term = weight * np.asarray(value, dtype=float)
             combined = term if combined is None else combined + term
             total += weight
@@ -466,9 +471,7 @@ class DecayedWindowedAccumulator(WindowedAccumulator):
         decay: float = 0.9,
     ) -> None:
         super().__init__(factory, panes=panes, pane_seconds=pane_seconds)
-        if not 0.0 < float(decay) <= 1.0:
-            raise ValueError(f"decay must lie in (0, 1], got {decay}")
-        self.decay = float(decay)
+        self.decay = check_decay(decay)
 
     def all_time_estimate(self) -> Any:
         """The undecayed all-time estimate (expired tail + panes)."""

@@ -88,9 +88,3 @@ class TestSpecRoundTrip:
         for a, b in zip(plan.shards(), restored.shards()):
             assert (a.start, a.stop) == (b.start, b.stop)
             assert np.array_equal(a.rng().random(4), b.rng().random(4))
-
-    def test_from_rng_is_reproducible(self):
-        a = ShardPlan.from_rng(100, 4, rng=5)
-        b = ShardPlan.from_rng(100, 4, rng=5)
-        assert a == b
-        assert a.n == 100 and a.num_shards == 4

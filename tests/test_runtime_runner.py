@@ -18,17 +18,14 @@ from repro.data.schema import (
     NumericAttribute,
     Schema,
 )
-from repro.experiments.runner import mixed_dataset_mse, numeric_matrix_mse
 from repro.protocol import Protocol
 from repro.runtime import (
     EXECUTORS,
     ParallelRunner,
     ShardPlan,
-    run_auto,
     run_inline,
     run_sharded,
 )
-from repro.sgd.trainer import LDPSGDTrainer
 
 N = 3_000
 SEED = 2019
@@ -170,8 +167,6 @@ class TestRunnerSurface:
             lambda: run_sharded(
                 protocol, values, num_shards=4, seed=1, executor="process"
             ),
-            lambda: run_auto(protocol, values, 1, executor="process"),
-            lambda: LDPSGDTrainer("linear", epsilon=1.0, executor="process"),
         ]
         for call in calls:
             with pytest.raises(ValueError) as excinfo:
@@ -182,6 +177,8 @@ class TestRunnerSurface:
         protocol, values = _workloads()["mean"]
         with pytest.raises(ValueError):
             run_sharded(protocol, values)
+        with pytest.raises(ValueError):
+            run_sharded(protocol, values, num_shards=4)
 
     def test_run_sharded_rejects_conflicting_shards(self):
         protocol, values = _workloads()["mean"]
@@ -196,14 +193,12 @@ class TestRunnerSurface:
             run_sharded(protocol, values, plan=plan, batch_size=500)
 
     def test_run_sharded_rejects_seed_or_rng_with_plan(self):
-        """An explicit plan owns all randomness — a seed/rng passed
+        """An explicit plan owns all randomness — a seed passed
         alongside it would be silently ignored, so it is an error."""
         protocol, values = _workloads()["mean"]
         plan = ShardPlan(n=N, num_shards=4, seed=1)
         with pytest.raises(ValueError, match="fixes all randomness"):
             run_sharded(protocol, values, plan=plan, seed=2)
-        with pytest.raises(ValueError, match="fixes all randomness"):
-            run_sharded(protocol, values, plan=plan, rng=2)
 
     def test_run_rejects_workload_plan_size_mismatch(self):
         protocol, values = _workloads()["mean"]
@@ -243,20 +238,6 @@ class TestRunnerSurface:
         direct = protocol.run(values, rng=123)
         _assert_same_estimates(inline, direct)
 
-    def test_run_auto_default_is_inline(self):
-        """One serial shard consumes the rng exactly like run_inline."""
-        protocol, values = _workloads()["multidim"]
-        auto = run_auto(protocol, values, 123).estimate()
-        inline = run_inline(protocol, values, rng=123).estimate()
-        _assert_same_estimates(auto, inline)
-
-    def test_run_auto_sharded_path_is_reproducible(self):
-        protocol, values = _workloads()["frequency"]
-        a = run_auto(protocol, values, 9, num_shards=4).estimate()
-        b = run_auto(protocol, values, 9, num_shards=4,
-                     executor="thread", max_workers=2).estimate()
-        _assert_same_estimates(a, b)
-
     def test_empty_shards_are_noops(self):
         protocol, values = _workloads()["mean"]
         plan = ShardPlan(n=N, num_shards=N + 50, seed=SEED)
@@ -269,65 +250,6 @@ class TestRunnerSurface:
         protocol, values = _workloads()[kind]
         acc = run_sharded(protocol, values, num_shards=3, seed=SEED)
         assert acc.count == N
-
-
-class TestExecutorNeverChangesResults:
-    """One shard runs inline on either executor, and more shards run
-    one plan to the same bits on both: the executor is never part of
-    a result, at any shard count."""
-
-    @pytest.mark.parametrize("num_shards", [1, 3])
-    def test_run_auto(self, kind, num_shards):
-        protocol, values = _workloads()[kind]
-        serial, thread = (
-            run_auto(
-                protocol, values, 9, num_shards=num_shards,
-                executor=executor, max_workers=2,
-            ).estimate()
-            for executor in ("serial", "thread")
-        )
-        _assert_same_estimates(serial, thread)
-        if num_shards == 1:
-            _assert_same_estimates(
-                serial, run_inline(protocol, values, rng=9).estimate()
-            )
-
-    @pytest.mark.parametrize("num_shards", [1, 3])
-    def test_ldp_sgd_fit(self, num_shards):
-        rng = np.random.default_rng(4)
-        x = rng.uniform(-1, 1, (1_200, 4))
-        y = np.clip(x @ np.array([0.5, -0.3, 0.2, 0.0]), -1, 1)
-        serial, thread = (
-            LDPSGDTrainer(
-                "linear", epsilon=4.0, method="hm", group_size=300,
-                num_shards=num_shards, executor=executor, max_workers=2,
-            ).fit(x, y, rng=11)
-            for executor in ("serial", "thread")
-        )
-        assert np.array_equal(serial, thread)
-
-    @pytest.mark.parametrize("num_shards", [1, 3])
-    def test_numeric_matrix_mse(self, num_shards):
-        matrix = np.random.default_rng(5).uniform(-1, 1, (N, 5))
-        serial, thread = (
-            numeric_matrix_mse(
-                matrix, 4.0, "hm", rng=12, num_shards=num_shards,
-                executor=executor, max_workers=2,
-            )
-            for executor in ("serial", "thread")
-        )
-        assert np.array_equal(serial, thread)
-
-    @pytest.mark.parametrize("num_shards", [1, 3])
-    def test_mixed_dataset_mse(self, num_shards):
-        serial, thread = (
-            mixed_dataset_mse(
-                _dataset(), 4.0, "pm", rng=13, num_shards=num_shards,
-                executor=executor, max_workers=2,
-            )
-            for executor in ("serial", "thread")
-        )
-        assert np.array_equal(serial, thread)
 
 
 def test_batched_inline_run_never_holds_the_dense_matrix():

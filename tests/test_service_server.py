@@ -604,6 +604,28 @@ class TestCrashResume:
         with pytest.raises(wire.SpecMismatchError):
             IngestionServer(other, store=SnapshotStore(tmp_path))
 
+    def test_resume_refuses_another_lifetime_budget(self, tmp_path):
+        """Every balance in a manifest was capped at its budget, so a
+        resume under another one fails boot closed; none given keeps
+        the manifest's, not the default campaign's epsilon."""
+        protocol = Protocol.numeric_mean(0.5, "hm")
+        IngestionServer(
+            protocol, lifetime_epsilon=1.0, store=SnapshotStore(tmp_path)
+        ).checkpoint_now()
+        before = _tree_bytes(tmp_path)
+        with pytest.raises(wire.SpecMismatchError, match="lifetime epsilon"):
+            IngestionServer(
+                protocol, lifetime_epsilon=3.0, store=SnapshotStore(tmp_path)
+            )
+        assert _tree_bytes(tmp_path) == before
+        for configured in (None, 1.0):
+            resumed = IngestionServer(
+                protocol,
+                lifetime_epsilon=configured,
+                store=SnapshotStore(tmp_path),
+            )
+            assert resumed.ledger.lifetime_epsilon == 1.0
+
 
 def _cli_env():
     env = dict(os.environ)

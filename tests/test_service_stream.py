@@ -2,7 +2,10 @@
 campaigns (sliding-window estimates bitwise-equal to recomputation,
 also across kill-and-resume), memoized zero-cost
 re-reports against the cross-campaign ledger, the /heavy-hitters
-endpoint, and v1 / window-unaware compatibility."""
+endpoint, v1 / window-unaware compatibility, and refused estimate
+queries, which change nothing."""
+
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from repro.service import (
     ServiceClient,
     ServiceError,
     SnapshotStore,
+    http,
+    wire,
 )
 from repro.stream import WindowConfig
 
@@ -39,6 +44,41 @@ def _users(n, prefix="u"):
 
 def _frequency():
     return Protocol.frequency(1.0, domain=10, oracle="oue")
+
+
+def _call(server, method, path, body=None, **query):
+    """One request in-process, through the entry point HTTP calls."""
+    raw = b"" if body is None else json.dumps(body).encode()
+    request = http.Request(method, path, query, "application/json", raw)
+    return server._handle_request(request)
+
+
+def _submit(server, values, users, round_=0):
+    protocol = server.registry.default.protocol
+    rng = np.random.default_rng(SEED)
+    reports = protocol.client().encode_batch(values, rng)
+    fp = server.fingerprint
+    envelope = wire.pack(
+        {
+            "users": users,
+            "idempotency_key": f"{users[0]}@{round_}",
+            "round": round_,
+            "reports": wire.encode_reports(reports),
+        },
+        fp,
+        campaign=fp,
+    )
+    status, answer = _call(server, "POST", "/report", envelope)
+    assert status == 200 and answer["status"] == "accepted", answer
+
+
+def _tree(root):
+    """Every file under ``root``: relative path -> bytes."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
 
 
 def _round_batches(protocol, rounds, n=40, domain=10):
@@ -218,6 +258,52 @@ class TestWindowedEstimates:
         assert (
             f'repro_campaign_window_reports{{campaign="{fp}"}} 40' in text
         )
+
+
+class TestRefusedEstimates:
+    """An estimate query the server refuses changes no state, and a
+    query the client got wrong is a 400, never a campaign-state 409."""
+
+    def test_bad_estimate_does_not_finalize_a_sealed_campaign(
+        self, tmp_path
+    ):
+        """A decayed histogram has no linear estimate: the 400 serves
+        nothing, so the campaign stays sealed and no cut is written."""
+        server = IngestionServer(
+            Protocol.histogram(1.0, bins=8),
+            window={"panes": 2, "decay": 0.9},
+            store=SnapshotStore(tmp_path),
+        )
+        values = np.random.default_rng(SEED).uniform(-1, 1, 20)
+        _submit(server, values, _users(20))
+        status, _ = _call(
+            server, "POST", f"/campaigns/{server.fingerprint}/seal"
+        )
+        assert status == 200
+        before = _tree(tmp_path)
+        status, answer = _call(server, "GET", "/estimate")
+        assert (status, answer["error"]) == (400, "bad_estimate")
+        status, listing = _call(server, "GET", "/campaigns")
+        assert [c["state"] for c in listing["campaigns"]] == ["sealed"]
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            {"decay": "2"},
+            {"decay": "0"},
+            {"decay": "-1"},
+            {"decay": "nan"},
+            {"decay": "inf"},
+            {"window": "2", "decay": "1.5"},
+        ],
+    )
+    def test_out_of_range_decay_is_400_bad_window(self, query):
+        server = IngestionServer(_frequency(), window={"panes": 3})
+        _submit(server, np.arange(40) % 10, _users(40))
+        status, answer = _call(server, "GET", "/estimate", **query)
+        assert (status, answer["error"]) == (400, "bad_window"), answer
+        assert "decay must lie in (0, 1]" in answer["detail"]
 
 
 class TestMemoizedSubmission:

@@ -256,24 +256,6 @@ class TestLDPTrainer:
         trainer.fit(x2, y2, rng)
         assert trainer._collector.d == 2
 
-    def test_sharded_gradient_collection_runs(self, rng):
-        """num_shards > 1 routes each iteration's collection through the
-        sharded runtime and still trains."""
-        x, y, _ = _linear_data(rng, n=1_200)
-        trainer = LDPSGDTrainer(
-            "linear", epsilon=4.0, method="hm", group_size=300,
-            num_shards=3, executor="thread", max_workers=2,
-        )
-        beta = trainer.fit(x, y, rng)
-        assert beta.shape == (4,)
-        assert np.all(np.isfinite(beta))
-
-    def test_runtime_knobs_validated(self):
-        with pytest.raises(ValueError):
-            LDPSGDTrainer("linear", epsilon=1.0, num_shards=0)
-        with pytest.raises(ValueError):
-            LDPSGDTrainer("linear", epsilon=1.0, executor="gpu")
-
     def test_default_inline_path_matches_pre_runtime_reference(self):
         """With the default knobs the trainer consumes the rng exactly
         as the pre-runtime implementation did, so seeded fits are

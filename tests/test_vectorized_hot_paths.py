@@ -247,14 +247,3 @@ class TestVectorizedColumnBaseline:
         mse = numeric_matrix_mse(matrix, 8.0, method, rng=3)
         assert np.isfinite(mse)
         assert mse < 1e-2
-
-    def test_baseline_methods_warn_when_sharding_requested(self):
-        """Only pm/hm run through the runtime; sharding knobs on a
-        baseline method must not be silently ignored."""
-        rng = np.random.default_rng(1)
-        matrix = rng.uniform(-1, 1, (2_000, 3))
-        with pytest.warns(UserWarning, match="ignored for method"):
-            numeric_matrix_mse(matrix, 4.0, "laplace", rng=3, num_shards=4)
-        with pytest.warns(UserWarning, match="ignored for method"):
-            numeric_matrix_mse(matrix, 4.0, "duchi", rng=3,
-                               executor="thread")
