@@ -18,6 +18,7 @@ from repro.data.schema import (
     NumericAttribute,
     Schema,
 )
+from repro.experiments.runner import mixed_dataset_mse, numeric_matrix_mse
 from repro.protocol import Protocol
 from repro.runtime import (
     EXECUTORS,
@@ -26,6 +27,8 @@ from repro.runtime import (
     run_inline,
     run_sharded,
 )
+from repro.sgd.trainer import LDPSGDTrainer
+from repro.utils.stats import empirical_mse
 
 N = 3_000
 SEED = 2019
@@ -250,6 +253,97 @@ class TestRunnerSurface:
         protocol, values = _workloads()[kind]
         acc = run_sharded(protocol, values, num_shards=3, seed=SEED)
         assert acc.count == N
+
+    def test_sharding_options_are_gone(self):
+        """``run_sharded`` with a seed is the one way to shard: no
+        plan is drawn from an rng, and the trainer and the harnesses
+        take no sharding options."""
+        import repro.runtime
+
+        assert not hasattr(repro.runtime, "run_auto")
+        assert not hasattr(ShardPlan, "from_rng")
+        protocol, values = _workloads()["mean"]
+        with pytest.raises(TypeError):
+            run_sharded(protocol, values, num_shards=4, seed=1, rng=2)
+        options = {"num_shards": 3, "executor": "thread", "max_workers": 2}
+        for name, value in options.items():
+            with pytest.raises(TypeError):
+                LDPSGDTrainer("linear", epsilon=1.0, **{name: value})
+            with pytest.raises(TypeError):
+                numeric_matrix_mse(
+                    values[:, None], 1.0, "hm", rng=1, **{name: value}
+                )
+            with pytest.raises(TypeError):
+                mixed_dataset_mse(
+                    _dataset(), 1.0, "hm", rng=1, **{name: value}
+                )
+
+
+class TestExecutorNeverChangesResults:
+    """A seeded ``run_sharded`` gives the same bits on either executor
+    at any shard count, and a one-shard plan is ``run_inline`` on that
+    shard's spawned stream."""
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_run_sharded(self, kind, num_shards):
+        protocol, values = _workloads()[kind]
+        serial, thread = (
+            run_sharded(
+                protocol, values, num_shards=num_shards, seed=9,
+                executor=executor, max_workers=2,
+            ).estimate()
+            for executor in ("serial", "thread")
+        )
+        _assert_same_estimates(serial, thread)
+        if num_shards == 1:
+            (shard,) = ShardPlan(n=N, num_shards=1, seed=9).shards()
+            _assert_same_estimates(
+                serial,
+                run_inline(protocol, values, rng=shard.rng()).estimate(),
+            )
+
+
+class TestCallersRunInline:
+    """The LDP-SGD trainer and the Section VI harnesses collect through
+    ``run_inline`` on the caller's generator, so a seeded result is a
+    by-hand inline run on the same seed."""
+
+    @pytest.mark.parametrize("method", ["pm", "hm"])
+    def test_ldp_sgd_fit(self, method):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-1, 1, (1_200, 4))
+        y = np.clip(x @ np.array([0.5, -0.3, 0.2, 0.0]), -1, 1)
+        first, second = (
+            LDPSGDTrainer(
+                "linear", epsilon=4.0, method=method, group_size=300
+            ).fit(x, y, rng=11)
+            for _ in range(2)
+        )
+        assert np.all(np.isfinite(first))
+        assert np.array_equal(first, second)
+
+    @pytest.mark.parametrize("method", ["pm", "hm"])
+    def test_numeric_matrix_mse(self, method):
+        matrix = np.random.default_rng(5).uniform(-1, 1, (N, 5))
+        inline = run_inline(
+            Protocol.multidim(4.0, d=5, mechanism=method), matrix, rng=12
+        ).estimate()
+        assert numeric_matrix_mse(matrix, 4.0, method, rng=12) == (
+            empirical_mse(inline, matrix.mean(axis=0))
+        )
+
+    @pytest.mark.parametrize("method", ["pm", "hm"])
+    def test_mixed_dataset_mse(self, method):
+        dataset = _dataset()
+        inline = run_inline(
+            Protocol.multidim(4.0, schema=dataset.schema, mechanism=method),
+            dataset,
+            rng=13,
+        ).estimate()
+        assert mixed_dataset_mse(dataset, 4.0, method, rng=13) == (
+            inline.mean_mse(dataset.true_numeric_means()),
+            inline.frequency_mse(dataset.true_categorical_frequencies()),
+        )
 
 
 def test_batched_inline_run_never_holds_the_dense_matrix():
