@@ -5,15 +5,16 @@ For each workload the same :class:`repro.runtime.ShardPlan` is executed
 * serially (the 1-worker baseline), and
 * on a 4-worker thread pool,
 
-and the script records reports/second, the speedup over the serial
-baseline, and — the runtime's core guarantee — that the threaded run
-reproduces the serial run's estimates (bitwise for the count-based
-frequency protocol; float sums are also bitwise because merge order is
-fixed by shard index).  A second section times the OLH support-count
-hot path against a per-value loop of the verbatim ``%`` hash, and
-checks the counts bitwise equal, at two shapes: one domain value per
-block (n = 300,000 x k = 64; 30,000 x 64 under ``--smoke``) and the
-served batch (n = 2,000 x k = 1,024, as on perfbench's ``olh-wide``).
+in turn within each timing repeat, and the script records
+reports/second, the speedup over the serial baseline, and — the
+runtime's core guarantee — that the threaded run reproduces the serial
+run's estimates (bitwise for the count-based frequency protocol; float
+sums are also bitwise because merge order is fixed by shard index).  A
+second section times the OLH support-count hot path and a per-value
+loop of the verbatim ``%`` hash in turn, and checks the counts bitwise
+equal, at two shapes: one domain value per block (n = 300,000 x
+k = 64; 30,000 x 64 under ``--smoke``) and the served batch
+(n = 2,000 x k = 1,024, as on perfbench's ``olh-wide``).
 
 Results land in a JSON whose committed baseline is
 ``benchmarks/results/sharded_throughput_baseline.json``, with the
@@ -36,6 +37,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -81,14 +83,19 @@ def _estimate_array(estimate):
     return np.atleast_1d(np.asarray(estimate, dtype=float))
 
 
-def _timed_run(runner, protocol, values, plan, repeats: int):
-    best, estimate = float("inf"), None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        acc = runner.run(protocol, values, plan)
-        best = min(best, time.perf_counter() - start)
-        estimate = _estimate_array(acc.estimate())
-    return best, estimate
+def _best_of_interleaved(fns, repeats: int):
+    """Best-of-``repeats`` seconds and the last result of each of
+    ``fns``.  Every repeat times each side once, in alternating order,
+    so a change in host load between repeats reaches all sides alike
+    instead of deciding their ratio."""
+    best, results = [float("inf")] * len(fns), [None] * len(fns)
+    for r in range(repeats):
+        order = range(len(fns)) if r % 2 == 0 else reversed(range(len(fns)))
+        for i in order:
+            start = time.perf_counter()
+            results[i] = fns[i]()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best, results
 
 
 def bench_workloads(n: int, batch_size: int, repeats: int) -> dict:
@@ -97,8 +104,16 @@ def bench_workloads(n: int, batch_size: int, repeats: int) -> dict:
     out = {}
     for name, spec in _workloads(n).items():
         protocol, values = spec["protocol"], spec["values"]
-        serial_s, reference = _timed_run(
-            ParallelRunner("serial"), protocol, values, plan, repeats
+        runners = (
+            ParallelRunner("serial"),
+            ParallelRunner("thread", max_workers=WORKERS),
+        )
+        (serial_s, seconds), accs = _best_of_interleaved(
+            [partial(r.run, protocol, values, plan) for r in runners],
+            repeats,
+        )
+        reference, estimate = (
+            _estimate_array(acc.estimate()) for acc in accs
         )
         entry = {
             "count_based": spec["count_based"],
@@ -107,10 +122,6 @@ def bench_workloads(n: int, batch_size: int, repeats: int) -> dict:
                 "reports_per_second": n / serial_s,
             },
         }
-        seconds, estimate = _timed_run(
-            ParallelRunner("thread", max_workers=WORKERS),
-            protocol, values, plan, repeats,
-        )
         bitwise = bool(np.array_equal(estimate, reference))
         entry[f"thread_{WORKERS}workers"] = {
             "seconds": seconds,
@@ -157,16 +168,11 @@ def bench_olh_hot_path(n: int, k: int, repeats: int) -> dict:
             counts[v] = float(np.count_nonzero(hashed_v == reports.buckets))
         return counts
 
-    def best_of(fn):
-        best, result = float("inf"), None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = fn()
-            best = min(best, time.perf_counter() - start)
-        return best, result
-
-    loop_s, loop_counts_out = best_of(loop_counts)
-    vec_s, vec_counts_out = best_of(lambda: oracle.support_counts(reports))
+    (loop_s, vec_s), (loop_counts_out, vec_counts_out) = (
+        _best_of_interleaved(
+            [loop_counts, lambda: oracle.support_counts(reports)], repeats
+        )
+    )
     if not np.array_equal(loop_counts_out, vec_counts_out):
         raise AssertionError(
             f"vectorized OLH support counts diverged at n={n}, k={k}"
@@ -205,7 +211,8 @@ def main(argv=None) -> int:
                         help="reports per workload (default 1.2M)")
     parser.add_argument("--batch-size", type=int, default=100_000)
     parser.add_argument("--repeats", type=int, default=2,
-                        help="timing repeats; best-of is recorded")
+                        help="timing repeats, each timing every side "
+                        "once; best-of is recorded")
     parser.add_argument("--smoke", action="store_true",
                         help="CI-sized run (n=60k, 1 repeat)")
     parser.add_argument("--out", type=Path, default=BASELINE_PATH)

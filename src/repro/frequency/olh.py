@@ -10,6 +10,8 @@ ablation alternative to OUE inside the Section IV-C collector.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -26,10 +28,11 @@ _ONE = np.uint64(1)
 
 #: Working-set bound for vectorized support counting: domain values are
 #: processed in blocks of ~this many (user, value) hash evaluations.
-#: Sized so a block's three uint64 buffers (~800 KB) stay L2-resident —
-#: larger blocks go DRAM-bound and run slower than the per-value loop
-#: they replace.
-_SUPPORT_BLOCK_ELEMENTS = 32_768
+#: Sized so a block's three uint64 buffers (~1.2 MB) stay L2-resident —
+#: far larger blocks go DRAM-bound — and so each ufunc call runs long
+#: enough that two threads, which overlap only inside the calls that
+#: release the GIL, gain from the split (see ``support_counts``).
+_SUPPORT_BLOCK_ELEMENTS = 49_152
 
 
 def _splitmix64_mod(
@@ -74,6 +77,58 @@ def _bucket_targets(buckets: np.ndarray, g: int) -> np.ndarray:
         return buckets.astype(np.uint64)
     valid = (buckets >= 0) & (buckets < g) & (buckets == np.floor(buckets))
     return np.where(valid, buckets, g).astype(np.uint64)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask, which a pinned
+    process (``taskset``, a cpuset) narrows, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _count_range(
+    seeds: np.ndarray,
+    targets: np.ndarray,
+    g: np.uint64,
+    rows: int,
+    first: int,
+    counts: np.ndarray,
+) -> None:
+    """Support of the domain values ``first, first + 1, ...`` into
+    ``counts``, one value per element, ``rows`` values per block.
+
+    A block hashes its values against all n users in three uint64
+    buffers of this call's own, so calls over disjoint ranges can run
+    at once.  The pre-hash keys ``seed + (v + 1) * golden`` of the next
+    block are the current ones plus ``rows * golden``, one scalar add
+    where a broadcast add of the per-value keys costs about three times
+    as much.  Hits are a uint64 compare against the ``targets`` (see
+    :func:`_bucket_targets`), summed per row.
+    """
+    n, size = seeds.shape[0], counts.shape[0]
+    rows = min(rows, size)
+    keys = np.empty((rows, n), dtype=np.uint64)
+    out = np.empty_like(keys)
+    tmp = np.empty_like(keys)
+    hits = np.empty((rows, n), dtype=bool)
+    ranks = np.arange(first + 1, first + rows + 1, dtype=np.uint64)
+    np.add(seeds, (ranks * _GOLDEN)[:, None], out=keys)
+    with np.errstate(over="ignore"):
+        step = np.uint64(rows) * _GOLDEN
+    # Per-row hit counts fit uint16 while n < 2**16, and summing the
+    # compare's bytes into uint16 is several times faster than
+    # count_nonzero(axis=1).
+    count_dtype = np.uint16 if n < 1 << 16 else np.int64
+    for start in range(0, size, rows):
+        m = min(rows, size - start)
+        if start:
+            np.add(keys, step, out=keys)
+        _splitmix64_mod(keys[:m], out[:m], tmp[:m], g)
+        np.equal(out[:m], targets, out=hits[:m])
+        counts[start : start + m] = np.add.reduce(
+            hits[:m].view(np.uint8), axis=1, dtype=count_dtype
+        )
 
 
 @dataclass
@@ -153,13 +208,13 @@ class OptimizedLocalHashing(FrequencyOracle):
         """Support counting over cache-sized blocks of domain values.
 
         Each block hashes ``rows`` domain values against all n users
-        (~``_SUPPORT_BLOCK_ELEMENTS`` pairs) in three preallocated
-        uint64 buffers.  The pre-hash keys ``seed + (v + 1) * golden``
-        of the next block are the current ones plus ``rows * golden``,
-        one scalar add where a broadcast add of the per-value keys
-        costs about three times as much.  Hits are a uint64 compare
-        against the buckets, summed per row.  Bitwise-identical to
-        hashing one domain value at a time.
+        (~``_SUPPORT_BLOCK_ELEMENTS`` pairs; see :func:`_count_range`).
+        When the process may run on two CPUs or more and the domain
+        spans two blocks or more, one helper thread started for the
+        call counts the upper half of the blocks while this thread
+        counts the lower half.  Each value's count is written by one
+        range only, so the counts are bitwise those of hashing one
+        domain value at a time, however the blocks are split.
         """
         if not isinstance(reports, OLHReports):
             raise TypeError("OLH expects OLHReports from privatize()")
@@ -167,31 +222,20 @@ class OptimizedLocalHashing(FrequencyOracle):
         counts = np.zeros(self.k)
         if n == 0:
             return counts
-        g = np.uint64(self.g)
-        rows = min(max(1, _SUPPORT_BLOCK_ELEMENTS // n), self.k)
-        targets = _bucket_targets(reports.buckets, self.g)
-        keys = np.empty((rows, n), dtype=np.uint64)
-        out = np.empty_like(keys)
-        tmp = np.empty_like(keys)
-        hits = np.empty((rows, n), dtype=bool)
-        np.add(
+        rows = max(1, _SUPPORT_BLOCK_ELEMENTS // n)
+        blocks = -(-self.k // rows)
+        args = (
             reports.seeds.astype(np.uint64),
-            (np.arange(1, rows + 1, dtype=np.uint64) * _GOLDEN)[:, None],
-            out=keys,
+            _bucket_targets(reports.buckets, self.g),
+            np.uint64(self.g),
+            rows,
         )
-        with np.errstate(over="ignore"):
-            step = np.uint64(rows) * _GOLDEN
-        # Per-row hit counts fit uint16 while n < 2**16, and summing the
-        # compare's bytes into uint16 is several times faster than
-        # count_nonzero(axis=1).
-        count_dtype = np.uint16 if n < 1 << 16 else np.int64
-        for start in range(0, self.k, rows):
-            m = min(rows, self.k - start)
-            if start:
-                np.add(keys, step, out=keys)
-            _splitmix64_mod(keys[:m], out[:m], tmp[:m], g)
-            np.equal(out[:m], targets, out=hits[:m])
-            counts[start : start + m] = np.add.reduce(
-                hits[:m].view(np.uint8), axis=1, dtype=count_dtype
-            )
+        if blocks < 2 or _cpus() < 2:
+            _count_range(*args, 0, counts)
+            return counts
+        split = blocks // 2 * rows
+        with ThreadPoolExecutor(1) as helper:
+            upper = helper.submit(_count_range, *args, split, counts[split:])
+            _count_range(*args, 0, counts[:split])
+            upper.result()
         return counts

@@ -358,11 +358,12 @@ class IngestionServer:
         Per-user **global** budget cap, shared across every campaign
         (cross-campaign sequential composition).  Defaults to the
         default campaign's epsilon (each user reports once, the
-        paper's m = 1 policy), else the registered campaigns' max;
-        required when the server starts with no campaigns at all.  On
-        resume ``None`` keeps the manifest's budget, and any other
-        value must equal it
-        (:class:`~repro.service.wire.SpecMismatchError` otherwise).
+        paper's m = 1 policy), else the registered campaigns' max.
+        On resume ``None`` keeps the manifest's budget, also when the
+        server starts with no campaigns, and any other value must
+        equal it (:class:`~repro.service.wire.SpecMismatchError`
+        otherwise).  Required when the server starts with no campaigns
+        and no manifest to resume.
     store:
         Snapshot store for durable checkpoints; when it already holds
         a manifest the server resumes *all* campaigns plus the ledger
@@ -424,19 +425,15 @@ class IngestionServer:
         for spec in campaigns or ():
             self.registry.register(spec, window=window)
         budget = lifetime_epsilon
-        if budget is None:
-            if len(self.registry) == 0:
-                raise ValueError(
-                    "a server starting with no campaigns needs an "
-                    "explicit lifetime_epsilon"
-                )
+        if budget is None and len(self.registry):
             default = self.registry.default
             budget = (
                 default.spec.epsilon
                 if default is not None
                 else max(c.spec.epsilon for c in self.registry)
             )
-        self.ledger = PrivacyAccountant(budget)
+        # With neither, only a resumed manifest's ledger sets the budget.
+        self.ledger = None if budget is None else PrivacyAccountant(budget)
         self.store = store
         self.checkpoint_every = checkpoint_every
         self.host = host
@@ -450,6 +447,11 @@ class IngestionServer:
         self._thread: Optional[threading.Thread] = None
         if self.store is not None:
             self._maybe_resume(lifetime_epsilon)
+        if self.ledger is None:
+            raise ValueError(
+                "a server starting with no campaigns and no snapshot "
+                "needs an explicit lifetime_epsilon"
+            )
         self.metrics.track_server(self)
         for campaign in self.registry:
             self.metrics.track_campaign(campaign)
@@ -565,15 +567,16 @@ class IngestionServer:
                 f"snapshot {self.store.path(seq)} is corrupt: ledger: {exc}"
             ) from exc
         saved = ledger.lifetime_epsilon
-        configured = self.ledger.lifetime_epsilon
-        if lifetime_epsilon is not None and saved != configured:
-            # Renewing budgets is not a restart option: every balance
-            # in the manifest was capped at its own lifetime budget.
-            raise wire.SpecMismatchError(
-                f"snapshot {seq} in {self.store.directory} has lifetime "
-                f"epsilon {saved!r}, this server was configured with "
-                f"{configured!r}"
-            )
+        if lifetime_epsilon is not None:
+            configured = self.ledger.lifetime_epsilon
+            if saved != configured:
+                # Renewing budgets is not a restart option: every
+                # balance in the manifest was capped at its own budget.
+                raise wire.SpecMismatchError(
+                    f"snapshot {seq} in {self.store.directory} has "
+                    f"lifetime epsilon {saved!r}, this server was "
+                    f"configured with {configured!r}"
+                )
         self.ledger = ledger
         _log.info(
             "resumed from snapshot",

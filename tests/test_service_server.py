@@ -626,6 +626,26 @@ class TestCrashResume:
             )
             assert resumed.ledger.lifetime_epsilon == 1.0
 
+    def test_resume_without_campaigns_takes_the_manifest_budget(
+        self, tmp_path
+    ):
+        """A server given no campaigns and no budget resumes both from
+        the manifest; with nothing to resume it still needs a budget."""
+        with pytest.raises(ValueError, match="explicit lifetime_epsilon"):
+            IngestionServer(store=SnapshotStore(tmp_path))
+        assert _tree_bytes(tmp_path) == {}
+        protocol = Protocol.numeric_mean(0.5, "hm")
+        first = IngestionServer(
+            protocol, lifetime_epsilon=1.0, store=SnapshotStore(tmp_path)
+        )
+        first.checkpoint_now()
+        resumed = IngestionServer(store=SnapshotStore(tmp_path))
+        assert resumed.ledger.lifetime_epsilon == 1.0
+        assert resumed.fingerprint == first.fingerprint
+        assert [c.fingerprint for c in resumed.registry] == [
+            first.fingerprint
+        ]
+
 
 def _cli_env():
     env = dict(os.environ)

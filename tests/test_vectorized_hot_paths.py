@@ -5,7 +5,8 @@ pinned against a reference re-implementation of the loop it replaced:
 
 * OLH support counting (repro/frequency/olh.py) — deterministic given
   the reports, so the vectorized blocks must agree *bitwise* with the
-  per-value loop, including across internal block boundaries.
+  per-value loop, including across internal block boundaries and
+  whether one thread counts all blocks or a helper counts half.
 * The per-column composition baseline in experiments/runner.py —
   Laplace draws one variate per value, so the single transposed
   privatize call consumes the rng stream exactly as the per-column
@@ -14,6 +15,10 @@ pinned against a reference re-implementation of the loop it replaced:
   statistically (both paths estimate the same truth to the same
   accuracy).
 """
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -62,6 +67,62 @@ def _loop_support_counts(oracle, reports):
     return counts
 
 
+#: (n, k, g) shapes across the kernel's block edges.
+_BLOCK_SHAPES = [
+    # Explicit g that is not a power of two (the default g is 4 at
+    # eps=1 and 8 at eps=2).
+    (400, 23, 5),
+    (2_000, 96, 7),
+    # k not a multiple of the block's rows (49 rows at n=1000).
+    (1_000, 100, None),
+    # n above the block budget: one domain value per block.
+    (olh_module._SUPPORT_BLOCK_ELEMENTS + 5, 3, 3),
+    (olh_module._SUPPORT_BLOCK_ELEMENTS + 5, 3, 8),
+    # A power-of-two g reduces by a mask, its odd neighbour by division;
+    # each over several blocks and a partial last one (49 rows at
+    # n=1000, 24 at n=2000, 70 at n=700, 16 at n=3000).
+    (1_000, 100, 2),
+    (1_000, 100, 3),
+    (2_000, 40, 8),
+    (2_000, 40, 9),
+    (700, 75, 16),
+    (700, 75, 17),
+    (3_000, 31, 1024),
+]
+
+#: Shapes of the two-CPU split: an odd block count whose last block is
+#: partial (43 blocks of 24 rows, the last of 16, at the served 2,000 x
+#: 1,024), an even one (42 blocks, the last of 16), exactly two blocks,
+#: and one block, which starts no helper.
+_SPLIT_SHAPES = [
+    (2_000, 1_024, None),
+    (2_000, 1_000, None),
+    (olh_module._SUPPORT_BLOCK_ELEMENTS + 5, 2, None),
+    (2_000, 24, None),
+]
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Every helper pool ``support_counts`` starts, in start order."""
+    started = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(olh_module, "ThreadPoolExecutor", Recording)
+    return started
+
+
+def _patch_cpus(monkeypatch, cpus):
+    """The CPUs ``support_counts`` sees, whatever the host has."""
+    monkeypatch.setattr(
+        olh_module.os, "sched_getaffinity", lambda pid: set(range(cpus))
+    )
+
+
 class TestOLHSupportCounts:
     @pytest.mark.parametrize("n,k", [(1, 2), (500, 64), (3_000, 17)])
     def test_bitwise_equal_to_loop(self, n, k):
@@ -73,31 +134,7 @@ class TestOLHSupportCounts:
             _loop_support_counts(oracle, reports),
         )
 
-    @pytest.mark.parametrize(
-        "n,k,g",
-        [
-            # Explicit g that is not a power of two (the default g is
-            # 4 at eps=1 and 8 at eps=2).
-            (400, 23, 5),
-            (2_000, 96, 7),
-            # k not a multiple of the block's rows (32 rows at n=1000).
-            (1_000, 100, None),
-            # n above the block budget: one domain value per block.
-            (olh_module._SUPPORT_BLOCK_ELEMENTS + 5, 3, 3),
-            (olh_module._SUPPORT_BLOCK_ELEMENTS + 5, 3, 8),
-            # A power-of-two g reduces by a mask, its odd neighbour by
-            # division; each over several blocks and a partial last one
-            # (32 rows at n=1000, 16 at n=2000, 46 at n=700, 10 at
-            # n=3000).
-            (1_000, 100, 2),
-            (1_000, 100, 3),
-            (2_000, 40, 8),
-            (2_000, 40, 9),
-            (700, 75, 16),
-            (700, 75, 17),
-            (3_000, 31, 1024),
-        ],
-    )
+    @pytest.mark.parametrize("n,k,g", _BLOCK_SHAPES)
     def test_bitwise_equal_to_loop_for_g_and_block_shapes(self, n, k, g):
         oracle = OptimizedLocalHashing(1.0, k=k, g=g)
         rng = np.random.default_rng(k)
@@ -106,6 +143,88 @@ class TestOLHSupportCounts:
             oracle.support_counts(reports),
             _loop_support_counts(oracle, reports),
         )
+
+    @pytest.mark.parametrize("n,k,g", _BLOCK_SHAPES + _SPLIT_SHAPES)
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_split_and_inline_bitwise_equal_to_loop(
+        self, n, k, g, cpus, monkeypatch, helpers
+    ):
+        """One helper counts the upper half of the blocks when two CPUs
+        are usable and the domain spans two blocks; the caller counts
+        all of them otherwise.  Either way the counts are the loop's."""
+        _patch_cpus(monkeypatch, cpus)
+        oracle = OptimizedLocalHashing(1.0, k=k, g=g)
+        rng = np.random.default_rng(k)
+        reports = oracle.privatize(rng.integers(0, k, n), rng)
+        assert np.array_equal(
+            oracle.support_counts(reports),
+            _loop_support_counts(oracle, reports),
+        )
+        rows = max(1, olh_module._SUPPORT_BLOCK_ELEMENTS // n)
+        blocks = -(-k // rows)
+        assert len(helpers) == (cpus >= 2 and blocks >= 2)
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        """An exception on the helper's (upper) range is raised by
+        ``support_counts`` once the caller's range is counted."""
+        _patch_cpus(monkeypatch, 2)
+        count_range = olh_module._count_range
+        ranges = []
+
+        def failing_upper(seeds, targets, g, rows, first, counts):
+            ranges.append((first, threading.current_thread()))
+            if first:
+                raise RuntimeError("upper range failed")
+            count_range(seeds, targets, g, rows, first, counts)
+
+        monkeypatch.setattr(olh_module, "_count_range", failing_upper)
+        oracle = OptimizedLocalHashing(1.0, k=100)
+        rng = np.random.default_rng(4)
+        reports = oracle.privatize(rng.integers(0, 100, 2_000), rng)
+        with pytest.raises(RuntimeError, match="upper range failed"):
+            oracle.support_counts(reports)
+        # 5 blocks of 24 rows: the caller counts 2, the helper 3.
+        caller = threading.current_thread()
+        assert sorted(
+            (first, thread is caller) for first, thread in ranges
+        ) == [(0, True), (48, False)]
+
+    def test_concurrent_callers_each_get_their_loop_counts(self, monkeypatch):
+        """Eight threads, more than the cores, count at once (as the
+        sharded runtime's thread workers do), each starting its own
+        helper; no count leaks between calls."""
+        _patch_cpus(monkeypatch, 2)
+        cases = []
+        for i in range(8):
+            oracle = OptimizedLocalHashing(1.0, k=150 + i, g=4 + i)
+            rng = np.random.default_rng(100 + i)
+            reports = oracle.privatize(rng.integers(0, 150 + i, 1_500), rng)
+            cases.append(
+                (oracle, reports, _loop_support_counts(oracle, reports))
+            )
+        results = [None] * len(cases)
+
+        def count(i):
+            oracle, reports, _ = cases[i]
+            for _ in range(5):
+                results[i] = oracle.support_counts(reports)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=count, args=(i,))
+                for i in range(len(cases))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for (_, _, expected), got in zip(cases, results):
+            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize(
         "convert",
