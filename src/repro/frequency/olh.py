@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from threading import Thread
 from typing import Tuple
 
 import numpy as np
@@ -234,8 +234,23 @@ class OptimizedLocalHashing(FrequencyOracle):
             _count_range(*args, 0, counts)
             return counts
         split = blocks // 2 * rows
-        with ThreadPoolExecutor(1) as helper:
-            upper = helper.submit(_count_range, *args, split, counts[split:])
+        failed = []
+
+        def count_upper() -> None:
+            try:
+                _count_range(*args, split, counts[split:])
+            except BaseException as exc:  # raised again by the caller
+                failed.append(exc)
+
+        # A plain thread, not a concurrent.futures pool: pools refuse
+        # work once the interpreter starts to shut down, while a
+        # non-daemon thread may still be counting.
+        helper = Thread(target=count_upper, name="olh-support-upper")
+        helper.start()
+        try:
             _count_range(*args, 0, counts[:split])
-            upper.result()
+        finally:
+            helper.join()
+        if failed:
+            raise failed[0]
         return counts

@@ -16,9 +16,13 @@ pinned against a reference re-implementation of the loop it replaced:
   accuracy).
 """
 
+import json
+import os
+import subprocess
 import sys
+import textwrap
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,15 +108,15 @@ _SPLIT_SHAPES = [
 
 @pytest.fixture
 def helpers(monkeypatch):
-    """Every helper pool ``support_counts`` starts, in start order."""
+    """Every helper thread ``support_counts`` starts, in start order."""
     started = []
 
-    class Recording(ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
+    class Recording(threading.Thread):
+        def start(self):
             started.append(self)
+            super().start()
 
-    monkeypatch.setattr(olh_module, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(olh_module, "Thread", Recording)
     return started
 
 
@@ -188,6 +192,45 @@ class TestOLHSupportCounts:
         assert sorted(
             (first, thread is caller) for first, thread in ranges
         ) == [(0, True), (48, False)]
+
+    def test_counts_on_a_thread_that_outlives_the_main_thread(self):
+        """A non-daemon thread may count after the main thread returns,
+        while the interpreter shuts down; its helper must start then
+        too (a concurrent.futures pool refuses new work by then)."""
+        script = textwrap.dedent(
+            """
+            import json, os, threading
+            import numpy as np
+            from repro.frequency.olh import OptimizedLocalHashing
+
+            os.sched_getaffinity = lambda pid: {0, 1}
+            oracle = OptimizedLocalHashing(1.0, k=100)
+            rng = np.random.default_rng(4)
+            reports = oracle.privatize(rng.integers(0, 100, 2_000), rng)
+
+            def count():
+                threading.main_thread().join()
+                print(json.dumps(oracle.support_counts(reports).tolist()))
+
+            threading.Thread(target=count).start()
+            """
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert not done.stderr
+        oracle = OptimizedLocalHashing(1.0, k=100)
+        rng = np.random.default_rng(4)
+        reports = oracle.privatize(rng.integers(0, 100, 2_000), rng)
+        assert json.loads(done.stdout) == (
+            _loop_support_counts(oracle, reports).tolist()
+        )
 
     def test_concurrent_callers_each_get_their_loop_counts(self, monkeypatch):
         """Eight threads, more than the cores, count at once (as the
