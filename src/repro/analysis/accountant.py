@@ -23,6 +23,12 @@ from repro.core.validation import check_epsilon
 #: A charge fits when ``cost <= (lifetime - spent) + _CAP_SLACK``.
 _CAP_SLACK = 1e-12
 
+#: The item and key separators of every checkpoint's JSON text: compact,
+#: with no spaces (``json.load`` reads either form).
+SEPARATORS = (",", ":")
+
+_dumps = json.JSONEncoder(separators=SEPARATORS).encode
+
 
 class BudgetExceededError(RuntimeError):
     """Raised when a charge would push a user past the lifetime cap."""
@@ -52,7 +58,8 @@ class PrivacyAccountant:
     per-user ``spent`` map, ``labels``, the maximal ``[count, epsilon,
     label index]`` runs of the charges and each charge's row in
     ``spent``, which depend on the charges alone; :meth:`json_parts`
-    writes the same JSON text, encoding each charge and closed run once.
+    writes them as compact JSON text, encoding each charge and closed
+    run once.
     Users are ``str`` and every spend and cost is finite (the charge
     paths and :meth:`from_dict` both check), which that text relies on.
 
@@ -70,7 +77,7 @@ class PrivacyAccountant:
         self._labels: Dict[str, int] = {}
         # JSON text of the rows of _log[:_encoded_chunks] and of their
         # runs but the last (_open, which can grow): one immutable block
-        # per json_parts call, every block but the first after ", ".
+        # per json_parts call, every block but the first after ",".
         self._blocks: List[bytes] = []
         self._run_blocks: List[bytes] = []
         self._open: List[List[Any]] = []
@@ -301,8 +308,9 @@ class PrivacyAccountant:
         }
 
     def json_parts(self, head: Mapping[str, Any]) -> List[bytes]:
-        """``json.dumps({**head, **self.to_dict()})`` as ASCII pieces to
-        write one after another.
+        """``json.dumps({**head, **self.to_dict()}, separators=SEPARATORS)``,
+        the compact JSON text, as ASCII pieces to write one after
+        another.
 
         The charge log is append-only (:meth:`_append` is its one
         writer), so the text of its rows and of every run but the last
@@ -316,25 +324,25 @@ class PrivacyAccountant:
         new = self._log[self._encoded_chunks :]
         if new:
             rows, costs, ids = _flat(new)
-            self._blocks.append(_block(self._blocks, str((rows - 1).tolist())))
+            text = _dumps((rows - 1).tolist())
+            self._blocks.append(_block(self._blocks, text))
             runs = _extend_runs(self._open, costs, ids)
             if len(runs) > 1:
-                text = json.dumps(runs[:-1])
+                text = _dumps(runs[:-1])
                 self._run_blocks.append(_block(self._run_blocks, text))
             self._open = runs[-1:]
             self._encoded_chunks = len(self._log)
-        # The head ends in '"lifetime_epsilon": <float>}'; the rest of
+        # The head ends in '"lifetime_epsilon":<float>}'; the rest of
         # the object goes in place of the brace.
-        top = json.dumps({**head, "lifetime_epsilon": self.lifetime_epsilon})
+        top = _dumps({**head, "lifetime_epsilon": self.lifetime_epsilon})
         names = list(map(encode_basestring_ascii, self._rows))
         spent = _object_text(names, self._balances())
-        labels = json.dumps(list(self._labels))
-        last = self._open and _block(self._run_blocks, json.dumps(self._open))
+        labels = _dumps(list(self._labels))
+        last = self._open and _block(self._run_blocks, _dumps(self._open))
         return [
-            f'{top[:-1]}, "spent": {spent}, "labels": {labels}, '
-            f'"runs": ['.encode(),
+            f'{top[:-1]},"spent":{spent},"labels":{labels},"runs":['.encode(),
             *self._run_blocks,
-            (last or b"") + b'], "ledger": [',
+            (last or b"") + b'],"ledger":[',
             *self._blocks,
             b"]}",
         ]
@@ -430,7 +438,7 @@ def _extend_runs(runs: list, costs: np.ndarray, ids: np.ndarray) -> list:
 
 def _block(blocks: List[bytes], text: str) -> bytes:
     """The items of the JSON list ``text`` as the block after ``blocks``."""
-    return (", " * bool(blocks) + text[1:-1]).encode()
+    return ("," * bool(blocks) + text[1:-1]).encode()
 
 
 def _expand(runs: Any, n_labels: int, entries: list, size: int) -> tuple:
@@ -554,7 +562,7 @@ def _check_values(
 
 
 def _object_text(names: List[str], values: np.ndarray) -> str:
-    """``json.dumps`` of the object mapping each of the encoded
+    """The compact JSON text of the object mapping each of the encoded
     ``names`` to its finite float in ``values``.
 
     Built directly, with ``float.__repr__`` (``json.dumps``' text for a
@@ -562,8 +570,8 @@ def _object_text(names: List[str], values: np.ndarray) -> str:
     """
     bits, which = np.unique(values.view(np.int64), return_inverse=True)
     reprs = list(map(float.__repr__, bits.view(np.float64).tolist()))
-    text = ["", ": ", "", ", "] * len(names)
+    text = ["", ":", "", ","] * len(names)
     text[0::4] = names
     text[2::4] = map(reprs.__getitem__, which.tolist())
-    text[-1:] = ["}"]  # the last ", ", or the whole of an empty map
+    text[-1:] = ["}"]  # the last ",", or the whole of an empty map
     return "{" + "".join(text)

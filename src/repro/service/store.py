@@ -40,6 +40,8 @@ import re
 from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.analysis.accountant import SEPARATORS
+
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{10})\.json$")
 
 #: Snapshots a directory keeps after each cut that writes into it.
@@ -56,7 +58,7 @@ class SnapshotCorruptError(ValueError):
 
 class RawJSON:
     """A payload value :meth:`SnapshotStore.encode` writes verbatim:
-    ``parts`` concatenated are the value's ASCII JSON text."""
+    ``parts`` concatenated are the value's compact ASCII JSON text."""
 
     def __init__(self, parts: List[bytes]):
         self.parts = parts
@@ -124,18 +126,19 @@ class SnapshotStore:
     # ------------------------------------------------------------------
     def encode(self, seq: int, payload: Dict[str, Any]) -> SnapshotFile:
         """Snapshot ``seq`` of this store as a file of a cut: its bytes
-        are ``json.dumps({"seq": seq, **payload})``, with a top-level
-        :class:`RawJSON` value written as its text."""
+        are the compact ``json.dumps({"seq": seq, **payload},
+        separators=SEPARATORS)``, with a top-level :class:`RawJSON`
+        value written as its text."""
         if seq < 0:
             raise ValueError(f"seq must be >= 0, got {seq}")
         parts: List[bytes] = []
         for key, value in {"seq": int(seq), **payload}.items():
-            parts.append(b", " if parts else b"{")
-            parts.append(f"{json.dumps(key)}: ".encode())
+            parts.append(b"," if parts else b"{")
+            parts.append(f"{json.dumps(key)}:".encode())
             if isinstance(value, RawJSON):
                 parts += value.parts
             else:
-                parts.append(json.dumps(value).encode())
+                parts.append(json.dumps(value, separators=SEPARATORS).encode())
         parts.append(b"}")
         return self.path(seq), tuple(parts)
 

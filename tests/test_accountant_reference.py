@@ -3,12 +3,12 @@
 ``reference_accountant.PrivacyAccountant`` is the dict-and-dataclass
 accountant the array-backed one replaced (with exact atomic rollback).
 Random operation sequences run through both; after every step each
-public read and the bytes of ``json.dumps(to_dict())`` must agree, so
-every balance is bitwise the one-user-at-a-time arithmetic.  The
-checkpoint encoder (``json_parts``) must give those same bytes after
-every step, whether its chunk cache is partly filled (step by step) or
-cold (after a round trip through ``from_dict``), under the head a
-server's cut writes first.
+public read and the bytes of the compact ``json.dumps(to_dict())``
+must agree, so every balance is bitwise the one-user-at-a-time
+arithmetic.  The checkpoint encoder (``json_parts``) must give those
+same bytes after every step, whether its chunk cache is partly filled
+(step by step) or cold (after a round trip through ``from_dict``),
+under the head a server's cut writes first.
 """
 
 import json
@@ -31,6 +31,8 @@ EPS = st.one_of(
 )
 #: The keys a server's cut writes before the accountant's own.
 HEAD = {"type": "cross-campaign-ledger"}
+#: The separators of a checkpoint's JSON text.
+COMPACT = (",", ":")
 #: Spend-bucket bounds; a single charge of 0.1, 0.5 or 1.0 lands on one.
 BOUNDS = (0.1, 0.5, 1.0, 1.7, 2.5)
 USER = st.sampled_from(USERS)
@@ -79,8 +81,10 @@ def _reference_batch(ref, multiplicity, epsilon, label):
 
 
 def _assert_same(acc, ref):
-    expected = json.dumps({**HEAD, **ref.to_dict()})
-    assert json.dumps({**HEAD, **acc.to_dict()}) == expected
+    expected = json.dumps({**HEAD, **ref.to_dict()}, separators=COMPACT)
+    assert json.dumps({**HEAD, **acc.to_dict()}, separators=COMPACT) == (
+        expected
+    )
     assert b"".join(acc.json_parts(HEAD)) == expected.encode()
     assert acc.users() == ref.users()
     assert acc.user_count() == len(ref.users())

@@ -12,6 +12,9 @@ from repro.analysis.accountant import (
     PrivacyAccountant,
 )
 
+#: The separators of a checkpoint's JSON text.
+COMPACT = (",", ":")
+
 
 class TestCharging:
     def test_initial_state(self):
@@ -398,14 +401,14 @@ class TestSerialization:
                 for user, cost, i in charges
             ],
         }
-        text = json.dumps(rows)
+        text = json.dumps(rows, separators=COMPACT)
         for payload in (rows, arrays, objects):
             rebuilt = PrivacyAccountant.from_dict(
                 json.loads(json.dumps(payload))
             )
             assert rebuilt.ledger == acc.ledger
             assert rebuilt.to_dict()["spent"] == rows["spent"]
-            assert json.dumps(rebuilt.to_dict()) == text
+            assert json.dumps(rebuilt.to_dict(), separators=COMPACT) == text
             assert b"".join(rebuilt.json_parts({})) == text.encode()
         assert labels == ["mean query", "freq query", "sgd"]
         assert rows["runs"] == [
@@ -416,9 +419,9 @@ class TestSerialization:
 
 
 class TestJsonParts:
-    """``json_parts`` against ``json.dumps(to_dict())`` on a history
-    shaped like a durable server's: many users charged over rounds by
-    two campaigns, read back at checkpoints."""
+    """``json_parts`` against the compact ``json.dumps(to_dict())`` on
+    a history shaped like a durable server's: many users charged over
+    rounds by two campaigns, read back at checkpoints."""
 
     def test_parts_spell_to_dict_at_every_checkpoint(self):
         rng = np.random.default_rng(18)
@@ -436,8 +439,8 @@ class TestJsonParts:
                 payload = json.loads(json.dumps(ledger.to_dict()))
                 payload["spent"].update({"zero": 0.0, "minus zero": -0.0})
                 ledger = PrivacyAccountant.from_dict(payload)
-                text = json.dumps(payload).encode()
-                assert b'"minus zero": -0.0' in text
+                text = json.dumps(payload, separators=COMPACT).encode()
+                assert b'"minus zero":-0.0' in text
                 assert b"".join(ledger.json_parts({})) == text
             for label, epsilon in campaigns:
                 for batch in np.array_split(rng.permutation(len(users)), 8):
@@ -450,10 +453,12 @@ class TestJsonParts:
                     batches += 1
                     if batches % 3 == 0:
                         parts = ledger.json_parts({})
-                        text = json.dumps(ledger.to_dict()).encode()
+                        text = json.dumps(
+                            ledger.to_dict(), separators=COMPACT
+                        ).encode()
                         assert b"".join(parts) == text
                         cuts.append((parts, text))
-        text = json.dumps(ledger.to_dict()).encode()
+        text = json.dumps(ledger.to_dict(), separators=COMPACT).encode()
         assert b"".join(ledger.json_parts({})) == text
         assert b"".join(ledger.json_parts({})) == text  # nothing new
         # Later charges and the rebuild leave earlier parts as they were.

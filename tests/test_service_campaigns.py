@@ -391,14 +391,17 @@ def _manifests(directory):
 
 
 def _check_manifests(directory, server):
-    """Every manifest on disk is byte for byte ``json.dumps`` of its
-    own parse, and the newest one carries the server's live ledger.
-    Called after every checkpoint, this checks each manifest written."""
+    """Every manifest on disk is byte for byte the compact
+    ``json.dumps`` of its own parse, and the newest one carries the
+    server's live ledger.  Called after every checkpoint, this checks
+    each manifest written."""
     manifests = _manifests(directory)
     assert manifests
     for path in manifests:
         raw = path.read_bytes()
-        assert json.dumps(json.loads(raw)).encode() == raw
+        assert json.dumps(json.loads(raw), separators=(",", ":")).encode() == (
+            raw
+        )
     newest = json.loads(manifests[-1].read_bytes())
     assert newest["ledger"] == {
         "type": "cross-campaign-ledger", **server.ledger.to_dict()

@@ -171,7 +171,12 @@ class TestTakeCut:
         )
         assert server.checkpoint_now() == seq
         for path, parts in cut.files:
-            assert path.read_bytes() == b"".join(parts)
+            raw = path.read_bytes()
+            assert raw == b"".join(parts)
+            # Compact canonical JSON: no spaces, ASCII, floats as repr.
+            assert json.dumps(
+                json.loads(raw), separators=(",", ":")
+            ).encode() == raw
         sizes = [path.stat().st_size for path, _ in cut.files]
         _, metrics = _call(server, "GET", "/metrics")
         assert f"repro_checkpoint_last_bytes {sum(sizes)}" in metrics

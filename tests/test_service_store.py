@@ -90,7 +90,7 @@ class TestSnapshotStore:
             3,
             {
                 "a": [1, 2.5, None],
-                "ledger": RawJSON([b'{"k": [', b"0.1, 1e-07", b"]}"]),
+                "ledger": RawJSON([b'{"k":[', b"0.1,1e-07", b"]}"]),
                 "name": "\u00fc\"\\",
             },
         )
@@ -100,7 +100,8 @@ class TestSnapshotStore:
                 "a": [1, 2.5, None],
                 "ledger": {"k": [0.1, 1e-07]},
                 "name": "\u00fc\"\\",
-            }
+            },
+            separators=(",", ":"),
         ).encode()
 
     def test_directory_is_fsynced_after_each_rename(

@@ -21,6 +21,10 @@ epsilon, label index]`` arrays into ``labels``, the form written after
 that (two campaigns, one user charged at multiplicity 2; its
 ``make_fixture.py`` needs a checkout that still writes that form).  The
 next checkpoint rewrites either as rows of ``spent`` with ``runs``.
+``fixtures/row_log_snapshot/snapshots`` already holds that row form,
+but with ``json.dumps``' default ``", "`` and ``": "`` separators, as
+every cut was written before cuts became compact JSON.  Each rewrite is
+compact canonical JSON.
 """
 
 import json
@@ -36,6 +40,7 @@ from repro.service import IngestionServer, ServiceClient, SnapshotStore, wire
 FIXTURE = Path(__file__).parent / "fixtures" / "sharded_snapshot"
 EXPECTED = json.loads((FIXTURE / "expected.json").read_text())
 ARRAY_FIXTURE = Path(__file__).parent / "fixtures" / "array_log_snapshot"
+ROW_FIXTURE = Path(__file__).parent / "fixtures" / "row_log_snapshot"
 
 
 def _hex(estimate):
@@ -134,14 +139,17 @@ def _old_manifest(fixture):
 
 
 def _assert_upgrades(start, snapshots, spent, charges):
-    """The first checkpoint after boot writes the ledger's log as rows
-    of ``spent`` with ``runs``, holding every ``(user, epsilon,
-    label)`` of ``charges`` and every balance of ``spent`` as it was,
-    and a second restart writes that manifest back byte for byte.
-    Returns the new ledger."""
+    """The first checkpoint after boot writes the manifest as compact
+    canonical JSON and the ledger's log as rows of ``spent`` with
+    ``runs``, holding every ``(user, epsilon, label)`` of ``charges``
+    and every balance of ``spent`` as it was, and a second restart
+    writes that manifest back byte for byte.  Returns the new ledger."""
     seq = start().checkpoint()
     path = SnapshotStore(snapshots).path(seq)
-    new = json.loads(path.read_bytes())["ledger"]
+    written = path.read_bytes()
+    manifest = json.loads(written)
+    assert json.dumps(manifest, separators=(",", ":")).encode() == written
+    new = manifest["ledger"]
     assert list(new) == [
         "type", "lifetime_epsilon", "spent", "labels", "runs", "ledger",
     ]
@@ -166,7 +174,6 @@ def _assert_upgrades(start, snapshots, spent, charges):
     for user, balance in spent.items():
         assert upgraded.spent(user) == balance, user
         assert upgraded.spent_by_label(user) == by_campaign[user], user
-    written = path.read_bytes()
     assert start().checkpoint() == seq
     assert path.read_bytes() == written
     return new
@@ -202,3 +209,31 @@ def test_array_log_manifest_upgrades_to_rows(tmp_path, running):
         [1, 1.0, 0], [1, 2.0, 0], [2, 1.0, 0], [4, 0.5, 1],
         [4, 1.0, 0], [4, 0.5, 1],
     ]
+
+
+def test_spaced_row_log_manifest_is_rewritten_compact(tmp_path, running):
+    """The row fixture's manifest holds its 24 charges as rows of
+    ``spent`` with ``runs``, written with spaces after every ``,`` and
+    ``:``.  The rewrite keeps the ledger as it was and drops only the
+    spaces."""
+    (path,) = (ROW_FIXTURE / "snapshots").glob("snapshot-*.json")
+    raw = path.read_bytes()
+    manifest = json.loads(raw)
+    assert json.dumps(manifest).encode() == raw
+    old = manifest["ledger"]
+    assert len(old["ledger"]) == 24
+    users = list(old["spent"])
+    costs = [
+        (epsilon, old["labels"][i])
+        for count, epsilon, i in old["runs"]
+        for _ in range(count)
+    ]
+    new = _assert_upgrades(
+        *_booter(tmp_path, ROW_FIXTURE, old["lifetime_epsilon"], running),
+        old["spent"],
+        [
+            (users[row], epsilon, label)
+            for row, (epsilon, label) in zip(old["ledger"], costs)
+        ],
+    )
+    assert new == old
