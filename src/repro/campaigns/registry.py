@@ -277,7 +277,16 @@ class Campaign:
                 self.accumulator.merge(
                     decode_accumulator_state(self._new_accumulator(), state)
                 )
-        self.seen_keys = set(payload.get("idempotency_keys", []))
+        keys = payload.get("idempotency_keys", [])
+        if not isinstance(keys, list) or not all(
+            isinstance(key, str) for key in keys
+        ):
+            # A cut sorts them, and the ingest path compares strings.
+            raise ValueError(
+                f"campaign {self.fingerprint[:12]!r}...: "
+                "idempotency_keys is not a list of strings"
+            )
+        self.seen_keys = set(keys)
         self.state = CampaignState.coerce(manifest["state"])
         self.default = bool(manifest.get("default", self.default))
         self.batches_accepted = int(manifest["batches_accepted"])

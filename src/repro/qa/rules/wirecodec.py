@@ -1,38 +1,33 @@
 """QA501 — wire-codec exhaustiveness for report containers.
 
-The service's never-silent-mis-aggregation guarantee (PR 3) assumes
-every report container a protocol can emit crosses the service
-boundary bitwise on both wire formats, and reaches the accumulators
-at all:
+The service's never-silent-mis-aggregation guarantee assumes every
+report container a protocol can emit crosses the service boundary
+bitwise on both wire formats, and reaches the accumulators at all.
+All of it goes through one conversion: the container's own
+``to_block()`` method, which ``repro.protocol.reports.to_block``
+dispatches to, gives the ``ColumnBlock`` that the v2 client frames,
+that ``encode_reports`` writes as v1 JSON and ``decode_reports`` reads
+back (both in ``repro.service.wire``), and that an accumulator parses
+and folds.
 
-* v1 JSON: ``encode_reports`` type-tags it and ``decode_reports``
-  rebuilds it (both in ``repro.service.wire``);
-* the single container -> block conversion
-  (``repro.protocol.reports.to_block``): it dispatches to the
-  container's own ``to_block()`` method, and its output is both what
-  the v2 client frames and the only form an accumulator parses and
-  folds.
+A container without ``to_block()`` only fails at runtime, on the first
+live submission of that protocol kind — long after review; a codec
+function that named containers instead could carry one across v2 but
+not v1, splitting the fleet.
 
-A container missing from any of the three only fails at runtime, on
-the first live submission of that protocol kind — long after review;
-worse, a container wired into only one format splits the fleet.
-
-This rule checks statically, for every report container, that it is
-referenced by name in ``encode_reports`` and ``decode_reports`` and
-defines a ``to_block`` method, and that the conversion function
-exists and dispatches through ``.to_block``.  The containers are the
-top-level classes of ``repro.protocol.reports`` plus every top-level
-class anywhere that defines ``to_block`` (``OLHReports`` and
-``MixedReports`` live next to the code that emits them).
-``ColumnBlock`` is exempt: it is the columnar form itself, not a
-container.  The check runs only when the reports and codec modules are
-both in the linted set (the full ``src`` run CI gates on).
+This rule checks statically that every top-level class of
+``repro.protocol.reports`` but the ``ColumnBlock`` carrier defines a
+``to_block`` method, and that the conversion function and both codec
+functions refer to ``to_block``.  A container defined elsewhere
+(``OLHReports``, ``MixedReports``) is one because it defines
+``to_block``.  The check runs only when the reports and codec modules
+are both in the linted set (the full ``src`` run CI gates on).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Iterator, Optional, Set
 
 from repro.qa.core import Module, Project, Rule, Violation
 
@@ -40,10 +35,11 @@ from repro.qa.core import Module, Project, Rule, Violation
 #: conversion.
 REPORTS_MODULE = "repro.protocol.reports"
 
-#: Module that must provide a v1 codec entry per container.
+#: Module holding the v1 JSON codec.
 CODEC_MODULE = "repro.service.wire"
 
-#: The v1 JSON codec functions every container must appear in.
+#: The v1 JSON codec functions, each of which must go through the
+#: conversion.
 CODEC_FUNCTIONS = ("encode_reports", "decode_reports")
 
 #: The one container -> block conversion, and the method it dispatches
@@ -51,7 +47,7 @@ CODEC_FUNCTIONS = ("encode_reports", "decode_reports")
 CONVERSION = "to_block"
 
 #: Wire-form carriers defined alongside the containers: they *are* the
-#: encoding, so demanding a codec entry for them is circular.
+#: encoding, so demanding a conversion for them is circular.
 CARRIER_CLASSES = frozenset({"ColumnBlock"})
 
 
@@ -83,31 +79,16 @@ def _referenced_names(func: ast.AST) -> Set[str]:
     return names
 
 
-def _containers(
-    project: Project, reports: Module
-) -> Dict[str, Tuple[Module, ast.ClassDef]]:
-    found: Dict[str, Tuple[Module, ast.ClassDef]] = {}
-    for module in project.modules:
-        for node in module.tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if node.name in CARRIER_CLASSES:
-                continue
-            if module is reports or _defines_method(node, CONVERSION):
-                found.setdefault(node.name, (module, node))
-    return found
-
-
 class WireCodecExhaustivenessRule(Rule):
     id = "QA501"
     name = "wire-codec-exhaustiveness"
     description = (
-        "every report container needs a v1 codec entry in "
-        "service/wire.py (encode_reports/decode_reports) and a "
-        "to_block() method the protocol's one container->block "
-        "conversion dispatches to — an unregistered container only "
-        "fails on the first live submission, and a half-registered "
-        "one splits the v1/v2 fleet"
+        "every report container needs a to_block() method the "
+        "protocol's one container->block conversion dispatches to, and "
+        "the v1 codec in service/wire.py (encode_reports/decode_reports) "
+        "must go through to_block() — an unconverted container only "
+        "fails on the first live submission, and a codec that names "
+        "containers can carry one across v2 but not v1"
     )
 
     def check(self, project: Project) -> Iterator[Violation]:
@@ -115,10 +96,26 @@ class WireCodecExhaustivenessRule(Rule):
         codec = project.find(CODEC_MODULE)
         if reports is None or codec is None:
             return  # partial runs (single files) cannot do this check
-        legs = [(codec, name) for name in CODEC_FUNCTIONS]
-        legs.append((reports, CONVERSION))
-        functions = {}
-        for module, name in legs:
+        legs = [
+            (
+                reports,
+                CONVERSION,
+                f"{reports.name}.{CONVERSION}() no longer dispatches "
+                f"through the containers' .{CONVERSION}() methods",
+            )
+        ]
+        legs += [
+            (
+                codec,
+                name,
+                f"{codec.name}.{name}() does not go through "
+                f"{CONVERSION}(), so a container it does not name "
+                f"cannot cross the v1 wire that v2 carries it over",
+            )
+            for name in CODEC_FUNCTIONS
+        ]
+        functions = []
+        for module, name, _ in legs:
             func = _function(module, name)
             if func is None:
                 yield Violation(
@@ -132,31 +129,21 @@ class WireCodecExhaustivenessRule(Rule):
                     ),
                 )
                 return
-            functions[name] = _referenced_names(func)
-        if CONVERSION not in functions.pop(CONVERSION):
-            yield self.violation(
-                reports,
-                _function(reports, CONVERSION),
-                f"{reports.name}.{CONVERSION}() no longer dispatches "
-                f"through the containers' .{CONVERSION}() methods",
-            )
-        for module, cls in _containers(project, reports).values():
-            for name, referenced in functions.items():
-                if cls.name not in referenced:
-                    yield self.violation(
-                        module,
-                        cls,
-                        f"report container {cls.name} has no codec "
-                        f"entry in {codec.name}.{name}(); a v1 batch "
-                        f"of these reports cannot cross the service "
-                        f"boundary",
-                    )
-            if not _defines_method(cls, CONVERSION):
+            functions.append(func)
+        for (module, _, message), func in zip(legs, functions):
+            if CONVERSION not in _referenced_names(func):
+                yield self.violation(module, func, message)
+        for node in reports.tree.body:
+            if (
+                isinstance(node, ast.ClassDef)
+                and node.name not in CARRIER_CLASSES
+                and not _defines_method(node, CONVERSION)
+            ):
                 yield self.violation(
-                    module,
-                    cls,
-                    f"report container {cls.name} defines no "
+                    reports,
+                    node,
+                    f"report container {node.name} defines no "
                     f"{CONVERSION}() method, so {reports.name}."
-                    f"{CONVERSION}() cannot turn it into the block v2 "
-                    f"clients frame and accumulators fold",
+                    f"{CONVERSION}() cannot turn it into the block "
+                    f"both wire formats carry and accumulators fold",
                 )

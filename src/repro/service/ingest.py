@@ -35,7 +35,7 @@ from repro.campaigns.registry import (
     CampaignRegistry,
     UnknownCampaignError,
 )
-from repro.protocol.reports import ColumnBlock, to_block
+from repro.protocol.reports import ColumnBlock
 from repro.service import wire
 
 
@@ -152,11 +152,11 @@ def check(campaign: Campaign, envelope: Dict[str, Any]) -> Batch:
         raise _bad_request("'fresh' must be a list of booleans, one per user")
     block = payload.get("columns")  # a v2 frame's, else ignored
     wire_version = wire.WIRE_VERSION_COLUMNAR
-    if not isinstance(block, ColumnBlock):  # v1: a JSON report container
+    if not isinstance(block, ColumnBlock):  # v1: the block's JSON
         wire_version = wire.WIRE_VERSION
         try:
-            block = to_block(wire.decode_reports(payload["reports"]))
-        except (KeyError, wire.WireFormatError, ValueError) as exc:
+            block = wire.decode_reports(payload["reports"])
+        except (KeyError, wire.WireFormatError) as exc:
             raise Refusal(400, "bad_reports", detail=str(exc)) from None
     if block.n != len(users):
         raise _bad_request(

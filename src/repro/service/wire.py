@@ -6,11 +6,11 @@ through this module.  Three layers:
 * **Arrays** — :func:`encode_array` / :func:`decode_array` carry any
   numpy array as ``{dtype, shape, base64(raw bytes)}``; the round-trip
   is bitwise because the raw buffer is transported untouched.
-* **Payloads** — :func:`encode_reports` / :func:`decode_reports`
-  type-tag every report container a protocol can emit (perturbed-value
-  arrays, unary bit matrices, :class:`~repro.frequency.olh.OLHReports`,
-  :class:`~repro.protocol.reports.SampledNumericReports`,
-  :class:`~repro.multidim.collector.MixedReports`);
+* **Payloads** — :func:`encode_reports` writes the v1 JSON of any
+  batch's :class:`~repro.protocol.reports.ColumnBlock` (a container
+  converts through its own ``to_block()``, so the codec names none but
+  the nested mixed form) and :func:`decode_reports` reads it back into
+  that block, the form v2 frames carry and accumulators fold;
   :func:`encode_accumulator_state` / :func:`decode_accumulator_state`
   do the same for ``ServerAccumulator.state_dict`` snapshots, and
   :func:`encode_estimate` / :func:`decode_estimate` for every estimate
@@ -35,13 +35,8 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.frequency.olh import OLHReports
 from repro.multidim.collector import MixedReports
-from repro.protocol.reports import (
-    ColumnBlock,
-    SampledNumericReports,
-    to_block,
-)
+from repro.protocol.reports import ColumnBlock, to_block
 from repro.protocol.spec import ProtocolSpec
 
 #: Version of the envelope + payload encoding itself (independent of
@@ -127,72 +122,46 @@ def _from_buffer(
 # Report containers
 # ----------------------------------------------------------------------
 def encode_reports(reports) -> Dict[str, Any]:
-    """Type-tagged encoding of any report container.
+    """The v1 JSON of ``to_block(reports)``; takes a block too.
 
-    Covers every container the protocol encoders emit: plain numpy
-    arrays (numeric perturbed values, GRR integers, unary bit
-    matrices), ``OLHReports``, ``SampledNumericReports`` and
-    ``MixedReports`` (whose per-attribute categorical reports recurse
-    through this function).
+    ``type`` is the block's kind, then come its meta and each column as
+    an :func:`encode_array` object.  A mixed block writes its ``n`` and
+    ``numeric`` column and nests each attribute's sub-block under
+    ``categorical``.  Raises ``ValueError`` for a batch ``to_block``
+    cannot convert, as the v2 path does.
     """
-    if isinstance(reports, SampledNumericReports):
-        return {
-            "type": "sampled-numeric",
-            "d": int(reports.d),
-            "k": int(reports.k),
-            "cols": encode_array(reports.cols),
-            "values": encode_array(reports.values),
-        }
-    if isinstance(reports, OLHReports):
-        return {
-            "type": "olh",
-            "seeds": encode_array(reports.seeds),
-            "buckets": encode_array(reports.buckets),
-        }
-    if isinstance(reports, MixedReports):
+    block = to_block(reports)
+    if block.kind == "mixed":
         return {
             "type": "mixed",
-            "n": int(reports.n),
-            "numeric": encode_array(np.asarray(reports.numeric)),
+            "n": block.n,
+            "numeric": encode_array(block.column("numeric")),
             "categorical": {
-                name: encode_reports(sub)
-                for name, sub in reports.categorical.items()
+                name: encode_reports(block.sub_block(name, kind))
+                for name, kind in block.meta["categorical"].items()
             },
         }
-    arr = np.asarray(reports)
-    if arr.dtype == object:
-        raise WireFormatError(
-            f"cannot encode report container of type "
-            f"{type(reports).__name__}"
-        )
-    return {"type": "array", "array": encode_array(arr)}
+    columns = {name: encode_array(arr) for name, arr in block.columns.items()}
+    return {"type": block.kind, **block.meta, **columns}
 
 
-def decode_reports(obj: Dict[str, Any]):
-    """Inverse of :func:`encode_reports`.
+def decode_reports(obj: Dict[str, Any]) -> ColumnBlock:
+    """Inverse of :func:`encode_reports`: the batch's ``ColumnBlock``.
 
-    Raises :class:`WireFormatError` for any field it cannot read.
+    Object fields are columns and the rest meta; ``n`` is the first
+    column's row count.  A mixed payload rebuilds its sub-blocks and
+    flattens them through ``MixedReports.to_block``.  Raises
+    :class:`WireFormatError` for any field it cannot read; the
+    accumulator's parse checks the block's kind, meta and shapes.
     """
     if not isinstance(obj, dict):
         raise WireFormatError(
             f"report payload must be an object, got {type(obj).__name__}"
         )
     kind = obj.get("type")
+    if not isinstance(kind, str):
+        raise WireFormatError(f"unknown report payload type {kind!r}")
     try:
-        if kind == "array":
-            return decode_array(obj["array"])
-        if kind == "sampled-numeric":
-            return SampledNumericReports(
-                d=int(obj["d"]),
-                k=int(obj["k"]),
-                cols=decode_array(obj["cols"]),
-                values=decode_array(obj["values"]),
-            )
-        if kind == "olh":
-            return OLHReports(
-                seeds=decode_array(obj["seeds"]),
-                buckets=decode_array(obj["buckets"]),
-            )
         if kind == "mixed":
             return MixedReports(
                 n=int(obj["n"]),
@@ -201,7 +170,17 @@ def decode_reports(obj: Dict[str, Any]):
                     name: decode_reports(sub)
                     for name, sub in obj["categorical"].items()
                 },
-            )
+            ).to_block()
+        columns, meta = {}, {}
+        for name, value in obj.items():
+            if isinstance(value, dict):
+                columns[name] = decode_array(value)
+            elif name != "type":
+                meta[name] = value
+        first = next(iter(columns.values()), np.empty(()))
+        if not first.ndim:
+            raise WireFormatError(f"{kind!r} report payload has no rows")
+        return ColumnBlock(kind, first.shape[0], meta, columns)
     except WireFormatError:
         raise
     except (
@@ -210,7 +189,6 @@ def decode_reports(obj: Dict[str, Any]):
         raise WireFormatError(
             f"malformed {kind!r} report payload: {exc!r}"
         ) from exc
-    raise WireFormatError(f"unknown report payload type {kind!r}")
 
 
 # ----------------------------------------------------------------------

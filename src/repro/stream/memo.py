@@ -19,13 +19,13 @@ value is perturbed fresh (and charged); switching back to a previously
 reported value reuses that value's original report without further
 charge (classic permanent memoization à la RAPPOR).
 
-Supported report containers: numeric arrays (mean protocol), GRR index
-arrays, unary-encoding bit matrices,
-:class:`~repro.frequency.olh.OLHReports`, and
-:class:`~repro.protocol.reports.SampledNumericReports`.  Mixed-tuple
-reports are rejected — their per-attribute sampling makes a cached row
-unrepresentative, so memoizing them would silently change the
-protocol.
+The cache speaks blocks: each fresh batch converts to its
+:class:`~repro.protocol.reports.ColumnBlock` (``to_block``), a user's
+entry keeps that user's row of every column, and a round's rows stack
+back into one block, which both wire versions send and every
+accumulator folds.  Mixed-tuple reports are rejected — their
+per-attribute sampling makes a cached row unrepresentative, so
+memoizing them would silently change the protocol.
 
 This module is client-side by design: it imports encoders and is NOT
 part of the QA201 server tier.
@@ -37,15 +37,14 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.frequency.olh import OLHReports
 from repro.protocol.accumulators import ServerAccumulator
 from repro.protocol.encoders import ClientEncoder, MixedEncoder
-from repro.protocol.reports import SampledNumericReports
+from repro.protocol.reports import ColumnBlock, to_block
 from repro.utils.rng import RngLike
 
-#: Cached row forms: ``("array", row)``, ``("olh", seed, bucket)``,
-#: ``("sampled", d, k, cols_row, values_row)``.
-_Row = Tuple[Any, ...]
+#: One user's cached report: its block's kind and meta, and the user's
+#: row of every column.
+_Row = Tuple[str, Dict[str, Any], Dict[str, np.ndarray]]
 
 
 def _value_key(row: np.ndarray) -> bytes:
@@ -58,49 +57,6 @@ def _value_key(row: np.ndarray) -> bytes:
         + b"|"
         + arr.tobytes()
     )
-
-
-def _split_rows(reports: Any) -> List[_Row]:
-    """Decompose a report container into one cacheable row per user."""
-    if isinstance(reports, OLHReports):
-        return [
-            ("olh", reports.seeds[i], reports.buckets[i])
-            for i in range(len(reports))
-        ]
-    if isinstance(reports, SampledNumericReports):
-        return [
-            ("sampled", reports.d, reports.k,
-             reports.cols[i], reports.values[i])
-            for i in range(reports.n)
-        ]
-    arr = np.asarray(reports)
-    if arr.ndim in (1, 2):
-        return [("array", arr[i]) for i in range(arr.shape[0])]
-    raise TypeError(
-        f"memoization does not support report container "
-        f"{type(reports).__name__}"
-    )
-
-
-def _join_rows(rows: Sequence[_Row]) -> Any:
-    """Reassemble rows (cached + fresh, batch order) into a container."""
-    kind = rows[0][0]
-    if any(row[0] != kind for row in rows):
-        raise TypeError("cannot mix report container kinds in one batch")
-    if kind == "olh":
-        return OLHReports(
-            seeds=np.stack([np.asarray(row[1]) for row in rows]),
-            buckets=np.stack([np.asarray(row[2]) for row in rows]),
-        )
-    if kind == "sampled":
-        d, k = rows[0][1], rows[0][2]
-        return SampledNumericReports(
-            d=d,
-            k=k,
-            cols=np.stack([np.asarray(row[3]) for row in rows]),
-            values=np.stack([np.asarray(row[4]) for row in rows]),
-        )
-    return np.stack([np.asarray(row[1]) for row in rows])
 
 
 class MemoizedEncoder(ClientEncoder):
@@ -144,14 +100,16 @@ class MemoizedEncoder(ClientEncoder):
         values: Any,
         users: Sequence[Hashable],
         rng: RngLike = None,
-    ) -> Tuple[Any, List[bool]]:
+    ) -> Tuple[ColumnBlock, List[bool]]:
         """Encode one round for named users; flag which reports are new.
 
-        Returns ``(reports, fresh)`` where ``reports`` is the full
-        report container in batch order (cached rows byte-identical to
-        their first transmission) and ``fresh[i]`` says whether user
-        ``i``'s report was perturbed this round — the server charges
-        epsilon only for fresh entries.
+        Returns ``(block, fresh)`` where ``block`` holds the round's
+        reports in batch order (cached rows byte-identical to their
+        first transmission) and ``fresh[i]`` says whether entry ``i``'s
+        report was perturbed this round — the server charges epsilon
+        only for fresh entries.  A ``(user, value)`` pair repeated in
+        one batch is perturbed once, at its first entry; the later
+        entries replay that report and are not fresh.
         """
         matrix = np.asarray(values)
         if matrix.ndim == 0:
@@ -162,22 +120,33 @@ class MemoizedEncoder(ClientEncoder):
                 f"got {n} values for {len(users)} users; they must pair up"
             )
         if n == 0:
-            return self.inner.encode_batch(values, rng), []
+            return to_block(self.inner.encode_batch(values, rng)), []
 
         keys = [(users[i], _value_key(matrix[i])) for i in range(n)]
-        fresh = [key not in self._cache for key in keys]
-        fresh_idx = [i for i in range(n) if fresh[i]]
-        self._hits += n - len(fresh_idx)
-        self._misses += len(fresh_idx)
+        first: Dict[Tuple[Hashable, bytes], int] = {}
+        for i, key in enumerate(keys):
+            if key not in self._cache:
+                first.setdefault(key, i)
+        fresh = [first.get(key) == i for i, key in enumerate(keys)]
+        self._hits += n - len(first)
+        self._misses += len(first)
 
-        if fresh_idx:
-            fresh_reports = self.inner.encode_batch(
-                matrix[np.asarray(fresh_idx, dtype=np.intp)], rng
-            )
-            for row, i in zip(_split_rows(fresh_reports), fresh_idx):
-                self._cache[keys[i]] = row
+        if first:
+            block = to_block(self.inner.encode_batch(
+                matrix[np.fromiter(first.values(), dtype=np.intp)], rng
+            ))
+            for j, key in enumerate(first):
+                self._cache[key] = (
+                    block.kind,
+                    block.meta,
+                    {name: arr[j] for name, arr in block.columns.items()},
+                )
         rows = [self._cache[key] for key in keys]
-        return _join_rows(rows), fresh
+        kind, meta, names = rows[0]
+        columns = {
+            name: np.stack([row[2][name] for row in rows]) for name in names
+        }
+        return ColumnBlock(kind=kind, n=n, meta=meta, columns=columns), fresh
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,7 +1,23 @@
 """Shared fixtures for the test suite."""
 
+import warnings
+
 import numpy as np
 import pytest
+
+# Hypothesis prints a failing example's patch through libcst, whose
+# import warns through mypy_extensions.TypedDict.  Under CI's
+# ``-W error::DeprecationWarning`` that warning turned a failing
+# property test into an INTERNALERROR hiding which tests failed.
+# Importing it here with DeprecationWarning ignored for this import
+# only keeps every other warning, those from ``src/`` included, an
+# error.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: hypothesis prints no patch
+        pass
 
 
 @pytest.fixture

@@ -1,8 +1,7 @@
-"""Report containers with codec gaps.
+"""Report containers, one of them without a ``to_block()``.
 
-``OrphanReports`` is wired nowhere; ``HalfWiredReports`` has v1 JSON
-entries but no ``to_block()``, so the conversion cannot carry it to a
-v2 frame or an accumulator.
+``OrphanReports`` defines no ``to_block()``, so the conversion cannot
+carry it to either wire format or an accumulator.
 """
 
 
@@ -18,11 +17,6 @@ class SampledNumericReports:
 class OrphanReports:
     def __init__(self, blob=b""):
         self.blob = blob
-
-
-class HalfWiredReports:
-    def __init__(self, items=()):
-        self.items = items
 
 
 def to_block(batch):

@@ -1,19 +1,17 @@
-"""Codec missing OrphanReports and BlockOnlyReports."""
+"""A v1 codec whose decoder rebuilds containers by name.
 
-from repro.protocol.reports import HalfWiredReports, SampledNumericReports
+``encode_reports`` goes through ``to_block()``; ``decode_reports``
+does not, so a container it does not name cannot come back off v1.
+"""
+
+from repro.protocol.reports import SampledNumericReports, to_block
 
 
 def encode_reports(reports):
-    if isinstance(reports, SampledNumericReports):
-        return {"type": "sampled-numeric", "cols": list(reports.cols)}
-    if isinstance(reports, HalfWiredReports):
-        return {"type": "half-wired", "items": list(reports.items)}
-    raise TypeError(f"cannot encode report container {type(reports)}")
+    return {"type": "block", "block": to_block(reports)}
 
 
 def decode_reports(payload):
     if payload["type"] == "sampled-numeric":
         return SampledNumericReports(cols=payload["cols"])
-    if payload["type"] == "half-wired":
-        return HalfWiredReports(items=payload["items"])
     raise TypeError(f"cannot decode report payload {payload['type']}")

@@ -1,4 +1,4 @@
-"""A container defined outside reports.py: found by its to_block()."""
+"""A container defined outside reports.py: its to_block() is all it needs."""
 
 from repro.protocol.reports import ColumnBlock
 

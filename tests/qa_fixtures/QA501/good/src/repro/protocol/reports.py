@@ -1,4 +1,4 @@
-"""One report container here, fully registered, plus the conversion."""
+"""One report container here, with its to_block(), plus the conversion."""
 
 
 class ColumnBlock:  # carrier: the columnar wire form itself, exempt

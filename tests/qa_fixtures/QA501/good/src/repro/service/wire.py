@@ -1,20 +1,15 @@
-"""Codec with a v1 entry for every container."""
+"""A v1 codec that goes through ``to_block()`` and names no container."""
 
-from repro.frequency.olh import OLHReports
-from repro.protocol.reports import SampledNumericReports
+from repro.protocol.reports import ColumnBlock, to_block
 
 
 def encode_reports(reports):
-    if isinstance(reports, SampledNumericReports):
-        return {"type": "sampled-numeric", "cols": list(reports.cols)}
-    if isinstance(reports, OLHReports):
-        return {"type": "olh", "seeds": list(reports.seeds)}
-    raise TypeError(f"cannot encode report container {type(reports)}")
+    block = to_block(reports)
+    return {"type": block.kind, **block.columns}
 
 
 def decode_reports(payload):
-    if payload["type"] == "sampled-numeric":
-        return SampledNumericReports(cols=payload["cols"])
-    if payload["type"] == "olh":
-        return OLHReports(seeds=payload["seeds"])
-    raise TypeError(f"cannot decode report payload {payload['type']}")
+    columns = {k: v for k, v in payload.items() if k != "type"}
+    n = len(next(iter(columns.values()), ()))
+    block = ColumnBlock(kind=payload["type"], n=n, columns=columns)
+    return to_block(block)

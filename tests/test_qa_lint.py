@@ -149,31 +149,55 @@ class TestSnapshotCompleteness:
 
 
 class TestWireCodecExhaustiveness:
-    def test_orphan_container_flagged_on_every_leg(self):
+    def test_container_without_to_block_flagged(self):
         found = findings(FIXTURES / "QA501" / "bad", ["QA501"])
         orphan = [v for v in found if "OrphanReports" in v.message]
-        assert len(orphan) == 3
-        joined = " ".join(v.message for v in orphan)
-        assert "encode_reports" in joined
-        assert "decode_reports" in joined
-        assert "to_block" in joined
+        assert len(orphan) == 1
+        assert "defines no to_block()" in orphan[0].message
+        assert orphan[0].path.endswith("reports.py")
 
-    def test_v1_only_container_flagged_on_columnar_path(self):
-        # HalfWiredReports has v1 JSON entries but no to_block(): only
-        # the conversion leg must flag it.
+    def test_codec_function_bypassing_to_block_flagged(self):
+        # The bad decode_reports rebuilds containers by name; its
+        # encode_reports goes through to_block() and is not flagged.
         found = findings(FIXTURES / "QA501" / "bad", ["QA501"])
-        half = [v for v in found if "HalfWiredReports" in v.message]
-        assert len(half) == 1
-        assert "to_block" in half[0].message
-        assert "encode_reports" not in half[0].message
+        codec = [v for v in found if v.path.endswith("wire.py")]
+        assert len(codec) == 1
+        assert "decode_reports() does not go through to_block()" in (
+            codec[0].message
+        )
 
-    def test_container_outside_reports_module_is_found(self):
-        # BlockOnlyReports lives in frequency/olh.py; its to_block()
-        # makes it a container, so a missing v1 codec entry is flagged.
-        found = findings(FIXTURES / "QA501" / "bad", ["QA501"])
-        block_only = [v for v in found if "BlockOnlyReports" in v.message]
-        assert len(block_only) == 2
-        assert all(v.path.endswith("olh.py") for v in block_only)
+    @pytest.mark.parametrize(
+        "name, call, bypass",
+        [
+            ("encode_reports", "block = to_block(reports)", "block = reports"),
+            ("decode_reports", "return to_block(block)", "return block"),
+        ],
+        ids=["encode_reports", "decode_reports"],
+    )
+    def test_each_codec_function_must_go_through_to_block(
+        self, tmp_path, name, call, bypass
+    ):
+        shutil.copytree(FIXTURES / "QA501" / "good", tmp_path / "tree")
+        codec = tmp_path / "tree/src/repro/service/wire.py"
+        assert call in codec.read_text()
+        codec.write_text(codec.read_text().replace(call, bypass))
+        found = findings(tmp_path / "tree", ["QA501"])
+        assert len(found) == 1
+        assert f"{name}() does not go through to_block()" in found[0].message
+
+    def test_new_container_needs_only_to_block(self, tmp_path):
+        # A container anywhere crosses both wire formats through its
+        # to_block(): adding one touches no codec function.
+        shutil.copytree(FIXTURES / "QA501" / "good", tmp_path / "tree")
+        for module in ("protocol/reports.py", "frequency/olh.py"):
+            path = tmp_path / "tree/src/repro" / module
+            path.write_text(
+                path.read_text()
+                + "\n\nclass PairReports:\n"
+                "    def to_block(self):\n"
+                '        return ColumnBlock(kind="pairs")\n'
+            )
+        assert findings(tmp_path / "tree", ["QA501"]) == []
 
     def test_conversion_must_dispatch_through_to_block(self, tmp_path):
         shutil.copytree(FIXTURES / "QA501" / "good", tmp_path / "tree")

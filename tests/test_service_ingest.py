@@ -263,6 +263,13 @@ FOUND = [
     ("v1-d-infinite",
      lambda: _v1(_set("payload", "reports", d=float("inf")), protocol=MD),
      400, "bad_reports"),
+    ("v1-olh-columns-0-d",
+     lambda: _v1(_set("payload", reports={
+         "type": "olh",
+         "seeds": wire.encode_array(np.array(5, dtype=np.uint64)),
+         "buckets": wire.encode_array(np.array(1)),
+     })),
+     400, "bad_reports"),
 ]
 
 

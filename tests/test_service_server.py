@@ -781,8 +781,9 @@ class TestCommandLine:
     def test_cli_exits_2_naming_a_corrupt_manifest(self, tmp_path):
         """A newest snapshot that is cut short, is not a campaign
         manifest, has a value of the wrong shape or none where a cut
-        writes one, names a campaign payload that is not on disk, or
-        holds ledger values that would under-charge a user or cannot be
+        writes one, names a campaign payload that is not on disk or
+        whose idempotency keys are not a list of strings, or holds
+        ledger values that would under-charge a user or cannot be
         written back as JSON, fails boot closed: no fallback to the
         older cut, no write, and the CLI exits 2 with one line naming
         the file.  The charge log is checked in all three forms, each
@@ -845,6 +846,17 @@ class TestCommandLine:
                 ledger=list(rows),
             )
 
+        # Campaign payloads 5 and 6 hold idempotency keys no cut
+        # writes: an int among them, and a string, which ``set`` would
+        # split into its characters.
+        payload = json.loads(
+            (snaps / fp / "snapshot-0000000000.json").read_bytes()
+        )
+        for seq, keys in ((5, [1, "k0"]), (6, "abc")):
+            (snaps / fp / f"snapshot-{seq:010d}.json").write_text(
+                json.dumps({**payload, "idempotency_keys": keys})
+            )
+        not_keys = "idempotency_keys is not a list of strings"
         verbose = "is not a {user, epsilon, label} object"
         compact = "is not [user, epsilon, label index]"
         bad_run = "run 0 is not [count > 0, finite epsilon > 0, label index"
@@ -925,6 +937,14 @@ class TestCommandLine:
             "campaign payload missing": (
                 newest_with(campaigns={fp: {**campaign, "seq": 7}}),
                 f"{Path(fp, 'snapshot-0000000007.json')} is missing",
+            ),
+            "a key is an int": (
+                newest_with(campaigns={fp: {**campaign, "seq": 5}}),
+                not_keys,
+            ),
+            "keys are a string": (
+                newest_with(campaigns={fp: {**campaign, "seq": 6}}),
+                not_keys,
             ),
             "logged user without spend": (
                 with_log(["u", 0.5, 0], ["v", 0.5, 0]),

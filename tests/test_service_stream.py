@@ -19,7 +19,7 @@ from repro.service import (
     http,
     wire,
 )
-from repro.stream import WindowConfig
+from repro.stream import MemoizedEncoder, WindowConfig
 
 SEED = 99
 
@@ -364,6 +364,70 @@ class TestMemoizedSubmission:
         np.testing.assert_array_equal(
             np.asarray(client.estimate(window=1)), round_one
         )
+
+    @pytest.mark.parametrize("wire_version", [1, 2])
+    def test_repeat_in_one_batch_charges_once(self, serve, wire_version):
+        server = serve(_frequency(), lifetime_epsilon=4.0)
+        client = ServiceClient(
+            "127.0.0.1", server.port, memoize=True, wire_version=wire_version
+        )
+        response = client.submit([3, 3, 4], users=["a", "a", "b"], rng=SEED)
+        assert response["accepted"] == 3
+        assert server.ledger.spent("a") == 1.0
+        assert server.ledger.spent("b") == 1.0
+
+    @pytest.mark.parametrize(
+        "protocol, draw",
+        [
+            (
+                Protocol.frequency(1.0, domain=10, oracle="grr"),
+                lambda rng: rng.integers(0, 10, 40),
+            ),
+            (_frequency(), lambda rng: rng.integers(0, 10, 40)),
+            (
+                Protocol.frequency(1.0, domain=10, oracle="olh"),
+                lambda rng: rng.integers(0, 10, 40),
+            ),
+            (
+                Protocol.numeric_mean(1.0, mechanism="pm"),
+                lambda rng: rng.uniform(-1, 1, 40),
+            ),
+            (
+                Protocol.multidim(1.0, d=4, k=2),
+                lambda rng: rng.uniform(-1, 1, (40, 4)),
+            ),
+        ],
+        ids=["grr", "oue", "olh", "mean", "sampled-numeric"],
+    )
+    def test_memoized_v1_and_v2_land_bitwise_equal_estimates(
+        self, serve, protocol, draw
+    ):
+        """Two memoized rounds, the second changing a quarter of the
+        values, so it replays cached rows between fresh ones; both land
+        what a local accumulator folds from the same encoder."""
+        first = draw(np.random.default_rng(3))
+        second = first.copy()
+        second[::4] = draw(np.random.default_rng(4))[::4]
+        changed = int((second != first).reshape(40, -1).any(axis=1).sum())
+        assert changed
+        memo, local = MemoizedEncoder(protocol.client()), protocol.server()
+        for values, rng in ((first, SEED), (second, SEED + 1)):
+            local.absorb(memo.encode_users(values, _users(40), rng)[0])
+        estimates = [np.asarray(local.estimate())]
+        for wire_version in (1, 2):
+            server = serve(protocol, lifetime_epsilon=4.0)
+            client = ServiceClient(
+                "127.0.0.1",
+                server.port,
+                memoize=True,
+                wire_version=wire_version,
+            )
+            client.submit(first, users=_users(40), rng=SEED)
+            client.submit(second, users=_users(40), rng=SEED + 1)
+            assert client.encoder.misses == 40 + changed
+            assert client.encoder.hits == 40 - changed
+            estimates.append(np.asarray(client.estimate()))
+        assert len({e.tobytes() for e in estimates}) == 1
 
     def test_budget_rejection_ignores_replayed_users(self, serve):
         protocol = Protocol.frequency(1.0, domain=10, oracle="oue")

@@ -1,8 +1,8 @@
 """Wire-codec tests: bitwise round-trips for every protocol kind.
 
-Every report container, accumulator snapshot and estimate must survive
-``encode -> json -> decode`` bitwise — the service's correctness proof
-reduces to "the wire changes nothing".
+Every report batch's block, accumulator snapshot and estimate must
+survive ``encode -> json -> decode`` bitwise — the service's
+correctness proof reduces to "the wire changes nothing".
 """
 
 import json
@@ -10,8 +10,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.frequency.olh import OLHReports
-from repro.protocol import PROTOCOL_KINDS, Protocol, SampledNumericReports
+from repro.protocol import PROTOCOL_KINDS, Protocol
+from repro.protocol.reports import ColumnBlock
 from repro.service import wire
 
 SEED = 20190412
@@ -65,33 +65,22 @@ def _json_round_trip(obj):
     return json.loads(json.dumps(obj))
 
 
-def _assert_reports_bitwise_equal(a, b):
-    if isinstance(a, SampledNumericReports):
-        assert isinstance(b, SampledNumericReports)
-        assert (a.d, a.k) == (b.d, b.k)
-        np.testing.assert_array_equal(a.cols, b.cols)
-        assert a.cols.dtype == b.cols.dtype
-        np.testing.assert_array_equal(a.values, b.values)
-        assert a.values.dtype == b.values.dtype
-        return
-    if isinstance(a, OLHReports):
-        assert isinstance(b, OLHReports)
-        np.testing.assert_array_equal(a.seeds, b.seeds)
-        assert a.seeds.dtype == b.seeds.dtype
-        np.testing.assert_array_equal(a.buckets, b.buckets)
-        return
-    if hasattr(a, "categorical"):  # MixedReports
-        assert a.n == b.n
-        np.testing.assert_array_equal(a.numeric, b.numeric)
-        assert set(a.categorical) == set(b.categorical)
-        for key in a.categorical:
-            _assert_reports_bitwise_equal(
-                a.categorical[key], b.categorical[key]
-            )
-        return
-    a, b = np.asarray(a), np.asarray(b)
-    assert a.dtype == b.dtype
-    np.testing.assert_array_equal(a, b)
+def _assert_blocks_bitwise_equal(a, b):
+    """Same kind, ``n`` and meta, and every column's dtype, shape and
+    bytes."""
+    assert (a.kind, a.n, a.meta) == (b.kind, b.n, b.meta)
+    assert sorted(a.columns) == sorted(b.columns)
+    for name, arr in a.columns.items():
+        other = b.columns[name]
+        assert (arr.dtype, arr.shape) == (other.dtype, other.shape), name
+        assert arr.tobytes() == other.tobytes(), name
+
+
+def _across_both_wires(reports):
+    """The batch's block, as v1 JSON and as a v2 frame decode it."""
+    v1 = wire.decode_reports(_json_round_trip(wire.encode_reports(reports)))
+    frame = wire.pack_columns(wire.reports_to_columns(reports), "fp")
+    return v1, wire.unpack_columns(frame)["payload"]["columns"]
 
 
 def _assert_estimates_bitwise_equal(a, b):
@@ -155,11 +144,12 @@ class TestReportCodec:
         reports = protocol.client().encode_batch(
             workload, np.random.default_rng(SEED)
         )
-        decoded = wire.decode_reports(
-            _json_round_trip(wire.encode_reports(reports))
-        )
-        _assert_reports_bitwise_equal(reports, decoded)
-        # Absorbing the decoded reports yields the bitwise-same estimate.
+        block = wire.reports_to_columns(reports)
+        assert wire.encode_reports(block) == wire.encode_reports(reports)
+        decoded, framed = _across_both_wires(reports)
+        _assert_blocks_bitwise_equal(block, decoded)
+        _assert_blocks_bitwise_equal(block, framed)
+        # Absorbing the decoded block yields the bitwise-same estimate.
         _assert_estimates_bitwise_equal(
             protocol.server().absorb(reports).estimate(),
             protocol.server().absorb(decoded).estimate(),
@@ -184,6 +174,27 @@ class TestReportCodec:
     def test_unknown_payload_type_rejected(self):
         with pytest.raises(wire.WireFormatError):
             wire.decode_reports({"type": "carrier-pigeon"})
+
+    def test_container_with_only_to_block_crosses_both_wires(self):
+        # The codec names no container: a to_block() is all it needs.
+        class PairReports:
+            def __init__(self, left, right):
+                self.left, self.right = left, right
+
+            def to_block(self):
+                return ColumnBlock(
+                    kind="pairs",
+                    n=len(self.left),
+                    meta={"width": 2},
+                    columns={"left": self.left, "right": self.right},
+                )
+
+        reports = PairReports(
+            np.arange(5, dtype=np.int32), np.linspace(-1.0, 1.0, 5)
+        )
+        v1, v2 = _across_both_wires(reports)
+        _assert_blocks_bitwise_equal(reports.to_block(), v1)
+        _assert_blocks_bitwise_equal(v1, v2)
 
 
 class TestAccumulatorStateCodec:

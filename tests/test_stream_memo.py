@@ -11,6 +11,15 @@ def users(n):
     return [f"user-{i}" for i in range(n)]
 
 
+def assert_same_block(a, b):
+    """Same kind, ``n`` and meta, and every column's dtype and bytes."""
+    assert (a.kind, a.n, a.meta) == (b.kind, b.n, b.meta)
+    assert list(a.columns) == list(b.columns)
+    for name, arr in a.columns.items():
+        assert arr.dtype == b.columns[name].dtype, name
+        assert np.array_equal(arr, b.columns[name]), name
+
+
 class TestMemoizedEncoderBasics:
     def test_round_two_is_byte_identical_and_all_cached(self):
         proto = Protocol.frequency(epsilon=1.0, domain=8, oracle="grr")
@@ -19,7 +28,7 @@ class TestMemoizedEncoderBasics:
         r1, fresh1 = memo.encode_users(values, users(30), np.random.default_rng(1))
         r2, fresh2 = memo.encode_users(values, users(30), np.random.default_rng(2))
         assert all(fresh1) and not any(fresh2)
-        assert np.array_equal(r1, r2)
+        assert_same_block(r1, r2)
         assert memo.hits == 30 and memo.misses == 30
 
     def test_changed_values_are_fresh_only_where_changed(self):
@@ -30,7 +39,8 @@ class TestMemoizedEncoderBasics:
         v2 = np.array([0, 5, 2, 6])  # users 1 and 3 changed
         r2, fresh2 = memo.encode_users(v2, users(4), np.random.default_rng(2))
         assert fresh2 == [False, True, False, True]
-        assert r2[0] == r1[0] and r2[2] == r1[2]
+        a1, a2 = r1.column("array"), r2.column("array")
+        assert a2[0] == a1[0] and a2[2] == a1[2]
 
     def test_switching_back_reuses_original_report(self):
         proto = Protocol.frequency(epsilon=1.0, domain=8, oracle="grr")
@@ -39,7 +49,7 @@ class TestMemoizedEncoderBasics:
         memo.encode_users([5], ["u"], np.random.default_rng(2))
         r3, fresh3 = memo.encode_users([3], ["u"], np.random.default_rng(3))
         assert fresh3 == [False]
-        assert np.array_equal(r1, r3)
+        assert_same_block(r1, r3)
         assert memo.cache_size == 2
 
     def test_all_cached_round_never_touches_rng(self):
@@ -54,7 +64,7 @@ class TestMemoizedEncoderBasics:
 
         reports, fresh = memo.encode_users(values, users(8), ExplodingRng())
         assert not any(fresh)
-        assert len(np.asarray(reports)) == 8
+        assert reports.n == 8 and reports.column("array").shape == (8,)
 
     def test_same_value_different_users_cached_separately(self):
         proto = Protocol.frequency(epsilon=1.0, domain=8, oracle="grr")
@@ -63,12 +73,29 @@ class TestMemoizedEncoderBasics:
         assert fresh == [True, True]
         assert memo.cache_size == 2
 
+    def test_repeat_in_one_batch_is_perturbed_once(self):
+        # One report for both entries, the first entry's draw, charged
+        # once: the second entry is a replay.
+        proto = Protocol.frequency(epsilon=1.0, domain=8, oracle="olh")
+        memo = MemoizedEncoder(proto.client())
+        block, fresh = memo.encode_users(
+            [3, 3], ["a", "a"], np.random.default_rng(1)
+        )
+        assert fresh == [True, False]
+        assert (memo.misses, memo.hits, memo.cache_size) == (1, 1, 1)
+        first = proto.client().encode_batch([3], np.random.default_rng(1))
+        for name, column in first.to_block().columns.items():
+            assert block.column(name).tolist() == 2 * column.tolist()
+        again, fresh = memo.encode_users([3], ["a"], np.random.default_rng(2))
+        assert fresh == [False]
+        assert again.column("seeds")[0] == block.column("seeds")[0]
+
     def test_empty_batch_is_noop(self):
         proto = Protocol.frequency(epsilon=1.0, domain=8, oracle="grr")
         memo = MemoizedEncoder(proto.client())
         reports, fresh = memo.encode_users([], [], np.random.default_rng(1))
         assert fresh == []
-        assert len(np.asarray(reports)) == 0
+        assert reports.n == 0 and reports.column("array").shape == (0,)
 
     def test_mismatched_lengths_rejected(self):
         proto = Protocol.frequency(epsilon=1.0, domain=8, oracle="grr")
@@ -112,7 +139,8 @@ class TestMemoizedEncoderContainers:
         r1, _ = memo.encode_users(values, users(12), np.random.default_rng(1))
         r2, fresh = memo.encode_users(values, users(12), np.random.default_rng(2))
         assert not any(fresh)
-        assert r1.dtype == r2.dtype and np.array_equal(r1, r2)
+        assert r1.column("array").dtype == float
+        assert_same_block(r1, r2)
         acc = proto.server().absorb(r2)
         assert acc.count == 12
 
@@ -123,7 +151,8 @@ class TestMemoizedEncoderContainers:
         r1, _ = memo.encode_users(values, users(10), np.random.default_rng(1))
         r2, fresh = memo.encode_users(values, users(10), np.random.default_rng(2))
         assert not any(fresh)
-        assert r1.shape == (10, 6) and np.array_equal(r1, r2)
+        assert r1.column("array").shape == (10, 6)
+        assert_same_block(r1, r2)
         proto.server().absorb(r2).estimate()
 
     def test_olh_reports(self):
@@ -133,9 +162,8 @@ class TestMemoizedEncoderContainers:
         r1, _ = memo.encode_users(values, users(10), np.random.default_rng(1))
         r2, fresh = memo.encode_users(values, users(10), np.random.default_rng(2))
         assert not any(fresh)
-        assert r1.seeds.dtype == r2.seeds.dtype
-        assert np.array_equal(r1.seeds, r2.seeds)
-        assert np.array_equal(r1.buckets, r2.buckets)
+        assert r1.kind == "olh" and r1.column("seeds").dtype == np.uint64
+        assert_same_block(r1, r2)
         proto.server().absorb(r2).estimate()
 
     def test_sampled_numeric_reports(self):
@@ -145,8 +173,8 @@ class TestMemoizedEncoderContainers:
         r1, _ = memo.encode_users(values, users(8), np.random.default_rng(1))
         r2, fresh = memo.encode_users(values, users(8), np.random.default_rng(2))
         assert not any(fresh)
-        assert np.array_equal(r1.cols, r2.cols)
-        assert np.array_equal(r1.values, r2.values)
+        assert r1.meta == {"d": 5, "k": 2}
+        assert_same_block(r1, r2)
         proto.server().absorb(r2).estimate()
 
     def test_partial_cache_mixes_rows_in_batch_order(self):
@@ -158,9 +186,10 @@ class TestMemoizedEncoderContainers:
         changed[2] = -changed[2]
         r2, fresh = memo.encode_users(changed, users(4), np.random.default_rng(2))
         assert fresh == [False, False, True, False]
-        for i in (0, 1, 3):
-            assert np.array_equal(r1.cols[i], r2.cols[i])
-            assert np.array_equal(r1.values[i], r2.values[i])
+        assert r2.meta == {"d": 4, "k": 2}
+        for name in ("cols", "values"):
+            for i in (0, 1, 3):
+                assert np.array_equal(r1.column(name)[i], r2.column(name)[i])
 
     def test_mixed_tuples_rejected(self):
         from repro.data.schema import (
