@@ -268,6 +268,14 @@ class Campaign:
                 f"{str(payload.get('fingerprint'))[:12]!r}..., not "
                 f"{self.fingerprint[:12]!r}..."
             )
+        counts = (manifest["batches_accepted"], manifest.get("duplicates", 0))
+        if any(type(n) is not int or n < 0 for n in counts):
+            # The next cut's seq sums batches_accepted: it must count.
+            raise ValueError(
+                f"campaign {self.fingerprint[:12]!r}...: batches_accepted "
+                f"{counts[0]!r} and duplicates {counts[1]!r} must be "
+                "non-negative integers"
+            )
         self.accumulator = self._new_accumulator()
         shard_states = payload.get("shard_accumulators")
         if shard_states is None:
@@ -289,8 +297,7 @@ class Campaign:
         self.seen_keys = set(keys)
         self.state = CampaignState.coerce(manifest["state"])
         self.default = bool(manifest.get("default", self.default))
-        self.batches_accepted = int(manifest["batches_accepted"])
-        self.duplicates = int(manifest.get("duplicates", 0))
+        self.batches_accepted, self.duplicates = counts
         if manifest.get("heavy") is not None:
             self.heavy = HeavyHitterTracker.from_dict(manifest["heavy"])
         self.saved_seq = manifest.get("seq")

@@ -30,7 +30,8 @@ gracefully**, through one handler: new batches get 503, a final
 checkpoint lands (bitwise-equal to what an uninterrupted run would have
 written), and the process exits 0.  A snapshot that cannot be resumed
 (corrupt, or checkpointed under another default campaign or window)
-stops boot with exit 2 and one line on stderr.
+stops boot with exit 2 and one line on stderr; a flag value the server
+refuses (``--window 0``, ``--decay 2``) is a usage error, also exit 2.
 """
 
 from __future__ import annotations
@@ -122,11 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.spec is None and not args.campaigns:
-        build_parser().error(
-            "at least one of --spec / --campaigns is required"
-        )
+        parser.error("at least one of --spec / --campaigns is required")
     configure_logging(args.log_format, args.log_level)
 
     def _load(path):
@@ -136,25 +136,24 @@ def main(argv=None) -> int:
     if args.window is None and (
         args.pane_seconds is not None or args.decay is not None
     ):
-        build_parser().error("--pane-seconds/--decay require --window")
-    window = (
-        WindowConfig(
-            panes=args.window,
-            pane_seconds=args.pane_seconds,
-            decay=args.decay,
-        )
-        if args.window is not None
-        else None
-    )
-
+        parser.error("--pane-seconds/--decay require --window")
     default_spec = _load(args.spec) if args.spec is not None else None
     campaign_specs = [_load(path) for path in args.campaigns]
-    store = (
-        SnapshotStore(args.snapshot_dir)
-        if args.snapshot_dir is not None
-        else None
-    )
     try:
+        window = (
+            WindowConfig(
+                panes=args.window,
+                pane_seconds=args.pane_seconds,
+                decay=args.decay,
+            )
+            if args.window is not None
+            else None
+        )
+        store = (
+            SnapshotStore(args.snapshot_dir)
+            if args.snapshot_dir is not None
+            else None
+        )
         server = IngestionServer(
             default_spec,
             lifetime_epsilon=args.lifetime_epsilon,
@@ -170,6 +169,8 @@ def main(argv=None) -> int:
     except (SnapshotCorruptError, SpecMismatchError) as exc:
         print(f"repro.service: {exc}", file=sys.stderr, flush=True)
         return 2
+    except ValueError as exc:  # a flag value the server refuses
+        parser.error(str(exc))
 
     async def _serve() -> None:
         # One handler for SIGTERM and SIGINT.  A loop-level handler only

@@ -6,6 +6,9 @@ The user-device half of the deployment.  The SDK fetches the server's
 before anything is written to the socket, so the server (and the wire)
 only ever see privatized data, exactly the paper's trust model.
 
+Every batch travels as a v2 columnar frame; the SDK refuses a server
+whose ``/spec`` does not offer wire version 2.
+
 Submission is retry-safe: every batch carries an idempotency key
 (caller-supplied or derived deterministically from the report bytes),
 so a retry after a lost response cannot double-count the batch — the
@@ -126,12 +129,6 @@ class ServiceClient:
     campaign:
         Campaign fingerprint this client addresses; ``None`` targets
         the server's default campaign.
-    wire_version:
-        Force a specific report wire format (1 = JSON envelopes, 2 =
-        columnar frames).  ``None`` (the default) negotiates: the SDK
-        picks the highest version both it and the server's
-        ``/spec``-advertised ``wire_versions`` support, falling back to
-        v1 against servers that predate the columnar format.
     metrics_registry:
         Where the client's own instruments (request latency, retry
         counters) live.  ``None`` creates a private registry; siblings
@@ -157,18 +154,9 @@ class ServiceClient:
         retry_max_delay: float = 2.0,
         backoff_rng: Optional[random.Random] = None,
         campaign: Optional[str] = None,
-        wire_version: Optional[int] = None,
         metrics_registry: Optional[MetricsRegistry] = None,
         memoize: bool = False,
     ):
-        if (
-            wire_version is not None
-            and wire_version not in wire.SUPPORTED_WIRE_VERSIONS
-        ):
-            raise ValueError(
-                f"this SDK speaks wire versions "
-                f"{list(wire.SUPPORTED_WIRE_VERSIONS)}, got {wire_version}"
-            )
         self.host = host
         self.port = int(port)
         self.timeout = float(timeout)
@@ -179,10 +167,8 @@ class ServiceClient:
             backoff_rng if backoff_rng is not None else random.Random()
         )
         self.campaign = campaign
-        self.wire_version = wire_version
         self.memoize = bool(memoize)
         self._memo: Optional[MemoizedEncoder] = None
-        self._negotiated: Optional[int] = None
         self._protocol: Optional[Protocol] = None
         self._fingerprint: Optional[str] = None
         self._spec_response: Optional[Dict[str, Any]] = None
@@ -236,11 +222,12 @@ class ServiceClient:
         """A sibling client addressing one specific campaign.
 
         Accepts a campaign fingerprint, a :class:`ProtocolSpec`, or a
-        spec dict (fingerprinted locally — handy right after
-        :meth:`register_campaign` with the same spec).
+        spec dict (fingerprinted locally, as the server fingerprints a
+        registered spec — handy right after :meth:`register_campaign`
+        with the same spec).
         """
         if isinstance(campaign, (ProtocolSpec, dict)):
-            campaign = wire.spec_fingerprint(campaign)
+            campaign = wire.spec_fingerprint(Protocol.from_spec(campaign).spec)
         return ServiceClient(
             self.host,
             self.port,
@@ -250,7 +237,6 @@ class ServiceClient:
             retry_max_delay=self.retry_max_delay,
             backoff_rng=self.backoff_rng,
             campaign=str(campaign),
-            wire_version=self.wire_version,
             metrics_registry=self.metrics_registry,
             memoize=self.memoize,
         )
@@ -399,35 +385,27 @@ class ServiceClient:
     # Spec / protocol
     # ------------------------------------------------------------------
     def fetch_spec(self) -> Dict[str, Any]:
-        """``GET /spec`` (cached); builds the local protocol twin."""
+        """``GET /spec`` (cached); builds the local protocol twin.
+
+        Raises :class:`~repro.service.wire.WireFormatError` when the
+        server's ``wire_versions`` does not offer 2, the one format
+        :meth:`submit_reports` sends.
+        """
         if self._spec_response is None:
             response = self._request(
                 "GET", "/spec" + self._campaign_query()
             )
-            version = response.get("wire_version")
-            offered = response.get("wire_versions")
-            if not isinstance(offered, list) or not offered:
-                # Pre-negotiation server: it speaks exactly one version.
-                offered = [version]
-            if self.wire_version is not None:
-                if self.wire_version not in offered:
-                    raise wire.WireFormatError(
-                        f"forced wire_version {self.wire_version} but the "
-                        f"server only speaks {offered}"
-                    )
-                self._negotiated = self.wire_version
-            else:
-                mutual = [
-                    v
-                    for v in wire.SUPPORTED_WIRE_VERSIONS
-                    if v in offered
-                ]
-                if not mutual:
-                    raise wire.WireFormatError(
-                        f"server speaks wire versions {offered}, this SDK "
-                        f"speaks {list(wire.SUPPORTED_WIRE_VERSIONS)}"
-                    )
-                self._negotiated = max(mutual)
+            offered = response.get(
+                "wire_versions", [response.get("wire_version")]
+            )
+            if (
+                not isinstance(offered, list)
+                or wire.WIRE_VERSION_COLUMNAR not in offered
+            ):
+                raise wire.WireFormatError(
+                    f"server offers wire versions {offered!r}, this SDK "
+                    f"sends version {wire.WIRE_VERSION_COLUMNAR}"
+                )
             self._protocol = Protocol.from_spec(response["spec"])
             # Fingerprint what we *rebuilt*, so any local/remote drift
             # (e.g. a spec field this SDK does not understand) is caught
@@ -462,12 +440,6 @@ class ServiceClient:
     def fingerprint(self) -> str:
         self.fetch_spec()
         return self._fingerprint
-
-    @property
-    def negotiated_wire_version(self) -> int:
-        """The report wire format this client will submit with."""
-        self.fetch_spec()
-        return self._negotiated
 
     # ------------------------------------------------------------------
     # Campaign management
@@ -563,98 +535,34 @@ class ServiceClient:
     ) -> Dict[str, Any]:
         """Submit already-encoded reports (``POST /report``).
 
-        Uses the negotiated wire format: v2 frames the batch as packed
-        columnar arrays (:func:`repro.service.wire.pack_columns`), v1
-        sends the classic JSON envelope.  Either way the batch carries
-        the same fingerprint, users and idempotency key and lands in
-        the same server-side accumulator, bitwise.  The streaming keys
-        (``round``, ``fresh``) ride along only when given — a
-        round-less submission is byte-identical to a pre-streaming
-        SDK's.
+        The batch travels as one v2 frame of packed columnar arrays
+        (:func:`repro.service.wire.pack_columns`).  The streaming keys
+        (``round``, ``fresh``) ride along only when given.
         """
         fresh_list = (
             [bool(f) for f in fresh] if fresh is not None else None
         )
         round_int = int(round) if round is not None else None
-        if self.negotiated_wire_version == wire.WIRE_VERSION_COLUMNAR:
-            block = wire.reports_to_columns(reports)
-            if idempotency_key is None:
-                idempotency_key = self._derive_columnar_key(
-                    block, users, round_int, fresh_list
-                )
-            frame = wire.pack_columns(
-                block,
-                self.fingerprint,
-                users=[str(u) for u in users],
-                idempotency_key=idempotency_key,
-                campaign=self.campaign,
-                round=round_int,
-                fresh=fresh_list,
-            )
-            return self._request(
-                "POST",
-                "/report",
-                raw_body=frame,
-                content_type=wire.COLUMNAR_CONTENT_TYPE,
-            )
-        encoded = wire.encode_reports(reports)
+        block = wire.reports_to_columns(reports)
         if idempotency_key is None:
-            idempotency_key = self._derive_key(
-                encoded, users, round_int, fresh_list
+            idempotency_key = self._derive_columnar_key(
+                block, users, round_int, fresh_list
             )
-        payload: Dict[str, Any] = {
-            "users": [str(u) for u in users],
-            "idempotency_key": idempotency_key,
-            "reports": encoded,
-        }
-        if round_int is not None:
-            payload["round"] = round_int
-        if fresh_list is not None:
-            payload["fresh"] = fresh_list
-        envelope = wire.pack(
-            payload,
+        frame = wire.pack_columns(
+            block,
             self.fingerprint,
+            users=[str(u) for u in users],
+            idempotency_key=idempotency_key,
             campaign=self.campaign,
+            round=round_int,
+            fresh=fresh_list,
         )
-        return self._request("POST", "/report", envelope)
-
-    @staticmethod
-    def _streaming_key_suffix(
-        digest, round_: Optional[int], fresh: Optional[List[bool]]
-    ) -> None:
-        """Fold the streaming keys into an idempotency digest.
-
-        Only when present — a round-less batch hashes to exactly what a
-        pre-streaming SDK derived, so mixed fleets agree on duplicate
-        detection.  A memoized batch resubmitted into a *different*
-        round is deliberately a distinct key: it is a new pane's worth
-        of (replayed, zero-cost) evidence, not a duplicate.
-        """
-        if round_ is not None:
-            digest.update(f"round:{round_}".encode("ascii"))
-        if fresh is not None:
-            digest.update(json.dumps(fresh).encode("ascii"))
-
-    @staticmethod
-    def _derive_key(
-        encoded_reports: Dict[str, Any],
-        users,
-        round_: Optional[int] = None,
-        fresh: Optional[List[bool]] = None,
-    ) -> str:
-        """Deterministic idempotency key from the batch content.
-
-        Retrying the same encoded batch reuses the same key even across
-        SDK instances, so a crash-and-rerun of a client script cannot
-        double-submit.
-        """
-        digest = hashlib.sha256()
-        digest.update(
-            json.dumps(encoded_reports, sort_keys=True).encode("utf-8")
+        return self._request(
+            "POST",
+            "/report",
+            raw_body=frame,
+            content_type=wire.COLUMNAR_CONTENT_TYPE,
         )
-        digest.update(json.dumps([str(u) for u in users]).encode("utf-8"))
-        ServiceClient._streaming_key_suffix(digest, round_, fresh)
-        return digest.hexdigest()
 
     @staticmethod
     def _derive_columnar_key(
@@ -668,10 +576,11 @@ class ServiceClient:
         Hashes the block's structure (kind, n, meta, per-column
         dtype/shape) and the raw little-endian column bytes plus the
         user list — the same inputs :func:`wire.pack_columns` frames,
-        so identical batches collide by construction.  Deliberately
-        *not* the same key as the v1 JSON derivation: a client that
-        renegotiates mid-stream resubmits under a fresh key, and the
-        server-side duplicate check stays per-representation.
+        so identical batches collide by construction, even across SDK
+        instances.  The streaming keys are hashed only when present: a
+        round-less batch keeps a pre-streaming SDK's key, and a batch
+        resubmitted into a *different* round is a new pane's evidence,
+        not a duplicate.
         """
         digest = hashlib.sha256()
         structure = {
@@ -694,7 +603,10 @@ class ServiceClient:
             arr = np.ascontiguousarray(block.columns[name])
             digest.update(arr.tobytes())
         digest.update(json.dumps([str(u) for u in users]).encode("utf-8"))
-        ServiceClient._streaming_key_suffix(digest, round_, fresh)
+        if round_ is not None:
+            digest.update(f"round:{round_}".encode("ascii"))
+        if fresh is not None:
+            digest.update(json.dumps(fresh).encode("ascii"))
         return digest.hexdigest()
 
     # ------------------------------------------------------------------

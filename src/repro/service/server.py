@@ -752,7 +752,7 @@ class IngestionServer:
         campaign = ingest.resolve(self.registry, query.get("campaign"))
         return 200, {
             # ``wire_version`` stays 1 — old clients equality-check it;
-            # version-2-capable clients negotiate on ``wire_versions``.
+            # the SDK checks that ``wire_versions`` offers 2.
             "wire_version": wire.WIRE_VERSION,
             "wire_versions": list(wire.SUPPORTED_WIRE_VERSIONS),
             "fingerprint": campaign.fingerprint,

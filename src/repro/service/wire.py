@@ -50,8 +50,8 @@ WIRE_VERSION = 1
 WIRE_VERSION_COLUMNAR = 2
 
 #: Every wire version this codec can decode.  Servers advertise this
-#: tuple from ``/spec`` (as ``wire_versions``); clients pick the
-#: highest mutual entry and fall back to v1 against old servers.
+#: tuple from ``/spec`` (as ``wire_versions``); the SDK sends v2 and
+#: refuses a server whose list lacks it.
 SUPPORTED_WIRE_VERSIONS = (1, 2)
 
 #: Content type of v2 report frames on the HTTP boundary; v1 JSON

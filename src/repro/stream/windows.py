@@ -97,9 +97,10 @@ class WindowConfig:
     def __post_init__(self) -> None:
         if self.panes < 1:
             raise ValueError(f"panes must be >= 1, got {self.panes}")
-        if self.pane_seconds is not None and self.pane_seconds <= 0:
+        seconds = self.pane_seconds
+        if seconds is not None and not 0 < seconds < math.inf:  # NaN too
             raise ValueError(
-                f"pane_seconds must be > 0, got {self.pane_seconds}"
+                f"pane_seconds must be finite and > 0, got {seconds}"
             )
         if self.decay is not None:
             check_decay(self.decay)

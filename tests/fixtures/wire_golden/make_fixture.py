@@ -5,8 +5,8 @@ batch of every report container kind: a GRR array, OUE bits, OLH, a
 sampled-numeric batch and a mixed batch with an OLH attribute.  For
 each it records two pairs:
 
-* the v1 JSON envelope bytes and the idempotency key
-  ``ServiceClient._derive_key`` derives for them;
+* the v1 JSON envelope bytes and the idempotency key SDKs derived for
+  them before they sent only v2 frames (:func:`v1_key`, kept here);
 * the v2 ``pack_columns`` frame and its
   ``ServiceClient._derive_columnar_key``.
 
@@ -21,6 +21,7 @@ into ``repro.protocol``:
     PYTHONPATH=src python tests/fixtures/wire_golden/make_fixture.py
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -61,6 +62,15 @@ def _cases():
     }
 
 
+def v1_key(encoded, users):
+    """The v1 idempotency key of a round-less batch: SHA-256 over the
+    reports' sorted-key JSON, then the users' JSON."""
+    digest = hashlib.sha256()
+    digest.update(json.dumps(encoded, sort_keys=True).encode("utf-8"))
+    digest.update(json.dumps([str(u) for u in users]).encode("utf-8"))
+    return digest.hexdigest()
+
+
 def wire_samples():
     """name -> {"v1", "v1_key", "v2", "v2_key"}; bytes as text/hex."""
     samples = {}
@@ -70,9 +80,9 @@ def wire_samples():
         )
         fingerprint = wire.spec_fingerprint(protocol.spec)
         encoded = wire.encode_reports(reports)
-        v1_key = ServiceClient._derive_key(encoded, USERS)
+        key = v1_key(encoded, USERS)
         envelope = wire.pack(
-            {"users": USERS, "idempotency_key": v1_key, "reports": encoded},
+            {"users": USERS, "idempotency_key": key, "reports": encoded},
             fingerprint,
         )
         block = wire.reports_to_columns(reports)
@@ -82,7 +92,7 @@ def wire_samples():
         )
         samples[name] = {
             "v1": json.dumps(envelope),
-            "v1_key": v1_key,
+            "v1_key": key,
             "v2": frame.hex(),
             "v2_key": v2_key,
         }

@@ -83,6 +83,19 @@ class TestRegistrationAndRouting:
         bound.submit(rng.integers(0, 12, 50), users=_users(50), rng=2)
         assert bound.estimate_info()["reports"] == 50
 
+    def test_for_campaign_of_a_registered_spec_dict(self, serve):
+        """A spec dict without ``spec_version`` addresses the campaign
+        ``register_campaign`` made from it: the SDK fingerprints the
+        spec as the server does, after ``ProtocolSpec`` stamps it."""
+        server = serve(_freq_protocol(), lifetime_epsilon=4.0)
+        client = ServiceClient("127.0.0.1", server.port)
+        spec = {"kind": "mean", "epsilon": 1.0, "mechanism": "hm"}
+        registered = client.register_campaign(spec)
+        bound = client.for_campaign(spec)
+        assert bound.campaign == registered["campaign"]
+        bound.submit(np.zeros(5), users=_users(5), rng=0)
+        assert bound.estimate_info()["reports"] == 5
+
     def test_campaign_estimates_match_protocol_run_bitwise(self, serve):
         """Two concurrent campaigns over one population: each one's
         served estimate is bitwise what a single-campaign Protocol.run

@@ -16,6 +16,7 @@ import struct
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from repro.service import (
 from repro.analysis.accountant import PrivacyAccountant
 from repro.campaigns import Campaign
 from repro.stream import WindowConfig
+from wire_v1 import post_v1
 
 SEED = 77
 N = 200
@@ -314,11 +316,12 @@ class TestRejections:
         the accumulator stay byte-identical."""
         protocol, values = _cases()["frequency-olh"]
         server = serve(protocol, lifetime_epsilon=3.0)
-        client = ServiceClient(
-            "127.0.0.1", server.port, wire_version=wire_version
-        )
+        client = ServiceClient("127.0.0.1", server.port)
+        send = client.submit_reports
+        if wire_version == 1:
+            send = partial(post_v1, client)
         good = client.encode(values[:50], rng=0)
-        client.submit_reports(good, _users(50))
+        send(good, _users(50))
         accumulator = server.registry.default.accumulator
 
         def state():
@@ -329,9 +332,7 @@ class TestRejections:
         before = state()
         seeds, buckets = corrupt(good.seeds, good.buckets)
         with pytest.raises(ServiceError) as excinfo:
-            client.submit_reports(
-                OLHReports(seeds=seeds, buckets=buckets), _users(50)
-            )
+            send(OLHReports(seeds=seeds, buckets=buckets), _users(50))
         assert excinfo.value.status == 400
         assert excinfo.value.payload["error"] == "bad_reports"
         assert state() == before
@@ -782,15 +783,17 @@ class TestCommandLine:
         """A newest snapshot that is cut short, is not a campaign
         manifest, has a value of the wrong shape or none where a cut
         writes one, names a campaign payload that is not on disk or
-        whose idempotency keys are not a list of strings, or holds
-        ledger values that would under-charge a user or cannot be
-        written back as JSON, fails boot closed: no fallback to the
-        older cut, no write, and the CLI exits 2 with one line naming
-        the file.  The charge log is checked in all three forms, each
-        case against a manifest in its form: rows of ``spent`` with
-        ``runs``, ``[user, epsilon, label index]`` arrays into
-        ``labels`` without ``runs``, and the ``{user, epsilon, label}``
-        objects of a manifest with neither."""
+        whose idempotency keys are not a list of strings, counts a
+        campaign's batches or duplicates with anything but a
+        non-negative ``int``, or holds ledger values that would
+        under-charge a user or cannot be written back as JSON, fails
+        boot closed: no fallback to the older cut, no write, and the
+        CLI exits 2 with one line naming the file.  The charge log is
+        checked in all three forms, each case against a manifest in
+        its form: rows of ``spent`` with ``runs``, ``[user, epsilon,
+        label index]`` arrays into ``labels`` without ``runs``, and the
+        ``{user, epsilon, label}`` objects of a manifest with
+        neither."""
         protocol = Protocol.frequency(1.0, domain=6)
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(protocol.spec.to_dict()))
@@ -857,6 +860,20 @@ class TestCommandLine:
                 json.dumps({**payload, "idempotency_keys": keys})
             )
         not_keys = "idempotency_keys is not a list of strings"
+
+        def counted(batches=campaign["batches_accepted"], duplicates=0):
+            """The campaign entry with these counters, and the reason
+            boot names for them."""
+            entry = {
+                **campaign,
+                "batches_accepted": batches,
+                "duplicates": duplicates,
+            }
+            return newest_with(campaigns={fp: entry}), (
+                f"batches_accepted {batches!r} and duplicates "
+                f"{duplicates!r} must be non-negative integers"
+            )
+
         verbose = "is not a {user, epsilon, label} object"
         compact = "is not [user, epsilon, label index]"
         bad_run = "run 0 is not [count > 0, finite epsilon > 0, label index"
@@ -946,6 +963,13 @@ class TestCommandLine:
                 newest_with(campaigns={fp: {**campaign, "seq": 6}}),
                 not_keys,
             ),
+            # A negative count made every later cut fail; the others
+            # were read through int() as 7, 2 and 1.
+            "negative batches_accepted": counted(-3),
+            "string batches_accepted": counted("7"),
+            "float batches_accepted": counted(2.5),
+            "bool batches_accepted": counted(True),
+            "negative duplicates": counted(duplicates=-4),
             "logged user without spend": (
                 with_log(["u", 0.5, 0], ["v", 0.5, 0]),
                 "log entry 1: user 'v' has no spent entry",
@@ -1046,6 +1070,49 @@ class TestCommandLine:
                 name, done.stderr,
             )
             assert _tree_bytes(copy) == before, name
+
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            (["--window", "0"], "panes must be >= 1, got 0"),
+            (["--window", "2", "--decay", "2"], "decay must lie in (0, 1]"),
+            (
+                ["--window", "2", "--pane-seconds", "nan"],
+                "pane_seconds must be finite and > 0, got nan",
+            ),
+            (["--lifetime-epsilon", "-1"], "epsilon must be positive"),
+            (["--checkpoint-every", "0"], "checkpoint_every must be >= 1"),
+        ],
+        ids=["window", "decay", "pane-seconds", "lifetime", "checkpoint"],
+    )
+    def test_cli_exits_2_on_a_flag_value_the_server_refuses(
+        self, tmp_path, flags, reason
+    ):
+        """A flag value the server rejects is a usage error naming the
+        reason (exit 2), not a traceback with exit 1."""
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps(Protocol.frequency(1.0, domain=6).spec.to_dict())
+        )
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "repro.service",
+                "--spec", str(spec_path),
+                "--port", "0",
+                "--snapshot-dir", str(tmp_path / "snaps"),
+                *flags,
+            ],
+            capture_output=True,
+            env=_cli_env(),
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr, done.stderr
+        last = done.stderr.splitlines()[-1]
+        assert last.startswith("python -m repro.service: error: "), last
+        assert reason in last, last
 
     @pytest.mark.parametrize(
         "saved, configured",

@@ -20,6 +20,7 @@ from repro.service import (
     wire,
 )
 from repro.stream import MemoizedEncoder, WindowConfig
+from wire_v1 import post_v1
 
 SEED = 99
 
@@ -70,6 +71,15 @@ def _submit(server, values, users, round_=0):
     )
     status, answer = _call(server, "POST", "/report", envelope)
     assert status == 200 and answer["status"] == "accepted", answer
+
+
+def _send(client, wire_version, values, users, rng, round=None):
+    """A memoizing client's ``submit`` as a v2 frame, or its encoder's
+    reports and fresh flags in a hand-built v1 envelope."""
+    if wire_version == 2:
+        return client.submit(values, users=users, rng=rng, round=round)
+    reports, fresh = client.encoder.encode_users(values, users, rng)
+    return post_v1(client, reports, users, round=round, fresh=fresh)
 
 
 def _tree(root):
@@ -307,27 +317,24 @@ class TestRefusedEstimates:
 
 
 class TestMemoizedSubmission:
-    @pytest.mark.parametrize("wire_version", [None, 1])
+    @pytest.mark.parametrize("wire_version", [1, 2])
     def test_unchanged_resubmission_charges_zero_epsilon(
         self, serve, wire_version
     ):
         protocol = _frequency()
         server = serve(protocol, window={"panes": 4})
-        client = ServiceClient(
-            "127.0.0.1",
-            server.port,
-            memoize=True,
-            wire_version=wire_version,
-        )
+        client = ServiceClient("127.0.0.1", server.port, memoize=True)
         values = np.arange(30) % 10
         users = _users(30)
-        client.submit(values, users=users, rng=SEED, round=0)
+        _send(client, wire_version, values, users, SEED, round=0)
         spent_after_round_1 = {u: server.ledger.spent(u) for u in users}
         assert all(v == 1.0 for v in spent_after_round_1.values())
 
         # Round 2, same values: the cached reports replay, every user
         # is marked not-fresh, and the ledger does not move at all.
-        response = client.submit(values, users=users, rng=SEED + 1, round=1)
+        response = _send(
+            client, wire_version, values, users, SEED + 1, round=1
+        )
         assert response["accepted"] == 30
         for u in users:
             assert server.ledger.spent(u) == spent_after_round_1[u]
@@ -368,10 +375,10 @@ class TestMemoizedSubmission:
     @pytest.mark.parametrize("wire_version", [1, 2])
     def test_repeat_in_one_batch_charges_once(self, serve, wire_version):
         server = serve(_frequency(), lifetime_epsilon=4.0)
-        client = ServiceClient(
-            "127.0.0.1", server.port, memoize=True, wire_version=wire_version
+        client = ServiceClient("127.0.0.1", server.port, memoize=True)
+        response = _send(
+            client, wire_version, [3, 3, 4], ["a", "a", "b"], SEED
         )
-        response = client.submit([3, 3, 4], users=["a", "a", "b"], rng=SEED)
         assert response["accepted"] == 3
         assert server.ledger.spent("a") == 1.0
         assert server.ledger.spent("b") == 1.0
@@ -416,14 +423,9 @@ class TestMemoizedSubmission:
         estimates = [np.asarray(local.estimate())]
         for wire_version in (1, 2):
             server = serve(protocol, lifetime_epsilon=4.0)
-            client = ServiceClient(
-                "127.0.0.1",
-                server.port,
-                memoize=True,
-                wire_version=wire_version,
-            )
-            client.submit(first, users=_users(40), rng=SEED)
-            client.submit(second, users=_users(40), rng=SEED + 1)
+            client = ServiceClient("127.0.0.1", server.port, memoize=True)
+            _send(client, wire_version, first, _users(40), SEED)
+            _send(client, wire_version, second, _users(40), SEED + 1)
             assert client.encoder.misses == 40 + changed
             assert client.encoder.hits == 40 - changed
             estimates.append(np.asarray(client.estimate()))
@@ -529,17 +531,16 @@ class TestCompatibility:
         assert info["final"] is False
 
     def test_roundless_idempotency_key_is_unchanged(self):
-        """The streaming keys must not perturb the v1 key derivation —
-        mixed fleets (old and new SDKs) agree on duplicate detection."""
-        encoded = {"dtype": "<i8", "data": [1, 2, 3]}
+        """The streaming keys must not perturb a round-less batch's key
+        — old and new SDKs agree on duplicate detection — and a round
+        or fresh flags make a key of its own."""
+        block = wire.reports_to_columns(np.array([1, 2, 3]))
         users = ["a", "b", "c"]
-        base = ServiceClient._derive_key(encoded, users)
-        assert ServiceClient._derive_key(encoded, users, None, None) == base
-        assert ServiceClient._derive_key(encoded, users, 0, None) != base
-        assert (
-            ServiceClient._derive_key(encoded, users, None, [True] * 3)
-            != base
-        )
+        derive = ServiceClient._derive_columnar_key
+        base = derive(block, users)
+        assert derive(block, users, None, None) == base
+        assert derive(block, users, 0, None) != base
+        assert derive(block, users, None, [True] * 3) != base
 
     def test_duplicate_detection_still_works_with_rounds(self, serve):
         protocol = _frequency()
@@ -593,6 +594,23 @@ class TestCompatibility:
             client.register_campaign(spec, window={"panes": 5})
         assert excinfo.value.status == 409
         assert excinfo.value.payload["error"] == "window_conflict"
+
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_non_finite_pane_seconds_is_400_bad_spec(self, serve, seconds):
+        """JSON bodies may carry bare ``NaN`` and ``Infinity``.  A NaN
+        pane width was registered, and /campaigns and /spec answered
+        with a token that is not JSON from then on."""
+        server = serve(_frequency())
+        client = ServiceClient("127.0.0.1", server.port)
+        spec = Protocol.frequency(2.0, domain=4, oracle="grr").spec
+        with pytest.raises(ServiceError) as excinfo:
+            client.register_campaign(
+                spec, window={"panes": 2, "pane_seconds": seconds}
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error"] == "bad_spec"
+        assert "pane_seconds must be finite" in str(excinfo.value)
+        assert len(client.campaigns()) == 1
 
     def test_registered_windowed_campaign_round_trip(self, serve):
         """POST /campaigns with a window, then stream into it."""

@@ -1,19 +1,23 @@
-"""Wire format v2 end-to-end: negotiation and a mixed v1/v2 fleet.
+"""Wire format v2 end-to-end: the SDK's one format and a mixed fleet.
 
 These tests drive the v2 (columnar) wire format through a live server:
-the SDK negotiates it from ``/spec``, columnar batches get the same
-duplicate/validation/fingerprint checks as v1 JSON envelopes, and a v1
-JSON client and a v2 columnar client ingesting concurrently into the
-same campaign land in the same aggregate, bitwise.
+the SDK sends it to any server whose ``/spec`` offers it and refuses
+one that does not, columnar batches get the same
+duplicate/validation/fingerprint checks as v1 JSON envelopes, and
+hand-built v1 envelopes and SDK v2 frames ingesting concurrently into
+the same campaign land in the same aggregate, bitwise.
 """
 
+import re
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.protocol import Protocol
 from repro.service import IngestionServer, ServiceClient, ServiceError, wire
+from wire_v1 import post_v1
 
 SEED = 77
 N = 400
@@ -46,66 +50,57 @@ def serve():
         server.stop()
 
 
-class TestNegotiation:
+class TestOneFormat:
     def test_spec_offers_both_versions(self, serve):
         server = serve(_protocol())
         client = ServiceClient("127.0.0.1", server.port)
         spec = client.fetch_spec()
-        # "wire_version": 1 stays for pre-negotiation clients that
-        # equality-check it; the offer list is the new field.
+        # "wire_version": 1 stays for older clients that equality-check
+        # it; the server still decodes their v1 envelopes.
         assert spec["wire_version"] == wire.WIRE_VERSION
         assert spec["wire_versions"] == list(wire.SUPPORTED_WIRE_VERSIONS)
 
-    def test_sdk_negotiates_columnar_by_default(self, serve):
+    def test_sdk_sends_columnar_frames(self, serve):
         server = serve(_protocol())
         client = ServiceClient("127.0.0.1", server.port)
-        assert (
-            client.negotiated_wire_version == wire.WIRE_VERSION_COLUMNAR
-        )
-
-    def test_forced_v1_sticks_and_submits_json(self, serve):
-        server = serve(_protocol())
-        client = ServiceClient("127.0.0.1", server.port, wire_version=1)
-        assert client.negotiated_wire_version == wire.WIRE_VERSION
         client.submit(_values()[:10], users=_users(10), rng=SEED)
-        counts = client.healthz()["wire_versions"]
-        assert counts == {"1": 1, "2": 0}
+        assert client.healthz()["wire_versions"] == {"1": 0, "2": 1}
 
-    def test_unsupported_forced_version_rejected_locally(self):
-        with pytest.raises(ValueError):
-            ServiceClient("127.0.0.1", 1, wire_version=3)
-
-    def test_v1_only_server_falls_back(self, serve, monkeypatch):
-        # Simulate a pre-negotiation server by stripping the offer
-        # list from its /spec response: the SDK must fall back to the
-        # single advertised version instead of assuming v2.
+    @pytest.mark.parametrize(
+        "offer", [None, [1], "2"], ids=["no-list", "v1-only", "not-a-list"]
+    )
+    def test_sdk_refuses_a_server_without_v2(
+        self, serve, monkeypatch, offer
+    ):
+        """A ``/spec`` that does not list 2 (a server that predates the
+        list offers only its ``wire_version``, 1) is a WireFormatError
+        naming the offer, raised before any report is sent."""
         server = serve(_protocol())
         real_request = ServiceClient._request
+        paths = []
 
-        def stripped(self, method, path, **kwargs):
+        def offering(self, method, path, **kwargs):
+            paths.append(path)
             response = real_request(self, method, path, **kwargs)
-            if path.startswith("/spec") and isinstance(response, dict):
-                response = {
-                    k: v
-                    for k, v in response.items()
-                    if k != "wire_versions"
-                }
+            if path.startswith("/spec"):
+                del response["wire_versions"]
+                if offer is not None:
+                    response["wire_versions"] = offer
             return response
 
-        monkeypatch.setattr(ServiceClient, "_request", stripped)
+        monkeypatch.setattr(ServiceClient, "_request", offering)
         client = ServiceClient("127.0.0.1", server.port)
-        assert client.negotiated_wire_version == wire.WIRE_VERSION
-        with pytest.raises(wire.WireFormatError):
-            ServiceClient(
-                "127.0.0.1",
-                server.port,
-                wire_version=wire.WIRE_VERSION_COLUMNAR,
-            ).fetch_spec()
+        shown = repr([1] if offer is None else offer)
+        with pytest.raises(wire.WireFormatError, match=re.escape(shown)):
+            client.submit(_values()[:10], users=_users(10), rng=SEED)
+        assert paths == ["/spec"]
+        assert server.registry.default.reports == 0
 
 
 class TestMixedFleet:
     def test_v1_and_v2_clients_concurrently_bitwise_equal(self, serve):
-        """The headline invariant: a mixed v1/v2 fleet ingesting
+        """The headline invariant: a mixed v1/v2 fleet (hand-built v1
+        envelopes beside the SDK's v2 frames) ingesting
         concurrently into one campaign reproduces a single local
         ``Protocol.run`` bitwise (frequency counts are integral, so
         arrival order cannot perturb them)."""
@@ -125,18 +120,17 @@ class TestMixedFleet:
             start += len(chunk)
 
         server = serve(protocol)
-        v1 = ServiceClient("127.0.0.1", server.port, wire_version=1)
+        v1 = ServiceClient("127.0.0.1", server.port)
         v2 = ServiceClient("127.0.0.1", server.port)
-        assert v2.negotiated_wire_version == wire.WIRE_VERSION_COLUMNAR
 
-        def drain(client, indices):
+        def drain(send, indices):
             for i in indices:
-                client.submit_reports(chunks[i], users=user_chunks[i])
+                send(chunks[i], users=user_chunks[i])
 
         with ThreadPoolExecutor(max_workers=2) as pool:
             futures = [
-                pool.submit(drain, v1, range(0, 8, 2)),
-                pool.submit(drain, v2, range(1, 8, 2)),
+                pool.submit(drain, partial(post_v1, v1), range(0, 8, 2)),
+                pool.submit(drain, v2.submit_reports, range(1, 8, 2)),
             ]
             for future in futures:
                 future.result()
@@ -169,9 +163,6 @@ class TestMixedFleet:
         # validation BEFORE the ledger charge.
         server = serve(_protocol())
         client = ServiceClient("127.0.0.1", server.port)
-        assert (
-            client.negotiated_wire_version == wire.WIRE_VERSION_COLUMNAR
-        )
         with pytest.raises(ServiceError):
             client.submit_reports(
                 np.array([DOMAIN + 7]), users=["x1"]

@@ -50,8 +50,9 @@ class TestWindowConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             WindowConfig(panes=0)
-        with pytest.raises(ValueError):
-            WindowConfig(panes=3, pane_seconds=0)
+        for seconds in (0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                WindowConfig(panes=3, pane_seconds=seconds)
         with pytest.raises(ValueError):
             WindowConfig(panes=3, decay=1.5)
 

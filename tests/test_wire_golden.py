@@ -1,11 +1,11 @@
 """Golden test: the bytes every report container puts on the wire.
 
 ``fixtures/wire_golden/golden.json`` holds, per container kind, the v1
-JSON envelope and the v2 columnar frame a client sends for one fixed
-batch, with their idempotency keys, as written before the container ->
-block conversion moved into ``repro.protocol``.  Deployed servers
-dedupe on those keys and old clients still send those bytes, so both
-must stay byte-identical.
+JSON envelope an older client sends and the v2 columnar frame the SDK
+sends for one fixed batch, with their idempotency keys, as written
+before the container -> block conversion moved into
+``repro.protocol``.  Deployed servers dedupe on those keys and decode
+those bytes, so both must stay byte-identical.
 """
 
 import importlib.util
